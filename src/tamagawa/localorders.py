@@ -80,11 +80,17 @@ class LocalSelmerOrders:
     tt_p: int  # p-torsion of the Tamagawa torsor group
 
     def __post_init__(self) -> None:
-        assert self.relaxed_order == self.kummer_order * self.phi_p
-        assert self.restricted_order * self.phi_p == self.kummer_order
-        assert self.tt_p == self.phi_p
-        assert self.restricted_order <= self.kummer_order <= self.relaxed_order
-        assert self.relaxed_order * self.restricted_order == self.kummer_order**2
+        kummer, phi_p = self.kummer_order, self.phi_p
+        relaxed, restricted = self.relaxed_order, self.restricted_order
+        for holds, identity in (
+            (relaxed == kummer * phi_p, "relaxed = kummer * phi_p"),
+            (restricted * phi_p == kummer, "restricted * phi_p = kummer"),
+            (self.tt_p == phi_p, "tt_p = phi_p"),
+            (restricted <= kummer <= relaxed, "restricted <= kummer <= relaxed"),
+            (relaxed * restricted == kummer**2, "relaxed * restricted = kummer^2"),
+        ):
+            if not holds:
+                raise InconsistentLocalData(f"local orders at {self.place} violate {identity}: {self}")
 
     def serialize(self) -> dict:
         return {
@@ -170,7 +176,8 @@ def local_torsion_order(
         if value_is_square_at_root(g, root):
             valid += 1
     count = 1 + 2 * valid
-    assert count in (1, p, p * p), f"torsion count {count} outside {{1, p, p^2}}"
+    if count not in (1, p, p * p):
+        raise InconsistentLocalData(f"torsion count {count} outside {{1, p, p^2}}")
     return count
 
 

@@ -31,6 +31,10 @@ __all__ = [
 # start at 20*deg, double on undecided classes, give up here.
 PRECISION_HARD_CAP = 2048
 
+# Certificate primes for ``IntegerPolynomial.squarefree_part``: the largest
+# three below 10^6.
+_SQUAREFREE_PRIMES = (999983, 999979, 999961)
+
 
 class PrecisionExhausted(Exception):
     """Raised when a decision is still unstable at the precision ceiling."""
@@ -254,10 +258,23 @@ class IntegerPolynomial:
         return IntegerPolynomial([c * ell ** (s * (d - i)) for i, c in enumerate(self.coeffs)])
 
     def squarefree_part(self) -> "IntegerPolynomial":
-        """f / gcd(f, f'), primitive over Z; same root set, all roots simple."""
+        """f / gcd(f, f'), primitive over Z; same root set, all roots simple.
+
+        Modular certificate first: if some prime q in ``_SQUAREFREE_PRIMES``
+        does not divide lc(f) and gcd(f mod q, f' mod q) = 1, then f is
+        squarefree over Q and its primitive part is returned.  (A repeated
+        factor h^2 of f over Z has q not dividing lc(h), so h keeps its
+        degree mod q and divides both f and f' there.)  The exact rational
+        Euclid runs only when no prime certifies f: f has a repeated factor,
+        every such prime divides lc(f), or f collapses mod every such prime.
+        """
         if self.degree <= 1:
             return self.primitive_part()
-        g = _rational_poly_gcd(self.coeffs, self.derivative().coeffs)
+        fp = self.derivative().coeffs
+        for q in _SQUAREFREE_PRIMES:
+            if self.coeffs[-1] % q and _poly_gcd_mod_ell(list(self.coeffs), list(fp), q) == [1]:
+                return self.primitive_part()
+        g = _rational_poly_gcd(self.coeffs, fp)
         if len(g) == 1:  # gcd is constant: already squarefree
             return self.primitive_part()
         q = _rational_poly_divide_exact(self.coeffs, g)
@@ -294,7 +311,7 @@ def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def _rational_poly_divide_exact(a: Sequence[int], b: list[Fraction]) -> list[Fraction]:
-    """a / b over Q; remainder is asserted to vanish."""
+    """a / b over Q; a nonzero remainder raises ArithmeticError."""
     ra = [Fraction(c) for c in a]
     q = [Fraction(0)] * (len(ra) - len(b) + 1)
     while len(ra) >= len(b) and any(ra):
@@ -305,7 +322,8 @@ def _rational_poly_divide_exact(a: Sequence[int], b: list[Fraction]) -> list[Fra
             ra[i + shift] -= coef * c
         while ra and ra[-1] == 0:
             ra.pop()
-    assert not any(ra), "exact division expected"
+    if any(ra):
+        raise ArithmeticError("exact division expected")
     return q
 
 
@@ -376,7 +394,8 @@ class PadicRoot:
             m = self.ell**exp
             ft = f(t) % m
             fpt = fp(t) % m
-            assert fpt % self.ell != 0, "witness root must be simple"
+            if fpt % self.ell == 0:
+                raise ArithmeticError("witness root must be simple")
             t = (t - ft * pow(fpt, -1, m)) % m
         self._cache = (exp, t)
         return t
@@ -502,7 +521,8 @@ def _linear_roots_mod(g: list[int], ell: int) -> list[int]:
             stack.extend([g1, g2])
         else:
             stack.append(h)  # retry with the next shift
-        assert shift < 4 * ell + 64, "root splitting failed to converge"
+        if shift >= 4 * ell + 64:
+            raise ArithmeticError("root splitting failed to converge")
     return sorted(roots)
 
 

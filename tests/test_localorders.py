@@ -3,9 +3,11 @@ six-order assembly and its forced identities."""
 
 import pytest
 
+from tamagawa import localorders
 from tamagawa.curves import FiniteFieldCurve, FiniteFieldPoint, WeierstrassCurve, count_p_torsion_mod
 from tamagawa.localorders import (
     InconsistentLocalData,
+    LocalSelmerOrders,
     Place,
     assemble_local_orders,
     division_polynomial,
@@ -158,6 +160,20 @@ def test_inconsistent_local_data_detected():
     )
     with pytest.raises(InconsistentLocalData, match="inconsistent local data"):
         assemble_local_orders(E, Place.finite(7), 3, local_data=fake)
+
+
+def test_local_orders_violating_identities_rejected():
+    with pytest.raises(InconsistentLocalData, match="relaxed = kummer"):
+        LocalSelmerOrders(Place.finite(5), 25, 5, 5, 7, 1, 3)
+
+
+def test_torsion_count_outside_allowed_orders_rejected(monkeypatch):
+    # two valid roots give 1 + 2*2 = 5 points, not one of 1, 3, 9 for p = 3
+    monkeypatch.setattr(localorders, "find_roots_padic", lambda f, ctx: [None, None])
+    monkeypatch.setattr(localorders, "value_is_square_at_root", lambda h, root: True)
+    E = WeierstrassCurve(0, 0, 0, 1, 0)
+    with pytest.raises(InconsistentLocalData, match="torsion count 5"):
+        local_torsion_order(E, Place.finite(7), 3)
 
 
 def test_place_ordering_and_serialization():

@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 from sympy import Poly, Symbol, discriminant
 
+from tamagawa import padic
+from tamagawa.localorders import division_polynomial
 from tamagawa.padic import (
     IntegerPolynomial,
     PadicContext,
+    PadicRoot,
     PrecisionExhausted,
     count_roots_padic,
     find_roots_padic,
@@ -203,3 +206,86 @@ def test_padic_root_refinement_is_consistent():
         a8, a16 = r.approx(8), r.approx(16)
         assert valuation(a8 - a16, 7) >= 8 if a8 != a16 else True
         assert valuation(f(a16), 7) >= 16
+
+
+def _rational_squarefree_part(f: IntegerPolynomial) -> IntegerPolynomial:
+    """Reference: squarefree_part with no certificate primes runs the
+    rational Euclid alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(padic, "_SQUAREFREE_PRIMES", ())
+        return f.squarefree_part()
+
+
+@pytest.fixture
+def rational_gcd_calls(monkeypatch):
+    """Counts the calls that reach the rational-Euclid fallback."""
+    calls = []
+    real = padic._rational_poly_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(padic, "_rational_poly_gcd", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_squarefree_part_certifies_division_polynomials(corpus, p, rational_gcd_calls):
+    for rec in corpus[:6]:
+        psi = division_polynomial(rec.curve(), p)
+        reference = _rational_squarefree_part(psi)
+        rational_gcd_calls.clear()
+        assert psi.squarefree_part() == reference == psi.primitive_part()
+        assert not rational_gcd_calls  # certified mod a prime, no Fraction Euclid
+
+
+def test_squarefree_part_removes_repeated_factor(rational_gcd_calls):
+    a, b = IntegerPolynomial([-3, 2]), IntegerPolynomial([5, 0, 1])
+    f = a**3 * b**2 * 6
+    assert f.squarefree_part() == a * b
+    assert rational_gcd_calls
+
+
+def test_squarefree_part_falls_back_when_every_prime_collapses(rational_gcd_calls):
+    # x(x - q1 q2 q3) is squarefree over Q but x^2 modulo every certificate prime
+    q1, q2, q3 = padic._SQUAREFREE_PRIMES
+    f = IntegerPolynomial([0, -q1 * q2 * q3, 1])
+    assert f.squarefree_part() == f
+    assert rational_gcd_calls
+
+
+def test_squarefree_part_lead_divisible_by_every_prime(rational_gcd_calls):
+    q1, q2, q3 = padic._SQUAREFREE_PRIMES
+    f = IntegerPolynomial([-1, 1, q1 * q2 * q3])
+    assert f.squarefree_part() == f
+    assert rational_gcd_calls
+    g = f * f * IntegerPolynomial([2, 1])
+    assert g.squarefree_part() == f * IntegerPolynomial([2, 1])
+
+
+def test_squarefree_part_matches_rational_reference():
+    rng = random.Random(6)
+    for _ in range(300):
+        f = IntegerPolynomial([rng.randint(1, 5)])
+        for _ in range(rng.randint(1, 4)):
+            factor = IntegerPolynomial([rng.randint(-20, 20) for _ in range(rng.randint(2, 3))] + [rng.randint(1, 4)])
+            f = f * factor ** rng.randint(1, 3)
+        assert f.squarefree_part() == _rational_squarefree_part(f), f
+
+
+def test_exact_division_remainder_raises():
+    with pytest.raises(ArithmeticError, match="exact division expected"):
+        padic._rational_poly_divide_exact([1, 0, 1], [Fraction(1), Fraction(1)])
+
+
+def test_lift_rejects_singular_witness():
+    root = PadicRoot(5, IntegerPolynomial([0, 0, 1]), 0, 1, 0, 0)  # x^2 at t0 = 0
+    with pytest.raises(ArithmeticError, match="witness root must be simple"):
+        root.approx(4)
+
+
+def test_linear_roots_rejects_irreducible_factor():
+    # x^2 + 1 has no root over F_3, so no shift ever splits it
+    with pytest.raises(ArithmeticError, match="root splitting failed to converge"):
+        padic._linear_roots_mod([1, 0, 1], 3)

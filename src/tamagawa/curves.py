@@ -1,6 +1,13 @@
 """Weierstrass models over Q: invariants, coordinate changes, reduction mod l,
 and exhaustive point arithmetic over small prime fields (the brute-force
-oracle for residue-field torsion)."""
+oracle for residue-field torsion).
+
+One model type serves the whole package.  A coefficient is stored as an
+``int`` when it is integral and as a ``Fraction`` otherwise, so integral
+models (everything the CLI, the fixtures and Tate's algorithm work on) run
+on plain integer arithmetic.  The b-invariants and the discriminant are
+computed once, when the model is built.
+"""
 
 from __future__ import annotations
 
@@ -24,38 +31,51 @@ __all__ = [
 
 ENUMERATION_CAP = 10**5
 
+Rational = int | Fraction
+
 
 class SingularCurveError(ValueError):
     """Discriminant zero: not an elliptic curve."""
 
 
-def _to_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _normalise(x) -> Rational:
+    """``int`` when x is integral, ``Fraction`` otherwise."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q.
 
-    Coefficients are Fractions internally so coordinate changes stay exact;
-    curves produced by :meth:`from_input` (and the CLI) are always integral.
+    Each coefficient is an ``int`` when integral and a ``Fraction``
+    otherwise, so coordinate changes stay exact and integral models never
+    touch Fraction arithmetic.  b2, b4, b6, b8 and the discriminant are
+    computed once in the constructor.  Curves produced by :meth:`from_input`
+    (and the CLI) are always integral.
     """
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
+    a1: Rational
+    a2: Rational
+    a3: Rational
+    a4: Rational
+    a6: Rational
 
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, _to_fraction(getattr(self, name)))
-        if self.discriminant == 0:
+            object.__setattr__(self, name, _normalise(getattr(self, name)))
+        a1, a2, a3, a4, a6 = self.ainvs
+        b2 = a1 * a1 + 4 * a2
+        b4 = 2 * a4 + a1 * a3
+        b6 = a3 * a3 + 4 * a6
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        if disc == 0:
             raise SingularCurveError("singular curve: discriminant is zero")
-        # standard identities, cheap self-check
-        b2, b4, b6, b8 = self.b_invariants
-        assert 4 * b8 == b2 * b6 - b4 * b4
-        assert 1728 * self.discriminant == self.c4**3 - self.c6**2
+        object.__setattr__(self, "_b", (b2, b4, b6, b8))
+        object.__setattr__(self, "_disc", disc)
 
     # -- construction ------------------------------------------------------
 
@@ -66,63 +86,52 @@ class WeierstrassCurve:
         from math import lcm
 
         ai = [Fraction(a) for a in (a1, a2, a3, a4, a6)]
-        weights = (1, 2, 3, 4, 6)
-        u = 1
-        for a in ai:
-            u = lcm(u, a.denominator)
-        scaled = [a * Fraction(u) ** w for a, w in zip(ai, weights)]
-        assert all(a.denominator == 1 for a in scaled)
-        return cls(*scaled)
+        u = lcm(*(a.denominator for a in ai))
+        return cls(*(a * u**w for a, w in zip(ai, (1, 2, 3, 4, 6))))
 
     @property
-    def ainvs(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
+    def ainvs(self) -> tuple[Rational, Rational, Rational, Rational, Rational]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     @property
     def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.ainvs)
+        return all(type(a) is int for a in self.ainvs)
 
     def integer_ainvs(self) -> tuple[int, int, int, int, int]:
         if not self.is_integral:
             raise ValueError("model is not integral")
-        return tuple(int(a) for a in self.ainvs)  # type: ignore[return-value]
+        return self.ainvs  # type: ignore[return-value]
 
     # -- invariants ----------------------------------------------------------
 
     @property
-    def b_invariants(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        a1, a2, a3, a4, a6 = self.ainvs
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return b2, b4, b6, b8
+    def b_invariants(self) -> tuple[Rational, Rational, Rational, Rational]:
+        return self._b
 
     @property
-    def c4(self) -> Fraction:
-        b2, b4, _, _ = self.b_invariants
+    def c4(self) -> Rational:
+        b2, b4, _, _ = self._b
         return b2 * b2 - 24 * b4
 
     @property
-    def c6(self) -> Fraction:
-        b2, b4, b6, _ = self.b_invariants
+    def c6(self) -> Rational:
+        b2, b4, b6, _ = self._b
         return -(b2**3) + 36 * b2 * b4 - 216 * b6
 
     @property
-    def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b_invariants
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    def discriminant(self) -> Rational:
+        return self._disc
 
     @property
     def j_invariant(self) -> Fraction:
-        return self.c4**3 / self.discriminant
+        return Fraction(self.c4**3) / self._disc
 
-    def invariants(self) -> dict[str, Fraction]:
-        b2, b4, b6, b8 = self.b_invariants
+    def invariants(self) -> dict[str, Rational]:
+        b2, b4, b6, b8 = self._b
         return {
             "b2": b2, "b4": b4, "b6": b6, "b8": b8,
             "c4": self.c4, "c6": self.c6,
-            "disc": self.discriminant, "j": self.j_invariant,
+            "disc": self._disc, "j": self.j_invariant,
         }
 
     def __str__(self) -> str:
@@ -132,19 +141,19 @@ class WeierstrassCurve:
 class Transformation(NamedTuple):
     """Coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t."""
 
-    u: Fraction
-    r: Fraction
-    s: Fraction
-    t: Fraction
+    u: Rational
+    r: Rational
+    s: Rational
+    t: Rational
 
     @classmethod
     def identity(cls) -> "Transformation":
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        return cls(1, 0, 0, 0)
 
     def compose(self, other: "Transformation") -> "Transformation":
         """self followed by other (other acts on the primed coordinates)."""
         u1, r1, s1, t1 = self
-        u2, r2, s2, t2 = (Fraction(v) for v in other)
+        u2, r2, s2, t2 = other
         return Transformation(
             u1 * u2,
             r1 + u1 * u1 * r2,
@@ -154,17 +163,25 @@ class Transformation(NamedTuple):
 
 
 def transform(curve: WeierstrassCurve, tr: Transformation | tuple) -> WeierstrassCurve:
-    """The same curve in new coordinates; disc scales by u^-12, j is unchanged."""
-    u, r, s, t = (Fraction(v) for v in tr)
+    """The same curve in new coordinates; disc scales by u^-12, j is unchanged.
+
+    The shift by (r, s, t) is exact integer arithmetic on an integral model;
+    only a rescaling (u != 1) divides, through ``Fraction``."""
+    u, r, s, t = (_normalise(v) for v in tr)
     if u == 0:
         raise ValueError("degenerate transformation: u = 0")
     a1, a2, a3, a4, a6 = curve.ainvs
-    na1 = (a1 + 2 * s) / u
-    na2 = (a2 - s * a1 + 3 * r - s * s) / u**2
-    na3 = (a3 + r * a1 + 2 * t) / u**3
-    na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
-    na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
-    return WeierstrassCurve(na1, na2, na3, na4, na6)
+    ai = (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+    if u != 1:
+        u = Fraction(u)
+        ai = tuple(a / u**w for a, w in zip(ai, (1, 2, 3, 4, 6)))
+    return WeierstrassCurve(*ai)
 
 
 def parse_ainvs(text: str) -> WeierstrassCurve:
@@ -209,13 +226,13 @@ class FiniteFieldCurve:
             raise ValueError("reduction requires an integral model")
         if not _is_prime(ell) or ell == 2:
             raise ValueError("odd prime required")
-        if curve.discriminant.numerator % ell == 0:
+        if curve.discriminant % ell == 0:
             raise SingularCurveError(f"reduction is singular at {ell}")
         if ell > ENUMERATION_CAP:
             raise ValueError("prime too large for enumeration")
         self.ell = ell
-        a1, a2, a3, a4, a6 = curve.integer_ainvs()
-        self.a = tuple(a % ell for a in (a1, a2, a3, a4, a6))
+        self.a = tuple(a % ell for a in curve.integer_ainvs())
+        self.b = tuple(b % ell for b in curve.b_invariants)
 
     def on_curve(self, pt: FiniteFieldPoint) -> bool:
         if pt.is_infinity:
@@ -267,7 +284,8 @@ class FiniteFieldCurve:
         """All points, infinity first.  Uses a square table: for odd l the
         y-quadratic is solved by completing the square."""
         ell = self.ell
-        a1, a2, a3, a4, a6 = self.a
+        a1, _, a3, _, _ = self.a
+        b2, b4, b6, _ = self.b
         yield INFINITY
         sqrt_table: dict[int, list[int]] = {}
         for y in range(ell):
@@ -275,28 +293,27 @@ class FiniteFieldCurve:
         inv2 = pow(2, -1, ell)
         for x in range(ell):
             # (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-            rhs = (
-                4 * x**3
-                + (a1 * a1 + 4 * a2) * x * x
-                + 2 * (2 * a4 + a1 * a3) * x
-                + (a3 * a3 + 4 * a6)
-            ) % ell
+            rhs = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % ell
             for w in sqrt_table.get(rhs, ()):
                 y = (w - a1 * x - a3) * inv2 % ell
                 yield FiniteFieldPoint(x, y)
 
     def order(self) -> int:
-        n = sum(1 for _ in self.points())
-        # Hasse bound sanity invariant
-        assert (n - (self.ell + 1)) ** 2 <= 4 * self.ell, "Hasse bound violated"
-        return n
+        return _hasse_checked(sum(1 for _ in self.points()), self.ell)
+
+
+def _hasse_checked(n: int, ell: int) -> int:
+    """n, the number of points mod l, after checking |n - (l + 1)| <= 2 sqrt(l)."""
+    if (n - (ell + 1)) ** 2 > 4 * ell:
+        raise ArithmeticError(f"Hasse bound violated: {n} points mod {ell}")
+    return n
 
 
 def enumerate_points_mod(curve: WeierstrassCurve, ell: int) -> list[FiniteFieldPoint]:
     """Full point list of the reduction mod l (good odd l <= cap), infinity included."""
     red = FiniteFieldCurve(curve, ell)
     pts = list(red.points())
-    assert (len(pts) - (ell + 1)) ** 2 <= 4 * ell, "Hasse bound violated"
+    _hasse_checked(len(pts), ell)
     return pts
 
 
@@ -307,5 +324,6 @@ def count_p_torsion_mod(curve: WeierstrassCurve, ell: int, p: int) -> int:
     for pt in red.points():
         if red.multiply(p, pt).is_infinity:
             count += 1
-    assert count in (1, p, p * p), f"p-torsion count {count} outside {{1,p,p^2}}"
+    if count not in (1, p, p * p):
+        raise ArithmeticError(f"p-torsion count {count} outside {{1,p,p^2}}")
     return count

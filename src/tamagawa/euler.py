@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .curves import FiniteFieldCurve, WeierstrassCurve
 from .localorders import (
+    InconsistentLocalData,
     LocalSelmerOrders,
     Place,
     SUPPORTED_P,
@@ -108,7 +109,8 @@ def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
         if _is_rational_square(Fraction(g(x0))):
             valid += 1
     count = 1 + 2 * valid
-    assert count in (1, p), f"global p-torsion {count} impossible over Q"
+    if count not in (1, p):
+        raise InconsistentLocalData(f"global p-torsion {count} impossible over Q")
     return count
 
 
@@ -123,11 +125,8 @@ def chi_selmer(orders: list[LocalSelmerOrders], global_torsion: int) -> Fraction
 
 
 def chi_relaxed(orders: list[LocalSelmerOrders], global_torsion: int) -> Fraction:
-    """Same product with the relaxed local conditions."""
-    chi = Fraction(global_torsion, global_torsion)
-    for o in orders:
-        chi *= Fraction(o.relaxed_order, o.torsion_order)
-    return chi
+    """Same product with the relaxed local conditions (relaxed = kummer * tt_p)."""
+    return chi_selmer(orders, global_torsion) * math.prod(o.tt_p for o in orders)
 
 
 def euler_factor(curve: WeierstrassCurve, ell: int, p: int) -> Fraction:

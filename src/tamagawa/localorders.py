@@ -69,28 +69,40 @@ class Place:
 
 @dataclass(frozen=True)
 class LocalSelmerOrders:
-    """The six local orders at one place."""
+    """The six local orders at one place: three stored, three derived from them.
+
+    The component-group p-part feeds the torsor group by duality (tt = phi_p
+    for an elliptic curve, which is self-dual), the relaxed order is the
+    Kummer order times tt, and the restricted order divides the Kummer order
+    by the mod-p component image; that division must be exact.
+    """
 
     place: Place
     torsion_order: int  # #E(K_v)[p]
     kummer_order: int  # #E(K_v)/pE(K_v) = local Selmer order
     phi_p: int  # #Phi(k_v)[p]
-    relaxed_order: int  # unramified-in-the-torsor-sense condition
-    restricted_order: int  # kernel-of-component-map condition
-    tt_p: int  # p-torsion of the Tamagawa torsor group
 
     def __post_init__(self) -> None:
-        kummer, phi_p = self.kummer_order, self.phi_p
-        relaxed, restricted = self.relaxed_order, self.restricted_order
-        for holds, identity in (
-            (relaxed == kummer * phi_p, "relaxed = kummer * phi_p"),
-            (restricted * phi_p == kummer, "restricted * phi_p = kummer"),
-            (self.tt_p == phi_p, "tt_p = phi_p"),
-            (restricted <= kummer <= relaxed, "restricted <= kummer <= relaxed"),
-            (relaxed * restricted == kummer**2, "relaxed * restricted = kummer^2"),
-        ):
-            if not holds:
-                raise InconsistentLocalData(f"local orders at {self.place} violate {identity}: {self}")
+        if self.kummer_order % self.phi_p != 0:
+            raise InconsistentLocalData(
+                f"inconsistent local data at {self.place}: phi_p = {self.phi_p} does not divide "
+                f"the Kummer order {self.kummer_order}"
+            )
+
+    @property
+    def tt_p(self) -> int:
+        """p-torsion of the Tamagawa torsor group."""
+        return self.phi_p
+
+    @property
+    def relaxed_order(self) -> int:
+        """Unramified-in-the-torsor-sense condition."""
+        return self.kummer_order * self.tt_p
+
+    @property
+    def restricted_order(self) -> int:
+        """Kernel-of-component-map condition."""
+        return self.kummer_order // self.phi_p
 
     def serialize(self) -> dict:
         return {
@@ -111,7 +123,7 @@ def division_polynomial(curve: WeierstrassCurve, p: int) -> IntegerPolynomial:
         raise ValueError(f"p exceeds desk-scale cap: {p} not in {SUPPORTED_P}")
     if not curve.is_integral:
         raise ValueError("integral model required")
-    b2, b4, b6, b8 = (int(b) for b in curve.b_invariants)
+    b2, b4, b6, b8 = curve.b_invariants
     x = IntegerPolynomial([0, 1])
     one = IntegerPolynomial([1])
     psi3 = 3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8 * one
@@ -119,7 +131,7 @@ def division_polynomial(curve: WeierstrassCurve, p: int) -> IntegerPolynomial:
         psi = psi3
     else:
         # F = (2y + a1 x + a3)^2 and omega4 = psi4 / psi2 are polynomials in x
-        F = 4 * x**3 + b2 * x**2 + 2 * b4 * x + b6 * one
+        F = _y_squareness_poly(curve)
         omega4 = (
             2 * x**6
             + b2 * x**5
@@ -134,15 +146,15 @@ def division_polynomial(curve: WeierstrassCurve, p: int) -> IntegerPolynomial:
             psi = psi5
         else:
             psi = psi5 * psi3**3 - F**2 * omega4**3
-    assert psi.degree == (p * p - 1) // 2
-    assert psi.coeffs[-1] == p
+    if psi.degree != (p * p - 1) // 2 or psi.coeffs[-1] != p:
+        raise InconsistentLocalData(f"psi_{p} has degree {psi.degree} and leading coefficient {psi.coeffs[-1]}")
     return psi
 
 
 def _y_squareness_poly(curve: WeierstrassCurve) -> IntegerPolynomial:
     """(2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6: a point with this
     x-coordinate is rational over Q_l iff the right side is a square there."""
-    b2, b4, b6, _ = (int(b) for b in curve.b_invariants)
+    b2, b4, b6, _ = curve.b_invariants
     x = IntegerPolynomial([0, 1])
     return 4 * x**3 + b2 * x**2 + 2 * b4 * x + b6 * IntegerPolynomial([1])
 
@@ -199,28 +211,12 @@ def assemble_local_orders(
     *,
     local_data: LocalData | None = None,
 ) -> LocalSelmerOrders:
-    """All six local orders at one place.
-
-    The component-group p-part feeds the torsor group by duality (tt = phi_p
-    for an elliptic curve, which is self-dual), the relaxed order is the
-    Kummer order times tt, and the restricted order divides the Kummer order
-    by the mod-p component image; that division must be exact.
-    """
+    """All six local orders at one place (see :class:`LocalSelmerOrders`)."""
     if p not in SUPPORTED_P:
         raise ValueError(f"p exceeds desk-scale cap: {p} not in {SUPPORTED_P}")
     if place.is_real:
-        return LocalSelmerOrders(place, p, 1, 1, 1, 1, 1)
-    ell = place.prime
-    data = local_data or tate_local(curve, ell)
+        return LocalSelmerOrders(place, p, 1, 1)
+    data = local_data or tate_local(curve, place.prime)
     torsion = local_torsion_order(curve, place, p, local_data=data)
     kummer = local_kummer_order(curve, place, p, torsion)
-    phi_p = phi_p_part_order(data, p)
-    tt_p = phi_p
-    relaxed = kummer * tt_p
-    if kummer % phi_p != 0:
-        raise InconsistentLocalData(
-            f"inconsistent local data at {ell}: phi_p = {phi_p} does not divide "
-            f"the Kummer order {kummer}"
-        )
-    restricted = kummer // phi_p
-    return LocalSelmerOrders(place, torsion, kummer, phi_p, relaxed, restricted, tt_p)
+    return LocalSelmerOrders(place, torsion, kummer, phi_p_part_order(data, p))

@@ -85,7 +85,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _int_valuation(n: int, ell: int) -> int:
-    assert n != 0
+    """l-adic valuation of an integer; 10**9 stands in for v(0) = infinity."""
+    if n == 0:
+        return 10**9
     v = 0
     while n % ell == 0:
         n //= ell
@@ -105,7 +107,8 @@ def valuation(x: int | Fraction, ell: int) -> int:
 
 def legendre_symbol(a: int, ell: int) -> int:
     """(a/l) for an odd prime l: 0 if l | a, 1 for residues, -1 otherwise."""
-    assert ell % 2 == 1
+    if ell % 2 != 1:
+        raise ValueError(f"odd prime required, got {ell}")
     a %= ell
     if a == 0:
         return 0
@@ -208,7 +211,8 @@ class IntegerPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntegerPolynomial":
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
         result = IntegerPolynomial([1])
         base = self
         while n:
@@ -237,7 +241,8 @@ class IntegerPolynomial:
 
     def strip_prime_content(self, ell: int) -> "IntegerPolynomial":
         """Divide out the largest power of l dividing every coefficient."""
-        assert not self.is_zero
+        if self.is_zero:
+            raise ValueError("the zero polynomial has no prime content")
         e = min(_int_valuation(c, ell) for c in self.coeffs if c != 0)
         if e == 0:
             return self
@@ -639,7 +644,7 @@ def value_is_square_at_root(
     s = root.shift
     # v(h(x) - h(x_hat)) >= A + min_i (v(c_i) - (i-1)*s) when v(x - x_hat) >= A
     slack = min(
-        (_int_valuation(c, ell) if c != 0 else 10**9) - (i - 1) * s
+        _int_valuation(c, ell) - (i - 1) * s
         for i, c in enumerate(h.coeffs)
         if i >= 1
     )

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .curves import SingularCurveError, Transformation, WeierstrassCurve, transform
-from .padic import IntegerPolynomial, _poly_gcd_mod_ell, _residue_roots, legendre_symbol
+from .curves import Transformation, WeierstrassCurve, transform
+from .padic import IntegerPolynomial, _int_valuation, _is_prime, _poly_gcd_mod_ell, _residue_roots, legendre_symbol
 
 __all__ = [
     "KodairaType",
@@ -27,11 +26,15 @@ __all__ = [
     "phi_p_part_order",
 ]
 
-_INFV = 10**9  # valuation of 0
-
 
 class TateInvariantError(RuntimeError):
     """Internal case fall-through; must be unreachable on valid input."""
+
+
+def _require(holds: bool, what: str) -> None:
+    """Raise (also under ``python -O``) when an algorithm invariant fails."""
+    if not holds:
+        raise TateInvariantError(f"algorithm invariant violated: {what}")
 
 
 @dataclass(frozen=True)
@@ -122,9 +125,7 @@ class FiniteAbelianGroup:
 
     def mod_p_quotient_order(self, p: int) -> int:
         # equal to the p-torsion order for finite abelian groups
-        out = math.prod(math.gcd(d, p) for d in self.factors)
-        assert out == self.p_torsion_order(p)
-        return out
+        return self.p_torsion_order(p)
 
     def embeds_in(self, other: "FiniteAbelianGroup") -> bool:
         """Order divides and exponent divides (the check used for
@@ -171,19 +172,18 @@ def is_split_multiplicative(local: LocalData) -> bool:
     """Split flag of a multiplicative place; error on other types."""
     if not local.kodaira.is_multiplicative:
         raise ValueError("not multiplicative")
-    assert local.split is not None
+    _require(local.split is not None, "multiplicative place without a split flag")
     return local.split
 
 
 def phi_p_part_order(local: LocalData, p: int) -> int:
     """#Phi(k_v)[p] for odd p, via the invariant factors of the arithmetic
     component group.  The odd part of Phi(k_v) is cyclic for elliptic curves,
-    so this equals p exactly when p | c (asserted)."""
+    so this equals p exactly when p | c (checked)."""
     if p == 2:
         raise ValueError("odd p required")
     out = local.phi_arithmetic.p_torsion_order(p)
-    expected = p if local.c % p == 0 else 1
-    assert out == expected, "odd part of the arithmetic component group must be cyclic"
+    _require(out == (p if local.c % p == 0 else 1), "odd part of the arithmetic component group must be cyclic")
     return out
 
 
@@ -191,63 +191,34 @@ def phi_p_part_order(local: LocalData, p: int) -> int:
 # The step machine
 
 
-def _vl(n: int, ell: int) -> int:
-    if n == 0:
-        return _INFV
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    return v
-
-
 class _Machine:
-    def __init__(self, ainvs: tuple[int, int, int, int, int], ell: int):
-        self.a = list(ainvs)
+    """Tate's steps on one integral model, every coordinate change applied
+    through :func:`transform` and composed into ``trans``."""
+
+    def __init__(self, model: WeierstrassCurve, ell: int):
+        self.model = model
         self.ell = ell
         self.trans = Transformation.identity()
 
-    # -- model bookkeeping --
-
-    def b_invariants(self) -> tuple[int, int, int, int]:
-        a1, a2, a3, a4, a6 = self.a
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return b2, b4, b6, b8
-
-    def discriminant(self) -> int:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    def _change(self, tr: Transformation) -> None:
+        self.model = transform(self.model, tr)
+        self.trans = self.trans.compose(tr)
 
     def shift(self, r: int = 0, s: int = 0, t: int = 0) -> None:
-        a1, a2, a3, a4, a6 = self.a
-        self.a = [
-            a1 + 2 * s,
-            a2 - s * a1 + 3 * r - s * s,
-            a3 + r * a1 + 2 * t,
-            a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-            a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-        ]
-        self.trans = self.trans.compose(Transformation(Fraction(1), Fraction(r), Fraction(s), Fraction(t)))
+        self._change(Transformation(1, r, s, t))
 
     def rescale(self) -> None:
-        ell = self.ell
-        weights = (1, 2, 3, 4, 6)
-        for a, w in zip(self.a, weights):
-            assert a % ell**w == 0, "rescale requires divisible coefficients"
-        self.a = [a // ell**w for a, w in zip(self.a, weights)]
-        self.trans = self.trans.compose(Transformation(Fraction(ell), Fraction(0), Fraction(0), Fraction(0)))
+        self._change(Transformation(self.ell, 0, 0, 0))
+        _require(self.model.is_integral, "rescale requires divisible coefficients")
 
     def v(self, n: int) -> int:
-        return _vl(n, self.ell)
+        return _int_valuation(n, self.ell)
 
     # -- residue-field helpers --
 
     def _singular_point(self) -> tuple[int, int]:
         ell = self.ell
-        a1, a2, a3, a4, a6 = self.a
+        a1, a2, a3, a4, a6 = self.model.ainvs
         if ell == 2:
             for x0 in (0, 1):
                 for y0 in (0, 1):
@@ -257,7 +228,7 @@ class _Machine:
                     if on and fx and fy:
                         return x0, y0
             raise TateInvariantError("algorithm invariant violated: no singular point mod 2")
-        b2, b4, b6, _ = self.b_invariants()
+        b2, b4, b6, _ = self.model.b_invariants
         g = [b6 % ell, (2 * b4) % ell, b2 % ell, 4 % ell]
         gp = [(2 * b4) % ell, (2 * b2) % ell, 12 % ell]
         gcd = _poly_gcd_mod_ell(g, gp, ell)
@@ -269,7 +240,7 @@ class _Machine:
             x0 = (-gcd[1] * pow(2, -1, ell)) % ell
         elif deg == 3:
             # only at l = 3 with g' == 0: g = x^3 + const is a perfect cube
-            assert ell == 3
+            _require(ell == 3, "cubic singular locus away from l = 3")
             x0 = (-gcd[0]) % 3
         else:
             raise TateInvariantError("algorithm invariant violated: reduction not singular")
@@ -277,7 +248,7 @@ class _Machine:
         fx = (a1 * y0 - 3 * x0 * x0 - 2 * a2 * x0 - a4) % ell
         fy = (2 * y0 + a1 * x0 + a3) % ell
         on = (y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0**3 - a2 * x0 * x0 - a4 * x0 - a6) % ell
-        assert fx == 0 and fy == 0 and on == 0, "singular point misidentified"
+        _require(fx == 0 and fy == 0 and on == 0, "singular point misidentified")
         return x0, y0
 
     def _quadratic_is_rational(self, A: int, B: int, C: int) -> bool:
@@ -286,16 +257,16 @@ class _Machine:
         if ell == 2:
             # separable means B odd; A Y^2 + B Y + C ~ Y^2 + Y + C/A has
             # roots iff C is even
-            assert B % 2 == 1
+            _require(B % 2 == 1, "inseparable quadratic at l = 2")
             return C % 2 == 0
         disc = (B * B - 4 * A * C) % ell
-        assert disc != 0
+        _require(disc != 0, "inseparable quadratic")
         return legendre_symbol(disc, ell) == 1
 
     # -- the algorithm --
 
     def run(self) -> tuple:
-        max_restarts = self.v(self.discriminant()) // 12 + 2
+        max_restarts = self.v(self.model.discriminant) // 12 + 2
         for _ in range(max_restarts):  # each restart drops v(delta) by 12
             result = self._pass()
             if result is not None:
@@ -304,9 +275,7 @@ class _Machine:
 
     def _pass(self):
         ell = self.ell
-        delta = self.discriminant()
-        assert delta != 0
-        n = self.v(delta)
+        n = self.v(self.model.discriminant)
 
         # Step 1: good reduction
         if n == 0:
@@ -316,14 +285,14 @@ class _Machine:
         x0, y0 = self._singular_point()
         if (x0, y0) != (0, 0):
             self.shift(r=x0, t=y0)
-        a1, a2, a3, a4, a6 = self.a
-        assert a3 % ell == 0 and a4 % ell == 0 and a6 % ell == 0
+        a1, a2, a3, a4, a6 = self.model.ainvs
+        _require(a3 % ell == 0 and a4 % ell == 0 and a6 % ell == 0, "singular point not at the origin")
 
-        b2, b4, b6, b8 = self.b_invariants()
+        b2, b4, b6, b8 = self.model.b_invariants
         if b2 % ell != 0:
             # multiplicative: slopes of the node satisfy T^2 + a1 T - a2
             if ell == 2:
-                assert a1 % 2 == 1
+                _require(a1 % 2 == 1, "node at l = 2 needs odd a1")
                 split = a2 % 2 == 0
             else:
                 split = legendre_symbol(b2 % ell, ell) == 1
@@ -340,25 +309,27 @@ class _Machine:
         if self.v(b6) < 3:
             a31, a62 = a3 // ell, a6 // ell**2
             if ell == 2:
-                assert a31 % 2 == 1
+                _require(a31 % 2 == 1, "type IV at l = 2 needs odd a3/2")
             c = 3 if self._quadratic_is_rational(1, a31, -a62) else 1
             return KodairaType("IV"), n, c, None
 
         # Normalize for step 6: v(a1)>=1, v(a2)>=1, v(a3)>=2, v(a4)>=2, v(a6)>=3
         if ell == 2:
-            assert self.a[0] % 2 == 0  # a1 even since 2 | b2
-            self.shift(s=self.a[1] % 2)
-            assert self.v(self.a[2]) >= 2  # forced by v(b6) >= 3 at l = 2
-            tau = ((self.a[4] // 4) % 2)
+            _require(a1 % 2 == 0, "a1 odd although 2 | b2")
+            self.shift(s=a2 % 2)
+            _require(self.v(self.model.a3) >= 2, "v(a3) < 2 although v(b6) >= 3 at l = 2")
+            tau = (self.model.a6 // 4) % 2
             if tau:
                 self.shift(t=2 * tau)
         else:
-            self.shift(s=(-self.a[0] * pow(2, -1, ell)) % ell)
-            a31 = (self.a[2] // ell) % ell
+            self.shift(s=(-a1 * pow(2, -1, ell)) % ell)
+            a31 = (self.model.a3 // ell) % ell
             self.shift(t=ell * ((-a31 * pow(2, -1, ell)) % ell))
-        a1, a2, a3, a4, a6 = self.a
-        assert self.v(a1) >= 1 and self.v(a2) >= 1 and self.v(a3) >= 2
-        assert self.v(a4) >= 2 and self.v(a6) >= 3, "step 6 normalization failed"
+        a1, a2, a3, a4, a6 = self.model.ainvs
+        _require(
+            self.v(a1) >= 1 and self.v(a2) >= 1 and self.v(a3) >= 2 and self.v(a4) >= 2 and self.v(a6) >= 3,
+            "step 6 normalization failed",
+        )
 
         # Step 6: the cubic P(T) = T^3 + a2/l T^2 + a4/l^2 T + a6/l^3
         a21, a42, a63 = a2 // ell, a4 // ell**2, a6 // ell**3
@@ -369,26 +340,31 @@ class _Machine:
         if gdeg <= 0:
             roots = _residue_roots(IntegerPolynomial(P), ell)
             return KodairaType("I0*"), n, 1 + len(roots), None
-        if gdeg == 1:
-            alpha = (-g[0]) % ell
-            return self._step7_loop(alpha, n)
-        # triple root: P = (T - alpha)^3, so 3 alpha = -a21; at l = 3 the cube
-        # collapses to T^3 + a63 whose root is -a63 (cubing fixes F_3)
-        alpha = ((-a63) % 3) if ell == 3 else ((-a21 * pow(3, -1, ell)) % ell)
-        return self._step8(alpha, n)
+        if ell == 2:
+            # P' = (T + a42)^2 mod 2, so the gcd is (T + a42)^2 for a double
+            # root and for a triple one alike: P = (T + alpha)^3 tells them apart
+            alpha = a42 % 2
+            triple = P == [alpha, alpha, alpha, 1]
+        elif gdeg == 1:
+            alpha, triple = (-g[0]) % ell, False
+        else:
+            # triple root: P = (T - alpha)^3, so 3 alpha = -a21; at l = 3 the cube
+            # collapses to T^3 + a63 whose root is -a63 (cubing fixes F_3)
+            alpha, triple = ((-a63) % 3) if ell == 3 else ((-a21 * pow(3, -1, ell)) % ell), True
+        return self._step8(alpha, n) if triple else self._step7_loop(alpha, n)
 
     def _step7_loop(self, alpha: int, n_delta: int):
         """Type In* (n >= 1): translate the double root to T = 0, then probe
         alternating quadratics in Y and X until one is separable."""
         ell = self.ell
         self.shift(r=ell * alpha)
-        a1, a2, a3, a4, a6 = self.a
-        assert self.v(a2) == 1 and self.v(a3) >= 2 and self.v(a4) >= 3 and self.v(a6) >= 4
+        a1, a2, a3, a4, a6 = self.model.ainvs
+        _require(self.v(a2) == 1 and self.v(a3) >= 2 and self.v(a4) >= 3 and self.v(a6) >= 4, "step 7 translation")
         q = 2
         while True:
-            a1, a2, a3, a4, a6 = self.a
+            a1, a2, a3, a4, a6 = self.model.ainvs
             # Y-stage: quadratic Y^2 + (a3/l^q) Y - a6/l^(2q); subtype n = 2q-3
-            assert self.v(a3) >= q and self.v(a6) >= 2 * q
+            _require(self.v(a3) >= q and self.v(a6) >= 2 * q, "In* Y-stage valuations")
             a3q, a62q = a3 // ell**q, a6 // ell ** (2 * q)
             separable = (a3q % 2 == 1) if ell == 2 else ((a3q * a3q + 4 * a62q) % ell != 0)
             if separable:
@@ -397,9 +373,9 @@ class _Machine:
                 return KodairaType("In*", n), n_delta, c, None
             y0 = (a62q % 2) if ell == 2 else ((-a3q * pow(2, -1, ell)) % ell)
             self.shift(t=ell**q * y0)
-            a1, a2, a3, a4, a6 = self.a
+            a1, a2, a3, a4, a6 = self.model.ainvs
             # X-stage: quadratic (a2/l) X^2 + (a4/l^(q+1)) X + a6/l^(2q+1); n = 2q-2
-            assert self.v(a3) >= q + 1 and self.v(a4) >= q + 1 and self.v(a6) >= 2 * q + 1
+            _require(self.v(a3) >= q + 1 and self.v(a4) >= q + 1 and self.v(a6) >= 2 * q + 1, "In* X-stage valuations")
             a21 = a2 // ell
             a4q1, a62q1 = a4 // ell ** (q + 1), a6 // ell ** (2 * q + 1)
             separable = (a4q1 % 2 == 1) if ell == 2 else ((a4q1 * a4q1 - 4 * a21 * a62q1) % ell != 0)
@@ -419,8 +395,8 @@ class _Machine:
     def _step8(self, alpha: int, n_delta: int):
         ell = self.ell
         self.shift(r=ell * alpha)
-        a1, a2, a3, a4, a6 = self.a
-        assert self.v(a2) >= 2 and self.v(a3) >= 2 and self.v(a4) >= 3 and self.v(a6) >= 4
+        a1, a2, a3, a4, a6 = self.model.ainvs
+        _require(self.v(a2) >= 2 and self.v(a3) >= 2 and self.v(a4) >= 3 and self.v(a6) >= 4, "step 8 translation")
         a32, a64 = a3 // ell**2, a6 // ell**4
         separable = (a32 % 2 == 1) if ell == 2 else ((a32 * a32 + 4 * a64) % ell != 0)
         if separable:
@@ -428,8 +404,8 @@ class _Machine:
             return KodairaType("IV*"), n_delta, c, None
         y0 = (a64 % 2) if ell == 2 else ((-a32 * pow(2, -1, ell)) % ell)
         self.shift(t=ell**2 * y0)
-        a1, a2, a3, a4, a6 = self.a
-        assert self.v(a3) >= 3 and self.v(a6) >= 5
+        a1, a2, a3, a4, a6 = self.model.ainvs
+        _require(self.v(a3) >= 3 and self.v(a6) >= 5, "step 8 completion")
         # Step 9
         if self.v(a4) < 4:
             return KodairaType("III*"), n_delta, 2, None
@@ -437,7 +413,7 @@ class _Machine:
         if self.v(a6) < 6:
             return KodairaType("II*"), n_delta, 1, None
         # Step 11: not minimal, rescale and restart
-        assert self.v(a1) >= 1 and self.v(a2) >= 2
+        _require(self.v(a1) >= 1 and self.v(a2) >= 2, "step 11 valuations")
         self.rescale()
         return None
 
@@ -474,42 +450,36 @@ def _component_groups(kod: KodairaType, c: int, split: bool | None) -> tuple[Fin
     else:
         arith = ()
     g_geom, g_arith = FiniteAbelianGroup(geom), FiniteAbelianGroup(arith)
-    assert g_arith.order == c, f"arithmetic component group order {g_arith.order} != c = {c}"
-    assert g_arith.embeds_in(g_geom)
+    _require(g_arith.order == c, f"arithmetic component group order {g_arith.order} != c = {c}")
+    _require(g_arith.embeds_in(g_geom), "arithmetic component group does not embed")
     return g_geom, g_arith
 
 
 def tate_local(curve: WeierstrassCurve, ell: int) -> LocalData:
     """Run Tate's algorithm for ``curve`` at the prime ``ell``."""
-    from .padic import _is_prime
-
     if not _is_prime(ell):
         raise ValueError(f"l must be prime, got {ell}")
     if not curve.is_integral:
         raise ValueError("integral model required")
-    if curve.discriminant == 0:
-        raise SingularCurveError("singular curve")
 
-    machine = _Machine(curve.integer_ainvs(), ell)
+    machine = _Machine(curve, ell)
     kod, vdelta, c, split = machine.run()
     m = kod.component_count
     f = vdelta - m + 1
     # conductor-exponent sanity
     if kod.family == "I0":
-        assert f == 0
+        _require(f == 0, f"good reduction with f = {f}")
     elif kod.is_multiplicative:
-        assert f == 1
+        _require(f == 1, f"multiplicative reduction with f = {f}")
     else:
-        assert f >= 2, f"additive type with f = {f}"
-        if ell >= 5:
-            assert f == 2, f"tame additive reduction must have f = 2, got {f}"
+        _require(f >= 2, f"additive type with f = {f}")
+        _require(ell < 5 or f == 2, f"tame additive reduction must have f = 2, got {f}")
     geom, arith = _component_groups(kod, c, split)
-    minimal = WeierstrassCurve(*machine.a)
     # the recorded transformation must reproduce the minimal model exactly
-    assert transform(curve, machine.trans).ainvs == minimal.ainvs
+    _require(transform(curve, machine.trans) == machine.model, "recorded transformation does not reach the minimal model")
     return LocalData(
         prime=ell,
-        minimal_model=minimal,
+        minimal_model=machine.model,
         transformation=machine.trans,
         vdelta=vdelta,
         kodaira=kod,

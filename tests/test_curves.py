@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tamagawa.curves import (
     INFINITY,
@@ -40,6 +42,25 @@ def test_standard_identities_hold():
         b2, b4, b6, b8 = E.b_invariants
         assert 4 * b8 == b2 * b6 - b4 * b4
         assert 1728 * E.discriminant == E.c4**3 - E.c6**2
+
+
+@settings(max_examples=100, deadline=None)
+@given(ai=st.tuples(*[st.integers(-50, 50)] * 5), rst=st.tuples(*[st.integers(-9, 9)] * 3))
+def test_integral_models_are_int_and_j_is_fraction(ai, rst):
+    try:
+        E = WeierstrassCurve(*ai)
+    except SingularCurveError:
+        assume(False)
+    shifted = transform(E, (1, *rst))
+    for model in (E, shifted):
+        assert all(type(a) is int for a in model.ainvs + model.b_invariants + (model.discriminant,))
+        assert model.integer_ainvs() == model.ainvs
+    assert type(E.j_invariant) is Fraction and type(shifted.j_invariant) is Fraction
+    assert shifted.j_invariant == E.j_invariant
+    # a rescaling divides through Fraction, never through float
+    halved = transform(E, (2, 0, 0, 0))
+    assert all(type(a) in (int, Fraction) for a in halved.ainvs)
+    assert halved.discriminant == Fraction(E.discriminant, 2**12)
 
 
 def test_singular_rejected():

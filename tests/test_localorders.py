@@ -163,8 +163,13 @@ def test_inconsistent_local_data_detected():
 
 
 def test_local_orders_violating_identities_rejected():
-    with pytest.raises(InconsistentLocalData, match="relaxed = kummer"):
-        LocalSelmerOrders(Place.finite(5), 25, 5, 5, 7, 1, 3)
+    # relaxed, restricted and tt_p are derived, so only phi_p | kummer can fail
+    o = LocalSelmerOrders(Place.finite(5), 25, 125, 5)
+    assert (o.relaxed_order, o.restricted_order, o.tt_p) == (625, 25, 5)
+    assert list(o.serialize()) == ["place", "torsion", "kummer", "phi_p", "relaxed", "restricted", "tt_p"]
+    assert list(o.serialize().values()) == [5, 25, 125, 5, 625, 25, 5]
+    with pytest.raises(InconsistentLocalData, match="phi_p = 5 does not divide the Kummer order 3"):
+        LocalSelmerOrders(Place.finite(7), 3, 3, 5)
 
 
 def test_torsion_count_outside_allowed_orders_rejected(monkeypatch):

@@ -289,3 +289,14 @@ def test_linear_roots_rejects_irreducible_factor():
     # x^2 + 1 has no root over F_3, so no shift ever splits it
     with pytest.raises(ArithmeticError, match="root splitting failed to converge"):
         padic._linear_roots_mod([1, 0, 1], 3)
+
+
+def test_argument_preconditions_raise_value_error():
+    # checks that must hold under python -O, where assert statements vanish
+    assert padic._int_valuation(0, 7) == 10**9  # v(0) is the "infinite" sentinel
+    with pytest.raises(ValueError, match="odd prime"):
+        padic.legendre_symbol(3, 2)
+    with pytest.raises(ValueError, match="negative exponent"):
+        IntegerPolynomial([1, 1]) ** -1
+    with pytest.raises(ValueError, match="zero polynomial"):
+        IntegerPolynomial([0]).strip_prime_content(3)

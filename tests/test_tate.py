@@ -1,18 +1,48 @@
 """Reduction-type machine: Kodaira types, conductor exponents, Tamagawa
 numbers, component groups, minimality."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy import factorint
 
-from tamagawa.curves import Transformation, WeierstrassCurve, transform
+from tamagawa.curves import SingularCurveError, Transformation, WeierstrassCurve, transform
 from tamagawa.tate import (
     FiniteAbelianGroup,
     KodairaType,
+    TateInvariantError,
+    _Machine,
     is_split_multiplicative,
     phi_p_part_order,
     tate_local,
 )
+
+
+def _load_fixture_builder():
+    """scripts/make_fixtures.py: the valuation-table oracle the fixtures come from."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+classify_ge5 = _load_fixture_builder().classify_ge5
+
+
+def _curve_or_reject(ai) -> WeierstrassCurve:
+    try:
+        return WeierstrassCurve(*ai)
+    except SingularCurveError:
+        assume(False)
+
+
+def _reduction_data(data):
+    return (data.kodaira, data.vdelta, data.f, data.c, data.split)
 
 
 def test_good_reduction():
@@ -175,3 +205,39 @@ def test_tate_rejects_bad_input():
     frac = transform(E, (2, 0, 0, 0))
     with pytest.raises(ValueError, match="integral"):
         tate_local(frac, 5)
+
+
+def test_rescale_requires_divisible_coefficients():
+    machine = _Machine(WeierstrassCurve(1, 0, 0, 0, 11**6), 11)  # 11 does not divide a1
+    with pytest.raises(TateInvariantError, match="algorithm invariant violated: rescale"):
+        machine.rescale()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ai=st.tuples(*[st.integers(-30, 30)] * 5), data=st.data())
+def test_reduction_data_survives_non_minimal_models(ai, data):
+    curve = _curve_or_reject(ai)
+    ell = data.draw(st.sampled_from(sorted(set(factorint(abs(curve.discriminant))) | {2, 3, 5})), label="ell")
+    k = data.draw(st.integers(1, 2), label="k")
+    r, s, t = data.draw(st.tuples(*[st.integers(-9, 9)] * 3), label="rst")
+    model = transform(curve, (Fraction(1, ell**k), r, s, t))  # forces the rescale restart
+    assert model.is_integral
+    blown = tate_local(model, ell)
+    assert _reduction_data(blown) == _reduction_data(tate_local(curve, ell))
+    assert transform(model, blown.transformation) == blown.minimal_model
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ell=st.sampled_from([5, 7, 11, 13]),
+    head=st.tuples(*[st.integers(-9, 9)] * 3),
+    i=st.integers(0, 4),
+    j=st.integers(0, 7),
+    A=st.integers(-20, 20),
+    B=st.integers(-20, 20),
+)
+def test_tate_agrees_with_valuation_classifier(ell, head, i, j, A, B):
+    # a4 = A l^i and a6 = B l^j reach every additive type at l >= 5
+    curve = _curve_or_reject((*head, A * ell**i, B * ell**j))
+    got = tate_local(curve, ell)
+    assert (got.kodaira.serialize(), got.f, got.c, got.split) == classify_ge5(curve.integer_ainvs(), ell)

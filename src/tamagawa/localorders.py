@@ -18,6 +18,9 @@ from .curves import WeierstrassCurve
 from .padic import (
     IntegerPolynomial,
     PadicContext,
+    _mul,
+    _poly,
+    _sub,
     find_roots_padic,
     value_is_square_at_root,
 )
@@ -124,28 +127,21 @@ def division_polynomial(curve: WeierstrassCurve, p: int) -> IntegerPolynomial:
     if not curve.is_integral:
         raise ValueError("integral model required")
     b2, b4, b6, b8 = curve.b_invariants
-    x = IntegerPolynomial([0, 1])
-    one = IntegerPolynomial([1])
-    psi3 = 3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8 * one
+    psi3 = [b8, 3 * b6, 3 * b4, b2, 3]
     if p == 3:
         psi = psi3
     else:
         # F = (2y + a1 x + a3)^2 and omega4 = psi4 / psi2 are polynomials in x
-        F = _y_squareness_poly(curve)
-        omega4 = (
-            2 * x**6
-            + b2 * x**5
-            + 5 * b4 * x**4
-            + 10 * b6 * x**3
-            + 10 * b8 * x**2
-            + (b2 * b8 - b4 * b6) * x
-            + (b4 * b8 - b6 * b6) * one
-        )
-        psi5 = omega4 * F**2 - psi3**3
+        F = _y_squareness_poly(curve).coeffs
+        F2 = _mul(F, F)
+        omega4 = [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]
+        psi3_cubed = _mul(_mul(psi3, psi3), psi3)
+        psi5 = _sub(_mul(omega4, F2), psi3_cubed)
         if p == 5:
             psi = psi5
         else:
-            psi = psi5 * psi3**3 - F**2 * omega4**3
+            psi = _sub(_mul(psi5, psi3_cubed), _mul(F2, _mul(_mul(omega4, omega4), omega4)))
+    psi = _poly(psi)
     if psi.degree != (p * p - 1) // 2 or psi.coeffs[-1] != p:
         raise InconsistentLocalData(f"psi_{p} has degree {psi.degree} and leading coefficient {psi.coeffs[-1]}")
     return psi
@@ -155,8 +151,7 @@ def _y_squareness_poly(curve: WeierstrassCurve) -> IntegerPolynomial:
     """(2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6: a point with this
     x-coordinate is rational over Q_l iff the right side is a square there."""
     b2, b4, b6, _ = curve.b_invariants
-    x = IntegerPolynomial([0, 1])
-    return 4 * x**3 + b2 * x**2 + 2 * b4 * x + b6 * IntegerPolynomial([1])
+    return _poly([b6, 2 * b4, b2, 4])
 
 
 def local_torsion_order(

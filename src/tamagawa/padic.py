@@ -7,10 +7,17 @@ lemma (for integral roots).  Results are certified: an answer is returned
 only when every residue-class decision is Hensel-stable, otherwise the
 precision budget is escalated and, at the hard cap, ``PrecisionExhausted``
 is raised.  A wrong count is never returned.
+
+Residue roots mod l are found by scanning all l residues for
+l <= ``_RESIDUE_SCAN_LIMIT`` (300) and by splitting gcd(f, x^l - x) above
+it.  The limit sits at the measured crossover of the two paths for psi_3,
+psi_5 and psi_7 (their time ratio is about 1 at l = 250-300); l = 2 and 3
+must be scanned, because the root splitting cannot separate roots at l = 2.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -34,6 +41,10 @@ PRECISION_HARD_CAP = 2048
 # Certificate primes for ``IntegerPolynomial.squarefree_part``: the largest
 # three below 10^6.
 _SQUAREFREE_PRIMES = (999983, 999979, 999961)
+
+# Largest l whose residue roots are found by scanning all l residues; above
+# it ``_residue_roots`` splits gcd(f, x^l - x).  See ``_residue_roots``.
+_RESIDUE_SCAN_LIMIT = 300
 
 
 class PrecisionExhausted(Exception):
@@ -117,13 +128,11 @@ def legendre_symbol(a: int, ell: int) -> int:
 
 
 def _unit_residue(x: Fraction, ell: int, modulus: int) -> int:
-    """The l-adic unit part of x reduced mod ``modulus`` (a power of l)."""
-    v = valuation(x, ell)
+    """The l-adic unit part of the nonzero x reduced mod ``modulus`` (a power
+    of the prime l; callers have checked primality)."""
     num, den = x.numerator, x.denominator
-    if v > 0:
-        num //= ell**v
-    elif v < 0:
-        den //= ell ** (-v)
+    num //= ell ** _int_valuation(num, ell)
+    den //= ell ** _int_valuation(den, ell)
     return num * pow(den, -1, modulus) % modulus
 
 
@@ -155,7 +164,7 @@ class IntegerPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]) -> None:
-        cs = list(int(c) for c in coeffs)
+        cs = [_exact_int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -187,26 +196,15 @@ class IntegerPolynomial:
         return acc
 
     def __add__(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntegerPolynomial([a[i] + (b[i] if i < len(b) else 0) for i in range(len(a))])
+        return _poly(_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
-        return self + IntegerPolynomial([-c for c in other.coeffs])
+        return _poly(_sub(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "IntegerPolynomial | int") -> "IntegerPolynomial":
         if isinstance(other, int):
-            return IntegerPolynomial([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return IntegerPolynomial([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntegerPolynomial(out)
+            return _poly([c * other for c in self.coeffs])
+        return _poly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -223,7 +221,7 @@ class IntegerPolynomial:
         return result
 
     def derivative(self) -> "IntegerPolynomial":
-        return IntegerPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def content(self) -> int:
         from math import gcd
@@ -237,7 +235,7 @@ class IntegerPolynomial:
         g = self.content()
         if g in (0, 1):
             return self
-        return IntegerPolynomial([c // g for c in self.coeffs])
+        return _poly([c // g for c in self.coeffs])
 
     def strip_prime_content(self, ell: int) -> "IntegerPolynomial":
         """Divide out the largest power of l dividing every coefficient."""
@@ -247,20 +245,26 @@ class IntegerPolynomial:
         if e == 0:
             return self
         q = ell**e
-        return IntegerPolynomial([c // q for c in self.coeffs])
+        return _poly([c // q for c in self.coeffs])
 
     def compose_affine(self, scale: int, offset: int) -> "IntegerPolynomial":
-        """f(scale*x + offset), exact."""
-        arg = IntegerPolynomial([offset, scale])
-        acc = IntegerPolynomial([])
-        for c in reversed(self.coeffs):
-            acc = acc * arg + IntegerPolynomial([c])
-        return acc
+        """f(scale*x + offset), exact: a Taylor shift by offset, then a_i *= scale^i."""
+        c = list(self.coeffs)
+        n = len(c)
+        if offset:
+            for i in range(n - 1):
+                for j in range(n - 2, i - 1, -1):
+                    c[j] += offset * c[j + 1]
+        m = 1
+        for i in range(1, n):
+            m *= scale
+            c[i] *= m
+        return _poly(c)
 
     def reverse_scale(self, ell: int, s: int) -> "IntegerPolynomial":
         """l^(s*deg) * f(x / l^s): coefficient a_i picks up l^(s*(deg-i))."""
         d = self.degree
-        return IntegerPolynomial([c * ell ** (s * (d - i)) for i, c in enumerate(self.coeffs)])
+        return _poly([c * ell ** (s * (d - i)) for i, c in enumerate(self.coeffs)])
 
     def squarefree_part(self) -> "IntegerPolynomial":
         """f / gcd(f, f'), primitive over Z; same root set, all roots simple.
@@ -284,6 +288,54 @@ class IntegerPolynomial:
             return self.primitive_part()
         q = _rational_poly_divide_exact(self.coeffs, g)
         return _clear_denominators(q)
+
+
+def _exact_int(c) -> int:
+    """c as an int; a float or a non-integral Fraction raises instead of truncating."""
+    if isinstance(c, Fraction):
+        if c.denominator != 1:
+            raise ValueError(f"non-integral coefficient {c}")
+        return c.numerator
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise ValueError(f"coefficient {c!r} is not an exact integer") from None
+
+
+def _poly(cs: list[int]) -> IntegerPolynomial:
+    """Wrap a list of ints that a kernel built, skipping the constructor's
+    coercion; strips trailing zeros in place.  Outside input goes through
+    the constructor."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    out = object.__new__(IntegerPolynomial)
+    out.coeffs = tuple(cs)
+    return out
+
+
+def _add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def _sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    return _add(a, [-c for c in b])
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Schoolbook product of coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 def _rational_poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[Fraction]:
@@ -407,9 +459,16 @@ class PadicRoot:
 
 
 def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
-    """Roots of f mod l.  Brute force for small l, gcd with x^l - x otherwise."""
+    """Roots of f mod l: a scan of every residue for l <= ``_RESIDUE_SCAN_LIMIT``,
+    the split part gcd(f, x^l - x) above it.
+
+    The limit is the measured crossover of the two paths for degrees 4-24
+    (psi_3 to psi_7).  l = 2 and 3 must stay on the scan whatever the limit:
+    ``_linear_roots_mod`` splits with (x + c)^((l-1)/2) - 1, which cannot
+    separate roots at l = 2.
+    """
     cs = [c % ell for c in f.coeffs]
-    if ell <= 3000:
+    if ell <= _RESIDUE_SCAN_LIMIT:
         out = []
         for r in range(ell):
             acc = 0
@@ -418,34 +477,31 @@ def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
             if acc == 0:
                 out.append(r)
         return out
-    # x^l mod f via repeated squaring over F_l, then gcd picks the split part.
-    g = _gcd_with_frobenius(cs, ell)
-    return _linear_roots_mod(g, ell)
+    return _linear_roots_mod(_gcd_with_frobenius(cs, ell), ell)
 
 
 def _poly_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
+    """a mod b over F_l, reduced and stripped; b must be reduced with a unit
+    lead.  Entries of a are reduced lazily: each once, when it becomes the
+    leading term, and the remainder once more at the end."""
+    a = list(a)
+    n = len(b) - 1
+    binv = pow(b[-1], -1, ell)
+    for k in range(len(a) - 1, n - 1, -1):
+        coef = a[k] * binv % ell
+        if coef:
+            shift = k - n
+            for i in range(n):
+                a[shift + i] -= coef * b[i]
+    del a[n:]
     a = [c % ell for c in a]
     while a and a[-1] == 0:
         a.pop()
-    binv = pow(b[-1], -1, ell)
-    while len(a) >= len(b):
-        coef = a[-1] * binv % ell
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[i + shift] = (a[i + shift] - coef * c) % ell
-        while a and a[-1] == 0:
-            a.pop()
     return a
 
 
 def _poly_mulmod_ell(a: list[int], b: list[int], mod: list[int], ell: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % ell
-    return _poly_mod_ell(out, mod, ell)
+    return _poly_mod_ell(_mul(a, b), mod, ell)
 
 
 def _poly_gcd_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
@@ -463,6 +519,20 @@ def _poly_gcd_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
     return a
 
 
+def _linear_powmod_ell(c: int, e: int, f: list[int], ell: int) -> list[int]:
+    """(x + c)^e mod f over F_l, left to right: square on every bit of e and
+    multiply by x + c (a shift, a scaled add and one reduction) on each 1-bit."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = _poly_mulmod_ell(r, r, f, ell)
+        if bit == "1":
+            t = [0] + r
+            for i, v in enumerate(r):
+                t[i] += c * v
+            r = _poly_mod_ell(t, f, ell)
+    return r
+
+
 def _gcd_with_frobenius(cs: list[int], ell: int) -> list[int]:
     """gcd(f, x^l - x) over F_l: the product of the distinct linear factors."""
     f = [c % ell for c in cs]
@@ -472,16 +542,7 @@ def _gcd_with_frobenius(cs: list[int], ell: int) -> list[int]:
         return []  # nonzero constant mod l: no residue roots
     if len(f) == 2:
         return [c * pow(f[-1], -1, ell) % ell for c in f]
-    # x^l mod f
-    xp = [0, 1]
-    result = [1]
-    e = ell
-    while e:
-        if e & 1:
-            result = _poly_mulmod_ell(result, xp, f, ell)
-        xp = _poly_mulmod_ell(xp, xp, f, ell)
-        e >>= 1
-    # result = x^l mod f; subtract x
+    result = _linear_powmod_ell(0, ell, f, ell)  # x^l mod f; subtract x
     while len(result) < 2:
         result.append(0)
     result[1] = (result[1] - 1) % ell
@@ -508,15 +569,7 @@ def _linear_roots_mod(g: list[int], ell: int) -> list[int]:
             roots.append((-h[0] * pow(h[1], -1, ell)) % ell)
             continue
         # split h using gcd with (x + shift)^((l-1)/2) - 1
-        base = [shift % ell, 1]
-        acc = [1]
-        e = (ell - 1) // 2
-        b = base
-        while e:
-            if e & 1:
-                acc = _poly_mulmod_ell(acc, b, h, ell)
-            b = _poly_mulmod_ell(b, b, h, ell)
-            e >>= 1
+        acc = _linear_powmod_ell(shift % ell, (ell - 1) // 2, h, ell)
         if acc:
             acc[0] = (acc[0] - 1) % ell
         g1 = _poly_gcd_mod_ell(h, acc, ell)
@@ -654,7 +707,7 @@ def value_is_square_at_root(
         x_hat = root.approx(digits)
         val = h(x_hat)
         if val != 0:
-            v = valuation(val, ell)
+            v = _int_valuation(val.numerator, ell) - _int_valuation(val.denominator, ell)
             if v + margin <= digits + slack:
                 if v % 2 != 0:
                     return False

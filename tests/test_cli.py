@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -165,3 +166,15 @@ def test_batch_jobs_parallel_same_bytes(runner, tmp_path):
     r2 = runner.invoke(main, ["batch", "--input", str(inp), "--out", str(out2), "-p", "3", "--jobs", "2"])
     assert r1.exit_code == r2.exit_code == 0, r2.output
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_batch_report_bytes_pinned(runner, corpus, fixtures_dir, tmp_path, p):
+    """The corpus report is byte-for-byte what the committed digests record."""
+    digests = json.loads((fixtures_dir / "report_digests.json").read_text())["batch"]
+    curves = tmp_path / "corpus.csv"
+    curves.write_text("".join(",".join(map(str, rec.ainvs)) + f",{rec.label}\n" for rec in corpus))
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["batch", "--input", str(curves), "--out", str(out), "-p", str(p)])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[str(p)]

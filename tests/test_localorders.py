@@ -2,9 +2,17 @@
 six-order assembly and its forced identities."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tamagawa import localorders
-from tamagawa.curves import FiniteFieldCurve, FiniteFieldPoint, WeierstrassCurve, count_p_torsion_mod
+from tamagawa.curves import (
+    FiniteFieldCurve,
+    FiniteFieldPoint,
+    SingularCurveError,
+    WeierstrassCurve,
+    count_p_torsion_mod,
+)
 from tamagawa.localorders import (
     InconsistentLocalData,
     LocalSelmerOrders,
@@ -187,3 +195,76 @@ def test_place_ordering_and_serialization():
     assert Place.real().serialize() == "real"
     assert Place.finite(3).serialize() == 3
     assert str(Place.real()) == "oo"
+
+
+def _division_polynomial_reference(curve: WeierstrassCurve, p: int) -> IntegerPolynomial:
+    """Reference: psi_p built with IntegerPolynomial operators and powers of x."""
+    b2, b4, b6, b8 = curve.b_invariants
+    x = IntegerPolynomial([0, 1])
+    one = IntegerPolynomial([1])
+    psi3 = 3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8 * one
+    if p == 3:
+        return psi3
+    F = 4 * x**3 + b2 * x**2 + 2 * b4 * x + b6 * one
+    omega4 = (
+        2 * x**6 + b2 * x**5 + 5 * b4 * x**4 + 10 * b6 * x**3 + 10 * b8 * x**2
+        + (b2 * b8 - b4 * b6) * x + (b4 * b8 - b6 * b6) * one
+    )
+    psi5 = omega4 * F**2 - psi3**3
+    if p == 5:
+        return psi5
+    return psi5 * psi3**3 - F**2 * omega4**3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ainvs=st.tuples(*[st.integers(-10**4, 10**4)] * 5),
+    p=st.sampled_from([3, 5, 7]),
+)
+def test_division_polynomial_matches_operator_reference(ainvs, p):
+    try:
+        E = WeierstrassCurve(*ainvs)
+    except SingularCurveError:
+        assume(False)
+    assert division_polynomial(E, p) == _division_polynomial_reference(E, p)
+
+
+def _nonsingular_p_torsion(data: LocalData, p: int) -> int:
+    """#E~_ns(F_l)[p] from the reduction type: l - 1 points for split and
+    l + 1 for non-split multiplicative reduction (both cyclic), l for
+    additive (the additive group), and a point count at good reduction."""
+    ell = data.prime
+    if data.kodaira.family == "I0":
+        return count_p_torsion_mod(data.minimal_model, ell, p)
+    if data.kodaira.is_multiplicative:
+        n = ell - 1 if data.split else ell + 1
+    else:
+        n = ell
+    return p if n % p == 0 else 1
+
+
+def test_local_torsion_bounded_by_reduction_oracle(corpus):
+    """0 -> E_0 -> E -> Phi -> 0 with E_1 free of p-torsion: E_0[p] embeds
+    in E~_ns(F_l)[p], onto it when l != p (E_1 is then p-divisible), and
+    E[p]/E_0[p] embeds in Phi[p].  So #E~_ns[p] | torsion | #E~_ns[p] * #Phi[p]
+    for l != p, and only the upper divisibility at l = p."""
+    from tamagawa.euler import build_S, local_data_for_bad_primes
+
+    checked = 0
+    for rec in corpus:
+        E = rec.curve()
+        bad = local_data_for_bad_primes(E)
+        for p in (3, 5, 7):
+            for place in build_S(E, p, bad_data=bad):
+                if place.is_real:
+                    continue
+                ell = place.prime
+                data = bad.get(ell) or tate_local(E, ell)
+                torsion = local_torsion_order(E, place, p, local_data=data)
+                e0 = _nonsingular_p_torsion(data, p)
+                bound = e0 * data.phi_arithmetic.p_torsion_order(p)
+                assert bound % torsion == 0, (rec.label, p, ell, torsion, e0, bound)
+                if ell != p:
+                    assert torsion % e0 == 0, (rec.label, p, ell, torsion, e0)
+                checked += 1
+    assert checked == 606

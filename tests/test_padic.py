@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy import Poly, Symbol, discriminant
 
 from tamagawa import padic
+from tamagawa.curves import WeierstrassCurve
 from tamagawa.localorders import division_polynomial
 from tamagawa.padic import (
     IntegerPolynomial,
@@ -300,3 +303,69 @@ def test_argument_preconditions_raise_value_error():
         IntegerPolynomial([1, 1]) ** -1
     with pytest.raises(ValueError, match="zero polynomial"):
         IntegerPolynomial([0]).strip_prime_content(3)
+
+
+def test_constructor_rejects_inexact_coefficients():
+    # truncating to int would turn x^2 - 1/2 into x^2: one root in Q_7 instead of two
+    with pytest.raises(ValueError, match="non-integral coefficient -1/2"):
+        IntegerPolynomial([Fraction(-1, 2), 0, 1])
+    with pytest.raises(ValueError, match="not an exact integer"):
+        IntegerPolynomial([1.0, 1])
+    assert IntegerPolynomial([Fraction(4, 2), True, 0]).coeffs == (2, 1)
+    assert count_roots_padic(IntegerPolynomial([-1, 0, 2]), PadicContext(7)) == 2
+
+
+def _scan_residue_roots(coeffs, ell):
+    """Reference: every residue r with f(r) = 0 mod l."""
+    return [r for r in range(ell) if sum(c * pow(r, i, ell) for i, c in enumerate(coeffs)) % ell == 0]
+
+
+# below the scan limit, just above it, and above 3000
+RESIDUE_PRIMES = [2, 3, 5, 7, 13, 101, 293, 307, 331, 613, 997, 3001, 4999]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ell=st.sampled_from(RESIDUE_PRIMES),
+    planted=st.lists(st.tuples(st.integers(0, 10**4), st.integers(1, 3)), max_size=4),
+    cofactor=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+    lead_divisible=st.booleans(),
+)
+def test_residue_roots_match_scan(ell, planted, cofactor, lead_divisible):
+    lead = (cofactor[-1] or 1) * (ell if lead_divisible else 1)
+    f = IntegerPolynomial(cofactor[:-1] + [lead])
+    for r, m in planted:
+        f = f * IntegerPolynomial([-r, 1]) ** m
+    assume(1 <= f.degree <= 24 and any(c % ell for c in f.coeffs))
+    assert padic._residue_roots(f, ell) == _scan_residue_roots(f.coeffs, ell)
+
+
+def test_residue_roots_paths_agree_across_the_scan_limit():
+    # psi_7 of 5077a1 on both paths, below and above the scan limit
+    psi = division_polynomial(WeierstrassCurve(0, 0, 1, -7, 6), 7)
+    ells = (211, 307, 1009, 3001)
+    assert ells[0] <= padic._RESIDUE_SCAN_LIMIT < ells[1]
+    for ell in ells:
+        expected = _scan_residue_roots(psi.coeffs, ell)
+        assert padic._linear_roots_mod(padic._gcd_with_frobenius(list(psi.coeffs), ell), ell) == expected
+        assert padic._residue_roots(psi, ell) == expected
+
+
+def _compose_affine_reference(f: IntegerPolynomial, scale: int, offset: int) -> IntegerPolynomial:
+    """Reference: Horner's rule over IntegerPolynomial temporaries."""
+    arg = IntegerPolynomial([offset, scale])
+    acc = IntegerPolynomial([])
+    for c in reversed(f.coeffs):
+        acc = acc * arg + IntegerPolynomial([c])
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-10**12, 10**12), max_size=25),
+    scale=st.integers(-50, 50),
+    offset=st.integers(-10**6, 10**6),
+)
+def test_compose_affine_matches_horner_reference(coeffs, scale, offset):
+    f = IntegerPolynomial(coeffs)
+    assert f.compose_affine(scale, offset) == _compose_affine_reference(f, scale, offset)

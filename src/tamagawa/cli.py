@@ -19,7 +19,7 @@ import click
 from .curves import SingularCurveError, WeierstrassCurve, parse_ainvs
 from .euler import local_data_for_bad_primes, verify_main_theorem
 from .lmfdb import FIXTURE_DIR_ENV, OracleNotFoundError, fetch_curve
-from .padic import PrecisionExhausted
+from .padic import PrecisionExhausted, _is_prime
 from .tate import tate_local
 
 EXIT_OK = 0
@@ -70,6 +70,12 @@ def cmd_localdata(curve_spec, label, prime, all_bad, fmt, fixtures) -> None:
         if prime is None and not all_bad:
             raise click.UsageError("provide --prime or --all-bad")
         if prime is not None:
+            try:  # exact test only: --prime takes no value it cannot prove prime
+                if not _is_prime(prime):
+                    raise ValueError(f"{prime} is not prime")
+            except ValueError as exc:
+                click.echo(f"error: --prime: {exc}", err=True)
+                sys.exit(EXIT_USAGE)
             rows = [tate_local(curve, prime).serialize()]
         else:
             rows = [data.serialize() for _, data in sorted(local_data_for_bad_primes(curve).items())]

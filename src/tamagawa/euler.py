@@ -24,7 +24,7 @@ from .localorders import (
     division_polynomial,
     _y_squareness_poly,
 )
-from .padic import PrecisionExhausted, _is_prime
+from .padic import PrecisionExhausted, _is_prime, prime_divisors, rational_roots
 from .tate import LocalData, tate_local
 
 __all__ = [
@@ -39,11 +39,8 @@ __all__ = [
 
 def local_data_for_bad_primes(curve: WeierstrassCurve) -> dict[int, LocalData]:
     """Tate data at every prime of bad reduction (of the minimal model)."""
-    from sympy import factorint
-
-    disc = int(abs(curve.discriminant.numerator))
     out: dict[int, LocalData] = {}
-    for ell in sorted(int(q) for q in factorint(disc)):
+    for ell in prime_divisors(curve.discriminant.numerator):
         data = tate_local(curve, ell)
         if data.vdelta > 0:
             out[ell] = data
@@ -66,20 +63,6 @@ def _is_rational_square(x: Fraction) -> bool:
     n, d = x.numerator, x.denominator
     rn, rd = math.isqrt(n), math.isqrt(d)
     return rn * rn == n and rd * rd == d
-
-
-def _rational_roots(coeffs: tuple[int, ...]) -> list[Fraction]:
-    """Rational roots of an integer polynomial via factorization over Q."""
-    from sympy import Poly, Symbol
-
-    x = Symbol("x")
-    poly = Poly(list(reversed(coeffs)), x)
-    roots = []
-    for factor, _mult in poly.factor_list()[1]:
-        if factor.degree() == 1:
-            c1, c0 = (int(c) for c in factor.all_coeffs())
-            roots.append(Fraction(-c0, c1))
-    return roots
 
 
 def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
@@ -105,7 +88,7 @@ def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
     psi = division_polynomial(curve, p)
     g = _y_squareness_poly(curve)
     valid = 0
-    for x0 in _rational_roots(psi.coeffs):
+    for x0 in rational_roots(psi):
         if _is_rational_square(Fraction(g(x0))):
             valid += 1
     count = 1 + 2 * valid

@@ -13,12 +13,12 @@ import os
 import threading
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .curves import WeierstrassCurve
 from .euler import global_torsion_order
+from .padic import prime_divisors
 from .tate import tate_local
 
 __all__ = [
@@ -79,7 +79,7 @@ class OracleRecord:
     def __post_init__(self) -> None:
         WeierstrassCurve(*self.ainvs)  # raises on a singular record
         got = sorted(row.prime for row in self.local_data)
-        want = _prime_divisors(self.conductor)
+        want = prime_divisors(self.conductor)
         if got != want:
             raise ValueError(f"local data primes {got} do not cover the conductor {self.conductor}")
 
@@ -117,12 +117,6 @@ class OracleRecord:
             raise OracleSchemaError(str(exc), doc) from exc
 
 
-def _prime_divisors(n: int) -> list[int]:
-    from sympy import factorint
-
-    return sorted(int(q) for q in factorint(int(n)))
-
-
 def decode_kodaira_code(code: int) -> str:
     """PARI/LMFDB integer encoding -> serialized Kodaira string."""
     if code == 1:
@@ -158,6 +152,8 @@ def encode_kodaira_code(kodaira: str) -> int:
 
 
 def _default_http_get(url: str) -> object:
+    import urllib.request  # here, not at module level: only a live fetch needs it
+
     with _request_lock:  # single-flight, polite pacing
         wait = MIN_REQUEST_INTERVAL - (time.monotonic() - _last_request[0])
         if wait > 0:

@@ -13,6 +13,16 @@ l <= ``_RESIDUE_SCAN_LIMIT`` (300) and by splitting gcd(f, x^l - x) above
 it.  The limit sits at the measured crossover of the two paths for psi_3,
 psi_5 and psi_7 (their time ratio is about 1 at l = 250-300); l = 2 and 3
 must be scanned, because the root splitting cannot separate roots at l = 2.
+
+The global side needs two more exact tools, which live here so that the
+pipeline runs without sympy.  ``prime_divisors`` factors the discriminant by
+trial division below 2^16 and Pollard-Brent; ``_is_prime`` proves primality
+below psi_13 ~ 3.3e24 (a table below 2^16, 13-base Miller-Rabin above) and
+refuses to guess beyond it.  Only a cofactor beyond psi_13, or one the
+Pollard-Brent budget does not split, goes to ``sympy.factorint``, imported
+at that point.  ``rational_roots`` finds the rational roots of psi_p by
+lifting its roots in Z_q for a small prime q and reconstructing them, and
+keeps a candidate only when the polynomial vanishes on it exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -32,6 +43,8 @@ __all__ = [
     "legendre_symbol",
     "count_roots_padic",
     "find_roots_padic",
+    "prime_divisors",
+    "rational_roots",
 ]
 
 # Hard ceiling on working precision (base-l digits), per the escalation policy:
@@ -45,6 +58,25 @@ _SQUAREFREE_PRIMES = (999983, 999979, 999961)
 # Largest l whose residue roots are found by scanning all l residues; above
 # it ``_residue_roots`` splits gcd(f, x^l - x).  See ``_residue_roots``.
 _RESIDUE_SCAN_LIMIT = 300
+
+# Primes below 2^16, as a sieve for lookups and as a list for trial division.
+_SMALL_LIMIT = 1 << 16
+_SMALL_SIEVE = bytearray([1]) * _SMALL_LIMIT
+_SMALL_SIEVE[:2] = b"\0\0"
+for _i in range(2, 256):
+    if _SMALL_SIEVE[_i]:
+        _SMALL_SIEVE[_i * _i :: _i] = bytes(len(range(_i * _i, _SMALL_LIMIT, _i)))
+_SMALL_PRIMES = list(compress(range(_SMALL_LIMIT), _SMALL_SIEVE))
+del _i
+
+# Miller-Rabin bases and psi_13, the least strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+# Pollard-Brent iterations ``prime_divisors`` spends on one cofactor before
+# it hands the cofactor to sympy: about 2.5 times the expected cost of a
+# 41-bit factor, the largest smallest factor of a composite below psi_13.
+_RHO_STEPS = 1 << 22
 
 
 class PrecisionExhausted(Exception):
@@ -64,25 +96,30 @@ class PadicContext:
     max_precision: int = PRECISION_HARD_CAP
 
     def __post_init__(self) -> None:
-        if self.ell < 2 or not _is_prime(self.ell):
-            raise ValueError(f"l must be prime, got {self.ell}")
+        _require_prime(self.ell)
         if self.precision < 0 or self.max_precision < 1:
             raise ValueError("precision must be >= 1 (or 0 for auto)")
 
 
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin, exact for every 64-bit input and
-    # overwhelmingly reliable beyond; inputs here are prime moduli.
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    """Exact primality for n < psi_13; larger n raises ValueError.
+
+    Below 2^16 a table lookup; above it Miller-Rabin to the 13 prime bases
+    2..41, which is deterministic below psi_13 (Sorenson-Webster 2015).  The
+    first 12 bases alone stop at psi_12 ~ 3.19e23, which they call prime.
+    """
+    if n < _SMALL_LIMIT:
+        return n >= 2 and bool(_SMALL_SIEVE[n])
+    if n >= _PSI_13:
+        raise ValueError(f"{n} is not below psi_13 = {_PSI_13}, the exact range of the primality test")
+    for q in _MR_BASES:
         if n % q == 0:
-            return n == q
+            return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -93,6 +130,95 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _require_prime(ell: int) -> None:
+    """ValueError unless ell is prime: ``_is_prime`` decides below psi_13,
+    sympy's ``isprime`` (imported only then) at or above it.  That is the
+    test by which ``sympy.factorint`` returns a bad prime that large to
+    ``prime_divisors``, so the pipeline can still work at it."""
+    if ell >= _PSI_13:
+        from sympy import isprime
+
+        prime = isprime(ell)
+    else:
+        prime = _is_prime(ell)
+    if not prime:
+        raise ValueError(f"l must be prime, got {ell}")
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing the nonzero integer n, sorted.
+
+    Trial division by the primes below 2^16, then Pollard-Brent on what is
+    left; a factor counts as prime only when ``_is_prime`` certifies it, so
+    below psi_13.  A cofactor at or above psi_13, or one that
+    ``_RHO_STEPS`` steps of Pollard-Brent do not split, is handed to
+    ``sympy.factorint``, imported only then.
+    """
+    if n == 0:
+        raise ValueError("0 has no finite set of prime divisors")
+    n = abs(n)
+    out: list[int] = []
+    for q in _SMALL_PRIMES:
+        if q * q > n:
+            break
+        if n % q == 0:
+            out.append(q)
+            n //= q
+            while n % q == 0:
+                n //= q
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        # every prime factor of m is >= 2^16, so m < 2^32 is prime
+        if m < _SMALL_LIMIT**2 or (m < _PSI_13 and _is_prime(m)):
+            out.append(m)
+            continue
+        d = _pollard_brent(m) if m < _PSI_13 else None
+        if d is None:
+            from sympy import factorint
+
+            out.extend(int(q) for q in factorint(m))
+            continue
+        stack.append(d)
+        stack.append(m // d)
+    return sorted(set(out))
+
+
+def _pollard_brent(n: int) -> int | None:
+    """A proper divisor of the odd composite n, or None when ``_RHO_STEPS``
+    iterations of x -> x^2 + c (Brent's cycle search, gcds batched over 128
+    steps) find none for any c tried."""
+    from math import gcd
+
+    steps = 0
+    c = 1
+    while steps < _RHO_STEPS:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and steps < _RHO_STEPS:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            steps += 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+        c += 1
+    return None
 
 
 def _int_valuation(n: int, ell: int) -> int:
@@ -108,8 +234,11 @@ def _int_valuation(n: int, ell: int) -> int:
 
 def valuation(x: int | Fraction, ell: int) -> int:
     """l-adic valuation of a nonzero rational; additive on products."""
-    if not _is_prime(ell):
-        raise ValueError(f"l must be prime, got {ell}")
+    _require_prime(ell)
+    if isinstance(x, int):
+        if x == 0:
+            raise ValueError("valuation of zero undefined")
+        return _int_valuation(x, ell)
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of zero undefined")
@@ -145,8 +274,7 @@ def is_square_local(x: int | Fraction, ell: int) -> bool:
     x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
-    if not _is_prime(ell):
-        raise ValueError(f"l must be prime, got {ell}")
+    _require_prime(ell)
     if valuation(x, ell) % 2 != 0:
         return False
     if ell == 2:
@@ -678,6 +806,44 @@ def _find_roots_with_budget(f0: IntegerPolynomial, ell: int, budget: int) -> lis
 def count_roots_padic(f: IntegerPolynomial, ctx: PadicContext) -> int:
     """Exact number of distinct roots of f in Q_l."""
     return len(find_roots_padic(f, ctx))
+
+
+def rational_roots(f: IntegerPolynomial) -> list[Fraction]:
+    """The distinct rational roots of the nonzero f, sorted.
+
+    Let g be the squarefree primitive part of f and q the first prime with
+    q not dividing lc(g) and g mod q squarefree.  A rational root a/d has
+    d | lc(g), so it lies in Z_q, and its residue is a simple root of g mod q.
+    Each residue root is Hensel-lifted until q^k > 2 * sum |g_i|, which
+    exceeds twice the integer |lc(g) * root| (Cauchy's bound); lc(g) * root
+    is then the symmetric residue of lc(g) * (lifted root) mod q^k.  A
+    candidate is kept only if g vanishes on it exactly.
+    """
+    if f.is_zero:
+        raise ValueError("the zero polynomial has no finite root set")
+    g = f.primitive_part().squarefree_part()
+    if g.degree < 1:
+        return []
+    cs, dcs, lc = g.coeffs, g.derivative().coeffs, g.coeffs[-1]
+    for q in _SMALL_PRIMES:
+        if lc % q and _poly_gcd_mod_ell(cs, dcs, q) == [1]:
+            break
+    else:
+        raise ArithmeticError("no prime below 2^16 keeps the polynomial squarefree")
+    bound = 2 * sum(abs(c) for c in cs)
+    k, modulus = 1, q
+    while modulus <= bound:
+        k, modulus = k + 1, modulus * q
+    roots = []
+    for r0 in _residue_roots(g, q):
+        t = PadicRoot(q, g, r0, 1, 0, 0)._lift(k)
+        m = lc * t % modulus
+        if 2 * m > modulus:
+            m -= modulus
+        x = Fraction(m, lc)
+        if g(x) == 0:
+            roots.append(x)
+    return sorted(roots)
 
 
 def value_is_square_at_root(

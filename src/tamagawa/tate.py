@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .curves import Transformation, WeierstrassCurve, transform
-from .padic import IntegerPolynomial, _int_valuation, _is_prime, _poly_gcd_mod_ell, _residue_roots, legendre_symbol
+from .padic import IntegerPolynomial, _int_valuation, _poly_gcd_mod_ell, _require_prime, _residue_roots, legendre_symbol
 
 __all__ = [
     "KodairaType",
@@ -457,8 +457,7 @@ def _component_groups(kod: KodairaType, c: int, split: bool | None) -> tuple[Fin
 
 def tate_local(curve: WeierstrassCurve, ell: int) -> LocalData:
     """Run Tate's algorithm for ``curve`` at the prime ``ell``."""
-    if not _is_prime(ell):
-        raise ValueError(f"l must be prime, got {ell}")
+    _require_prime(ell)
     if not curve.is_integral:
         raise ValueError("integral model required")
 

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -51,6 +55,33 @@ def test_localdata_parse_error_exits_2(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["localdata", "--curve", ELEVEN_A1])
     assert result.exit_code == 2  # neither --prime nor --all-bad
+
+
+@pytest.mark.parametrize("prime", [
+    "12",
+    "-5",
+    "318665857834031151167461",  # psi_12 = 399165290221 * 798330580441
+    "3317044064679887385962123",  # a prime above psi_13, beyond the exact primality test
+])
+def test_localdata_bad_prime_exits_2(runner, prime):
+    result = runner.invoke(main, ["localdata", "--curve", ELEVEN_A1, "--prime", prime])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: --prime: ")
+    assert len(result.output.strip().splitlines()) == 1  # one line, no traceback
+
+
+def test_bad_prime_beyond_psi_13_is_worked_at_but_not_taken_as_prime_option(runner):
+    """A bad prime >= psi_13 comes from the sympy fallback of the factoring
+    and is worked at; --prime accepts only values the exact test proves prime."""
+    curve, big = "6486,6406,1577,-3015,-1670", 3791265333299677286047919
+    result = runner.invoke(main, ["localdata", "--curve", curve, "--all-bad"])
+    assert result.exit_code == 0, result.output
+    assert [row["prime"] for row in json.loads(result.output)] == [11, big]
+    result = runner.invoke(main, ["verify", "--curve", curve, "-p", "7"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["S"] == ["real", 7, 11, big]
+    result = runner.invoke(main, ["localdata", "--curve", curve, "--prime", str(big)])
+    assert result.exit_code == 2 and "psi_13" in result.output
 
 
 def test_localdata_label_lookup(runner, fixtures_dir):
@@ -178,3 +209,43 @@ def test_batch_report_bytes_pinned(runner, corpus, fixtures_dir, tmp_path, p):
     result = runner.invoke(main, ["batch", "--input", str(curves), "--out", str(out), "-p", str(p)])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[str(p)]
+
+
+_IMPORT_GUARD = """
+import json, sys
+from concurrent.futures import ProcessPoolExecutor
+from tamagawa.cli import _batch_worker, main
+
+def run(args):
+    try:
+        main(args, standalone_mode=False)
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+
+def loaded(tasks):
+    for task in tasks:
+        _batch_worker(task)
+    return sorted(m for m in ("sympy", "urllib.request") if m in sys.modules)
+
+curves, out = sys.argv[1], sys.argv[2]
+run(["verify", "--curve", "0,-1,1,-10,-20", "-p", "7"])
+run(["batch", "--input", curves, "--out", out, "-p", "5", "--jobs", "2"])
+with ProcessPoolExecutor(max_workers=1) as pool:
+    worker = pool.submit(loaded, [(0, (0, 0, 1, -7, 6), None, 7), (1, (1, 0, 1, 4, -6), None, 3)]).result()
+print(json.dumps({"main": loaded([]), "worker": worker}))
+"""
+
+
+def test_cli_runs_without_sympy_or_urllib(tmp_path):
+    """verify and a two-row parallel batch import neither sympy nor urllib.request."""
+    curves = tmp_path / "curves.csv"
+    _write_batch_input(curves, ["0,-1,1,-10,-20,11a1", "0,0,1,-1,0,37a1"])
+    script = tmp_path / "guard.py"
+    script.write_text(_IMPORT_GUARD)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(script), str(curves), str(tmp_path / "report.json")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"main": [], "worker": []}
+    assert json.loads((tmp_path / "report.json").read_text())["summary"]["passed"] == 2

@@ -138,6 +138,8 @@ def test_crosscheck_rejects_mismatched_curve(corpus):
 
 
 def test_rate_limit_pacing(monkeypatch):
+    import urllib.request
+
     import tamagawa.lmfdb as mod
 
     sleeps = []
@@ -152,7 +154,7 @@ def test_rate_limit_pacing(monkeypatch):
 
     monkeypatch.setattr(mod.time, "monotonic", fake_monotonic)
     monkeypatch.setattr(mod.time, "sleep", fake_sleep)
-    monkeypatch.setattr(mod.urllib.request, "urlopen", _FakeResponseFactory())
+    monkeypatch.setattr(urllib.request, "urlopen", _FakeResponseFactory())
     mod._last_request[0] = 0.0
     mod._default_http_get("http://x/one")
     mod._default_http_get("http://x/two")

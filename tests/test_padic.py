@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import Poly, Symbol, discriminant
+from sympy import Poly, Symbol, discriminant, factorint, isprime, nextprime
 
 from tamagawa import padic
 from tamagawa.curves import WeierstrassCurve
@@ -19,6 +19,8 @@ from tamagawa.padic import (
     count_roots_padic,
     find_roots_padic,
     is_square_local,
+    prime_divisors,
+    rational_roots,
     valuation,
 )
 
@@ -369,3 +371,183 @@ def _compose_affine_reference(f: IntegerPolynomial, scale: int, offset: int) -> 
 def test_compose_affine_matches_horner_reference(coeffs, scale, offset):
     f = IntegerPolynomial(coeffs)
     assert f.compose_affine(scale, offset) == _compose_affine_reference(f, scale, offset)
+
+
+def test_valuation_int_fast_path_matches_fraction_path():
+    rng = random.Random(8)
+    for _ in range(300):
+        ell = rng.choice(SMALL_PRIMES + [1009, 65521, 65537, 999983])
+        x = rng.choice([1, -1]) * rng.randint(1, 10**6) * ell ** rng.randint(0, 5)
+        assert valuation(x, ell) == valuation(Fraction(x), ell)
+    with pytest.raises(ValueError, match="valuation of zero"):
+        valuation(Fraction(0), 5)
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**j, n) == n - 1 for j in range(1, s))
+
+
+def test_is_prime_table_and_miller_rabin_match_sympy():
+    assert padic._PSI_13 == PSI_13
+    assert [n for n in range(-3, 1 << 16) if padic._is_prime(n)] == padic._SMALL_PRIMES
+    assert padic._SMALL_PRIMES == [n for n in range(1 << 16) if isprime(n)]
+    rng = random.Random(9)
+    for _ in range(2000):
+        n = rng.randrange(1 << 16, 10**rng.randint(5, 24))
+        assert padic._is_prime(n) == isprime(n), n
+    for n in (2**31 - 1, 2**61 - 1, 2**67 - 1, 3215031751, 3825123056546413051):
+        assert padic._is_prime(n) == isprime(n), n
+
+
+def test_is_prime_rejects_psi_12_and_raises_from_psi_13():
+    # psi_12 = 399165290221 * 798330580441 fools the bases 2..37; base 41 catches it
+    assert all(_strong_probable_prime(PSI_12, a) for a in padic._MR_BASES[:12])
+    assert not padic._is_prime(PSI_12)
+    # psi_13 fools all 13 bases, so the test stops below it
+    assert all(_strong_probable_prime(PSI_13, a) for a in padic._MR_BASES)
+    assert not padic._is_prime(PSI_13 - 1)
+    for n in (PSI_13, nextprime(PSI_13), 10**30):
+        with pytest.raises(ValueError, match="psi_13"):
+            padic._is_prime(n)
+    with pytest.raises(ValueError, match="must be prime"):
+        PadicContext(PSI_12)
+    # entry points that take l from the factoring defer to sympy above psi_13
+    assert PadicContext(nextprime(PSI_13)).ell > PSI_13
+    with pytest.raises(ValueError, match="must be prime"):
+        PadicContext(PSI_13)
+
+
+@pytest.fixture
+def factorint_calls(monkeypatch):
+    """Counts the cofactors that reach the sympy fallback."""
+    import sympy
+
+    calls = []
+    real = sympy.factorint
+
+    def spy(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factorint", spy)
+    return calls
+
+
+def test_prime_divisors_of_corpus_discriminants(corpus, factorint_calls):
+    for rec in corpus:
+        for n in (int(rec.curve().discriminant), rec.conductor):
+            assert prime_divisors(n) == sorted(factorint(abs(n))), (rec.label, n)
+    factorint_calls.clear()
+    for rec in corpus:
+        prime_divisors(int(rec.curve().discriminant))
+    assert not factorint_calls  # every corpus discriminant is certified without sympy
+
+
+def test_prime_divisors_semiprimes_and_prime_powers(factorint_calls):
+    rng = random.Random(10)
+    cases = []
+    for bits in (20, 24, 28, 32, 36, 40):
+        a, b = (nextprime(rng.randrange(1 << (bits - 1), 1 << bits)) for _ in range(2))
+        cases.append(rng.choice([1, -1]) * a * b * rng.choice([1, 2, 6, 30]))
+    for q in (65537, 1000003):
+        cases += [q**2, q**3 * 11, q**2 * nextprime(q) ** 2]
+    cases += [(2**31 - 1) ** 2, (2**31 - 1) ** 2 * 11]
+    assert all(abs(n) < PSI_13 for n in cases)  # so no cofactor needs sympy
+    for n in cases:
+        assert prime_divisors(n) == sorted(factorint(abs(n))), n
+    assert prime_divisors(PSI_12) == [399165290221, 798330580441]
+    assert prime_divisors(-1) == prime_divisors(1) == []
+    assert not factorint_calls
+    with pytest.raises(ValueError):
+        prime_divisors(0)
+
+
+def test_prime_divisors_hands_large_or_unsplit_cofactors_to_sympy(factorint_calls, monkeypatch):
+    big = nextprime(PSI_13)  # beyond the exact primality range: only sympy may call it prime
+    assert prime_divisors(6 * big) == [2, 3, big]
+    assert factorint_calls == [big]
+    factorint_calls.clear()
+    rng = random.Random(12)
+    n = nextprime(rng.randrange(1 << 29, 1 << 30)) * nextprime(rng.randrange(1 << 29, 1 << 30))
+    monkeypatch.setattr(padic, "_RHO_STEPS", 64)  # too few steps to split n
+    assert padic._pollard_brent(n) is None
+    assert prime_divisors(n) == sorted(factorint(n))
+    assert factorint_calls == [n]
+
+
+def _sympy_rational_roots(f: IntegerPolynomial) -> list[Fraction]:
+    """Reference: the linear factors of f over Q, from sympy's factorization."""
+    x = Symbol("x")
+    roots = []
+    for factor, _mult in Poly(list(reversed(f.coeffs)), x).factor_list()[1]:
+        if factor.degree() == 1:
+            c1, c0 = (int(c) for c in factor.all_coeffs())
+            roots.append(Fraction(-c0, c1))
+    return sorted(roots)
+
+
+def _tate_normal_form(b: Fraction, c: Fraction) -> WeierstrassCurve:
+    """y^2 + (1 - c)xy - by = x^3 - bx^2, which has the rational point (0, 0),
+    scaled to an integral model."""
+    u = b.denominator * c.denominator
+    return WeierstrassCurve(*(int(a * u**i) for a, i in zip((1 - c, -b, -b, 0, 0), (1, 2, 3, 4, 6))))
+
+
+def test_rational_roots_of_division_polynomials_match_sympy(corpus):
+    rng = random.Random(11)
+    curves = [rec.curve() for rec in corpus]
+    while len(curves) < len(corpus) + 30:
+        try:
+            curves.append(WeierstrassCurve(*(rng.randint(-40, 40) for _ in range(5))))
+        except ValueError:
+            pass
+    for t in (Fraction(2), Fraction(-3, 2), Fraction(5, 3)):
+        curves.append(_tate_normal_form(t, t))  # a point of order 5
+        curves.append(_tate_normal_form(t**3 - t**2, t**2 - t))  # a point of order 7
+    found = 0
+    for E in curves:
+        for p in (3, 5, 7):
+            psi = division_polynomial(E, p)
+            roots = rational_roots(psi)
+            assert roots == _sympy_rational_roots(psi), (E, p)
+            assert all(psi(r) == 0 for r in roots)
+            found += len(roots)
+    assert found >= 12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    planted=st.lists(
+        st.tuples(st.integers(-10**6, 10**6), st.integers(1, 60), st.integers(1, 3)), max_size=4),
+    cofactor=st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=6),
+    zero_root=st.integers(0, 2),
+)
+def test_rational_roots_recover_planted_roots(planted, cofactor, zero_root):
+    f = IntegerPolynomial(cofactor) * IntegerPolynomial([0, 1]) ** zero_root
+    assume(not f.is_zero)
+    for a, d, m in planted:
+        f = f * IntegerPolynomial([-a, d]) ** m  # the root a/d, with d | lc(f)
+    assume(f.degree >= 1)
+    roots = rational_roots(f)
+    assert roots == _sympy_rational_roots(f)
+    assert {Fraction(a, d) for a, d, _ in planted} <= set(roots)
+    assert (Fraction(0) in roots) == (zero_root > 0 or f(0) == 0)
+
+
+def test_rational_roots_edge_cases():
+    assert rational_roots(IntegerPolynomial([7])) == []
+    assert rational_roots(IntegerPolynomial([1, 0, 1])) == []  # x^2 + 1
+    assert rational_roots(IntegerPolynomial([-2, 0, 1])) == []  # x^2 - 2
+    assert rational_roots(IntegerPolynomial([6, -5, 1]) ** 3) == [2, 3]
+    assert rational_roots(IntegerPolynomial([-1, 0, 4]) * 6) == [Fraction(-1, 2), Fraction(1, 2)]
+    with pytest.raises(ValueError, match="zero polynomial"):
+        rational_roots(IntegerPolynomial([]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -171,12 +172,20 @@ def _batch_worker(args: tuple[int, tuple[int, int, int, int, int], str | None, i
     return index, record
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @main.command("batch")
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help='CSV lines "a1,a2,a3,a4,a6[,label]"')
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.option("-p", "p", type=click.Choice(["3", "5", "7"]), required=True)
-@click.option("--jobs", type=int, default=1, show_default=True, help="parallel workers (across curves)")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="parallel workers (across curves); no more than one per curve or per usable CPU start")
 def cmd_batch(input_path, out_path, p, jobs) -> None:
     """Run the verification over a curve file and write a JSON report."""
     p = int(p)
@@ -209,8 +218,11 @@ def cmd_batch(input_path, out_path, p, jobs) -> None:
             index += 1
 
     results: dict[int, dict] = dict(parse_failures)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a forked pool starts all its workers at once, so more than one per
+    # row or per usable CPU would only cost process starts
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for idx, record in pool.map(_batch_worker, tasks):
                 results[idx] = record
     else:

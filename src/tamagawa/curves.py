@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .padic import _is_prime
+from .padic import _exact_rational, _is_prime
 
 __all__ = [
     "SingularCurveError",
@@ -39,10 +39,11 @@ class SingularCurveError(ValueError):
 
 
 def _normalise(x) -> Rational:
-    """``int`` when x is integral, ``Fraction`` otherwise."""
+    """``int`` when x is integral, ``Fraction`` otherwise; a float or any
+    other non-rational type raises ValueError."""
     if type(x) is int:
         return x
-    x = Fraction(x)
+    x = Fraction(_exact_rational(x))
     return x.numerator if x.denominator == 1 else x
 
 
@@ -81,11 +82,12 @@ class WeierstrassCurve:
 
     @classmethod
     def from_input(cls, a1, a2, a3, a4, a6) -> "WeierstrassCurve":
-        """Accepts rational coefficients; rescales (u = lcm of denominators,
-        a_i -> u^i a_i) to an integral model before constructing."""
+        """Accepts int or Fraction coefficients (anything else raises
+        ValueError); rescales (u = lcm of denominators, a_i -> u^i a_i) to an
+        integral model before constructing."""
         from math import lcm
 
-        ai = [Fraction(a) for a in (a1, a2, a3, a4, a6)]
+        ai = [Fraction(_exact_rational(a)) for a in (a1, a2, a3, a4, a6)]
         u = lcm(*(a.denominator for a in ai))
         return cls(*(a * u**w for a, w in zip(ai, (1, 2, 3, 4, 6))))
 

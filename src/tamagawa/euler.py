@@ -20,6 +20,7 @@ from .localorders import (
     LocalSelmerOrders,
     Place,
     SUPPORTED_P,
+    TorsionPolynomials,
     assemble_local_orders,
     division_polynomial,
     _y_squareness_poly,
@@ -185,6 +186,9 @@ def verify_main_theorem(
     ldmap = dict(bad)
     if p not in ldmap:
         ldmap[p] = tate_local(curve, p)
+    # psi_p of the input model, certified once and counted at every place
+    # where Tate's transformation is a translation
+    polys = TorsionPolynomials.of(curve, p) if any(d.transformation.u == 1 for d in ldmap.values()) else None
 
     orders: list[LocalSelmerOrders] = []
     undecided: list[str] = []
@@ -193,7 +197,7 @@ def verify_main_theorem(
             orders.append(assemble_local_orders(curve, place, p))
             continue
         try:
-            orders.append(assemble_local_orders(curve, place, p, local_data=ldmap[place.prime]))
+            orders.append(assemble_local_orders(curve, place, p, local_data=ldmap[place.prime], polys=polys))
         except PrecisionExhausted as exc:
             undecided.append(f"place {place}: {exc}")
 

@@ -5,9 +5,13 @@ v ranging over the real place and the finite primes.
 
 Division polynomials locate the p-torsion x-coordinates; l-adic root
 counting plus the local square test decide which of them carry points over
-Q_l.  The remaining orders follow from the exact sequences tying the local
-conditions to the component group; the divisibility they force is checked
-and a violation reported as inconsistent data rather than papered over.
+Q_l.  The count runs on the input model where Tate's transformation at l
+is a translation (u = 1) and on the l-minimal model otherwise; both give
+the same count, since #E(Q_l)[p] belongs to E over Q_l, not to a model (see
+:func:`local_torsion_order`).  The remaining orders follow from the exact
+sequences tying the local conditions to the component group; the
+divisibility they force is checked and a violation reported as inconsistent
+data rather than papered over.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .curves import WeierstrassCurve
 from .padic import (
     IntegerPolynomial,
     PadicContext,
+    SquarefreePolynomial,
     _mul,
     _poly,
     _sub,
@@ -30,6 +35,7 @@ __all__ = [
     "Place",
     "LocalSelmerOrders",
     "InconsistentLocalData",
+    "TorsionPolynomials",
     "division_polynomial",
     "local_torsion_order",
     "local_kummer_order",
@@ -154,12 +160,28 @@ def _y_squareness_poly(curve: WeierstrassCurve) -> IntegerPolynomial:
     return _poly([b6, 2 * b4, b2, 4])
 
 
+@dataclass(frozen=True)
+class TorsionPolynomials:
+    """psi_p of one integral model, made primitive and certified squarefree,
+    with g = 4x^3 + b2 x^2 + 2 b4 x + b6 of the same model."""
+
+    model: WeierstrassCurve
+    p: int
+    psi: SquarefreePolynomial
+    g: IntegerPolynomial
+
+    @classmethod
+    def of(cls, model: WeierstrassCurve, p: int) -> "TorsionPolynomials":
+        return cls(model, p, division_polynomial(model, p).squarefree_part(), _y_squareness_poly(model))
+
+
 def local_torsion_order(
     curve: WeierstrassCurve,
     place: Place,
     p: int,
     *,
     local_data: LocalData | None = None,
+    polys: TorsionPolynomials | None = None,
 ) -> int:
     """#E(K_v)[p] for odd p, always one of 1, p, p^2.
 
@@ -168,19 +190,30 @@ def local_torsion_order(
     the roots x of the p-division polynomial in Q_l whose y-quadratic has a
     root in Q_l; each such x carries exactly two points (odd p rules out the
     self-symmetric y).
+
+    The count runs on ``polys`` (which must belong to ``curve`` and p) when
+    Tate's transformation at l has u = 1: the l-minimal model is then
+    ``curve`` moved by an integer translation, an isometry of Q_l, so the
+    root geometry is the same, and a caller counting at several places
+    builds and certifies psi_p once.  Otherwise the count runs on the
+    l-minimal model, since a heavily non-minimal model's psi_p needs much
+    deeper Hensel recursion.  Both give the same count: a change of
+    coordinates x = u^2 x' + r maps the roots of psi_p one to one and
+    multiplies g by u^6, a square.
     """
     if p not in SUPPORTED_P:
         raise ValueError(f"p exceeds desk-scale cap: {p} not in {SUPPORTED_P}")
     if place.is_real:
         return p
+    if polys is not None and (polys.p != p or polys.model != curve):
+        raise ValueError("polys were built for another curve or p")
     ell = place.prime
-    model = (local_data or tate_local(curve, ell)).minimal_model
-    psi = division_polynomial(model, p)
-    g = _y_squareness_poly(model)
-    ctx = PadicContext(ell)
+    data = local_data or tate_local(curve, ell)
+    if polys is None or data.transformation.u != 1:
+        polys = TorsionPolynomials.of(data.minimal_model, p)
     valid = 0
-    for root in find_roots_padic(psi, ctx):
-        if value_is_square_at_root(g, root):
+    for root in find_roots_padic(polys.psi, PadicContext(ell)):
+        if value_is_square_at_root(polys.g, root):
             valid += 1
     count = 1 + 2 * valid
     if count not in (1, p, p * p):
@@ -205,13 +238,15 @@ def assemble_local_orders(
     p: int,
     *,
     local_data: LocalData | None = None,
+    polys: TorsionPolynomials | None = None,
 ) -> LocalSelmerOrders:
-    """All six local orders at one place (see :class:`LocalSelmerOrders`)."""
+    """All six local orders at one place (see :class:`LocalSelmerOrders`);
+    ``polys`` as for :func:`local_torsion_order`."""
     if p not in SUPPORTED_P:
         raise ValueError(f"p exceeds desk-scale cap: {p} not in {SUPPORTED_P}")
     if place.is_real:
         return LocalSelmerOrders(place, p, 1, 1)
     data = local_data or tate_local(curve, place.prime)
-    torsion = local_torsion_order(curve, place, p, local_data=data)
+    torsion = local_torsion_order(curve, place, p, local_data=data, polys=polys)
     kummer = local_kummer_order(curve, place, p, torsion)
     return LocalSelmerOrders(place, torsion, kummer, phi_p_part_order(data, p))

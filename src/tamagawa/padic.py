@@ -37,6 +37,7 @@ __all__ = [
     "PrecisionExhausted",
     "PadicContext",
     "IntegerPolynomial",
+    "SquarefreePolynomial",
     "PadicRoot",
     "valuation",
     "is_square_local",
@@ -239,7 +240,7 @@ def valuation(x: int | Fraction, ell: int) -> int:
         if x == 0:
             raise ValueError("valuation of zero undefined")
         return _int_valuation(x, ell)
-    x = Fraction(x)
+    x = _exact_rational(x)
     if x == 0:
         raise ValueError("valuation of zero undefined")
     return _int_valuation(x.numerator, ell) - _int_valuation(x.denominator, ell)
@@ -271,7 +272,7 @@ def is_square_local(x: int | Fraction, ell: int) -> bool:
     Odd l: even valuation and the unit part a quadratic residue mod l.
     l = 2: even valuation and the unit part congruent to 1 mod 8.
     """
-    x = Fraction(x)
+    x = Fraction(_exact_rational(x))
     if x == 0:
         raise ValueError("x must be nonzero")
     _require_prime(ell)
@@ -315,7 +316,7 @@ class IntegerPolynomial:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"IntegerPolynomial({list(self.coeffs)})"
+        return f"{type(self).__name__}({list(self.coeffs)})"
 
     def __call__(self, x: int | Fraction):
         acc: int | Fraction = 0
@@ -394,28 +395,53 @@ class IntegerPolynomial:
         d = self.degree
         return _poly([c * ell ** (s * (d - i)) for i, c in enumerate(self.coeffs)])
 
-    def squarefree_part(self) -> "IntegerPolynomial":
+    def squarefree_part(self) -> "SquarefreePolynomial":
         """f / gcd(f, f'), primitive over Z; same root set, all roots simple.
 
-        Modular certificate first: if some prime q in ``_SQUAREFREE_PRIMES``
-        does not divide lc(f) and gcd(f mod q, f' mod q) = 1, then f is
-        squarefree over Q and its primitive part is returned.  (A repeated
-        factor h^2 of f over Z has q not dividing lc(h), so h keeps its
-        degree mod q and divides both f and f' there.)  The exact rational
-        Euclid runs only when no prime certifies f: f has a repeated factor,
-        every such prime divides lc(f), or f collapses mod every such prime.
+        Works on the primitive part f of the nonzero input.  Modular
+        certificate first: if some prime q in ``_SQUAREFREE_PRIMES`` does
+        not divide lc(f) and gcd(f mod q, f' mod q) = 1, then f is
+        squarefree over Q and is returned.  (A repeated factor h^2 of f over
+        Z has q not dividing lc(h), so h keeps its degree mod q and divides
+        both f and f' there.)  The exact rational Euclid runs only when no
+        prime certifies f: f has a repeated factor, every such prime divides
+        lc(f), or f collapses mod every such prime.
         """
-        if self.degree <= 1:
-            return self.primitive_part()
-        fp = self.derivative().coeffs
+        if self.is_zero:
+            raise ValueError("the zero polynomial has no squarefree part")
+        f = self.primitive_part()
+        if f.degree <= 1:
+            return _certified(f)
+        fp = f.derivative().coeffs
         for q in _SQUAREFREE_PRIMES:
-            if self.coeffs[-1] % q and _poly_gcd_mod_ell(list(self.coeffs), list(fp), q) == [1]:
-                return self.primitive_part()
-        g = _rational_poly_gcd(self.coeffs, fp)
+            if f.coeffs[-1] % q and _poly_gcd_mod_ell(list(f.coeffs), list(fp), q) == [1]:
+                return _certified(f)
+        g = _rational_poly_gcd(f.coeffs, fp)
         if len(g) == 1:  # gcd is constant: already squarefree
-            return self.primitive_part()
-        q = _rational_poly_divide_exact(self.coeffs, g)
-        return _clear_denominators(q)
+            return _certified(f)
+        return _certified(_clear_denominators(_rational_poly_divide_exact(f.coeffs, g)))
+
+
+class SquarefreePolynomial(IntegerPolynomial):
+    """A nonzero polynomial that ``squarefree_part`` returned: primitive and
+    squarefree over Q.  Its own ``primitive_part`` and ``squarefree_part``
+    return it unchanged, so a root count on it certifies nothing twice.
+    Only ``squarefree_part`` builds one; arithmetic on it gives a plain
+    ``IntegerPolynomial``."""
+
+    __slots__ = ()
+
+    def primitive_part(self) -> "SquarefreePolynomial":
+        return self
+
+    def squarefree_part(self) -> "SquarefreePolynomial":
+        return self
+
+
+def _certified(f: IntegerPolynomial) -> SquarefreePolynomial:
+    out = object.__new__(SquarefreePolynomial)
+    out.coeffs = f.coeffs
+    return out
 
 
 def _exact_int(c) -> int:
@@ -428,6 +454,14 @@ def _exact_int(c) -> int:
         return operator.index(c)
     except TypeError:
         raise ValueError(f"coefficient {c!r} is not an exact integer") from None
+
+
+def _exact_rational(x) -> int | Fraction:
+    """x unchanged when it is an int or a Fraction; anything else, a float
+    above all, raises instead of being rounded to a nearby rational."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise ValueError(f"{x!r} is not an exact rational (int or Fraction)")
 
 
 def _poly(cs: list[int]) -> IntegerPolynomial:
@@ -781,7 +815,7 @@ def find_roots_padic(f: IntegerPolynomial, ctx: PadicContext) -> list[PadicRoot]
     if f.is_zero or f.degree == 0:
         raise ValueError("zero or constant polynomial has no well-defined root count")
     ell = ctx.ell
-    f0 = f.primitive_part().squarefree_part().strip_prime_content(ell)
+    f0 = f.squarefree_part().strip_prime_content(ell)
     budget = ctx.precision if ctx.precision else 20 * max(1, f0.degree)
     while True:
         try:
@@ -821,7 +855,7 @@ def rational_roots(f: IntegerPolynomial) -> list[Fraction]:
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no finite root set")
-    g = f.primitive_part().squarefree_part()
+    g = f.squarefree_part()
     if g.degree < 1:
         return []
     cs, dcs, lc = g.coeffs, g.derivative().coeffs, g.coeffs[-1]

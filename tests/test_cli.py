@@ -123,7 +123,7 @@ def test_verify_undecided_exits_4(runner, monkeypatch):
     import tamagawa.euler as euler_mod
     from tamagawa.padic import PrecisionExhausted
 
-    def boom(curve, place, p, local_data=None):
+    def boom(curve, place, p, **kwargs):
         if place.is_real:
             raise PrecisionExhausted(2048)
         raise PrecisionExhausted(2048)
@@ -197,6 +197,61 @@ def test_batch_jobs_parallel_same_bytes(runner, tmp_path):
     r2 = runner.invoke(main, ["batch", "--input", str(inp), "--out", str(out2), "-p", "3", "--jobs", "2"])
     assert r1.exit_code == r2.exit_code == 0, r2.output
     assert out1.read_bytes() == out2.read_bytes()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "rows, jobs, cpus, started",
+    [(2, 500, 64, [2]), (3, 2, 64, [2]), (3, 8, 3, [3]), (3, 8, 1, []), (1, 4, 64, [])],
+)
+def test_batch_starts_at_most_one_worker_per_row_and_cpu(runner, tmp_path, monkeypatch, rows, jobs, cpus, started):
+    import tamagawa.cli as cli
+
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    inp = tmp_path / "curves.csv"
+    _write_batch_input(inp, ["0,-1,1,-10,-20,11a1", "0,0,0,0,1,36a1", "0,0,1,0,0,27a3"][:rows])
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["batch", "--input", str(inp), "--out", str(out), "-p", "3", "--jobs", str(jobs)])
+    assert result.exit_code == 0, result.output
+    assert _RecordingPool.started == started
+    assert json.loads(out.read_text())["summary"]["passed"] == rows
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "-500"])
+def test_batch_jobs_below_one_exits_2(runner, tmp_path, jobs):
+    inp = tmp_path / "curves.csv"
+    _write_batch_input(inp, ["0,-1,1,-10,-20,11a1"])
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["batch", "--input", str(inp), "--out", str(out), "-p", "3", "--jobs", jobs])
+    assert result.exit_code == 2
+    assert not out.exists()
+
+
+def test_usable_cpus_is_the_affinity_mask():
+    from tamagawa.cli import _usable_cpus
+
+    expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert _usable_cpus() == expected >= 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

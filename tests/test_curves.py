@@ -110,6 +110,19 @@ def test_from_input_clears_denominators():
     assert E.j_invariant == direct_j
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1", None])
+def test_constructor_rejects_inexact_coefficients(bad):
+    # Fraction(0.1) has a 2^55 denominator; a float must not be rounded into a curve
+    with pytest.raises(ValueError, match="not an exact rational"):
+        WeierstrassCurve(bad, 0, 0, 1, 0)
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, "3/4"])
+def test_from_input_rejects_inexact_coefficients(bad):
+    with pytest.raises(ValueError, match="not an exact rational"):
+        WeierstrassCurve.from_input(0, 0, 0, bad, 1)
+
+
 def test_parse_ainvs():
     E = parse_ainvs("0,-1,1,-10,-20")
     assert E.integer_ainvs() == (0, -1, 1, -10, -20)

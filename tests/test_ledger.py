@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tamagawa.curves import WeierstrassCurve
+from tamagawa.curves import WeierstrassCurve, transform
 from tamagawa.euler import (
     build_S,
     euler_factor,
@@ -14,7 +14,7 @@ from tamagawa.euler import (
     verify_main_theorem,
 )
 from tamagawa.localorders import Place
-from tamagawa.padic import PrecisionExhausted, _is_prime
+from tamagawa.padic import IntegerPolynomial, PrecisionExhausted, _is_prime
 
 
 def test_build_S_examples():
@@ -122,10 +122,90 @@ def test_external_inequality_branch():
     assert led.verdicts["global_inequality"] is False
 
 
+class _NoScreen:
+    """Stands in for FiniteFieldCurve: every reduction order is 0, so p
+    divides it and the finite-field screen never settles the answer."""
+
+    def __init__(self, curve, q):
+        pass
+
+    def order(self):
+        return 0
+
+
+def test_global_torsion_rational_root_path_on_corpus(corpus, monkeypatch):
+    import tamagawa.euler as euler_mod
+
+    calls = []
+    real = euler_mod.rational_roots
+    monkeypatch.setattr(euler_mod, "FiniteFieldCurve", _NoScreen)
+    monkeypatch.setattr(euler_mod, "rational_roots", lambda f: calls.append(f) or real(f))
+    for rec in corpus:
+        for p in (3, 5, 7):
+            expected = p if any(d % p == 0 for d in rec.torsion_structure) else 1
+            assert global_torsion_order(rec.curve(), p) == expected, (rec.label, p)
+    assert len(calls) == 3 * len(corpus) == 186
+
+
+NON_MINIMAL_INVERSE_U = (2, 3, 5, 12, 10**12)
+
+
+def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, monkeypatch):
+    """Every corpus curve under a seeded shift-only model and under models
+    scaled by u = 1/k: the same record but for "curve", and every polynomial
+    whose roots are counted came out of squarefree_part.  The local side
+    builds psi_p once, plus once per place where Tate's u != 1."""
+    import tamagawa.localorders as lo
+
+    certified: dict[int, IntegerPolynomial] = {}  # id -> polynomial, kept alive
+    built = []
+    real_squarefree = IntegerPolynomial.squarefree_part
+    real_find = lo.find_roots_padic
+    real_division = lo.division_polynomial
+
+    def squarefree_part(self):
+        out = real_squarefree(self)
+        certified[id(out)] = out
+        return out
+
+    def find_roots_padic(f, ctx):
+        assert certified.get(id(f)) is f, "root count on a polynomial squarefree_part did not return"
+        return real_find(f, ctx)
+
+    monkeypatch.setattr(IntegerPolynomial, "squarefree_part", squarefree_part)
+    monkeypatch.setattr(lo, "find_roots_padic", find_roots_padic)
+    monkeypatch.setattr(lo, "division_polynomial", lambda model, p: built.append(model) or real_division(model, p))
+    rng = random.Random(7)
+    rescaled_places = 0
+    for rec in corpus:
+        curve = rec.curve()
+        models = []
+        for k in (1,) + NON_MINIMAL_INVERSE_U:
+            r, s, t = (rng.randint(-3, 3) for _ in range(3))
+            if k == 1 and r == s == t == 0:
+                r = 1
+            models.append(WeierstrassCurve(*transform(curve, (Fraction(1, k), r, s, t)).integer_ainvs()))
+        for p in (3, 5, 7):
+            built.clear()
+            expected = verify_main_theorem(curve, p).to_record()
+            assert built == [curve]
+            del expected["curve"]
+            for model in models:
+                built.clear()
+                ledger = verify_main_theorem(model, p)
+                record = ledger.to_record()
+                assert record.pop("curve") == list(model.integer_ainvs())
+                assert record == expected, (rec.label, p, model)
+                rescaled = sum(d.transformation.u != 1 for d in ledger.local_data.values())
+                assert len(built) == (rescaled < len(ledger.local_data)) + rescaled
+                rescaled_places += rescaled
+    assert rescaled_places > 0
+
+
 def test_undecided_propagation(monkeypatch):
     import tamagawa.euler as euler_mod
 
-    def boom(curve, place, p, local_data=None):
+    def boom(curve, place, p, **kwargs):
         raise PrecisionExhausted(2048)
 
     monkeypatch.setattr(euler_mod, "assemble_local_orders", _raise_for_finite(boom))
@@ -138,10 +218,10 @@ def test_undecided_propagation(monkeypatch):
 def _raise_for_finite(fn):
     from tamagawa.localorders import assemble_local_orders as real
 
-    def wrapper(curve, place, p, local_data=None):
+    def wrapper(curve, place, p, **kwargs):
         if place.is_real:
-            return real(curve, place, p, local_data=local_data)
-        return fn(curve, place, p, local_data=local_data)
+            return real(curve, place, p, **kwargs)
+        return fn(curve, place, p, **kwargs)
 
     return wrapper
 

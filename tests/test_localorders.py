@@ -17,6 +17,7 @@ from tamagawa.localorders import (
     InconsistentLocalData,
     LocalSelmerOrders,
     Place,
+    TorsionPolynomials,
     assemble_local_orders,
     division_polynomial,
     local_kummer_order,
@@ -146,6 +147,17 @@ def test_phi_p_via_independent_route(corpus):
                 o = assemble_local_orders(E, Place.finite(row.prime), p, local_data=data)
                 c_route = p if data.c % p == 0 else 1
                 assert o.relaxed_order // o.kummer_order == c_route
+
+
+def test_shared_polynomials_give_the_same_count_and_must_match():
+    E = WeierstrassCurve(0, -1, 1, -10, -20)
+    polys = TorsionPolynomials.of(E, 5)
+    for ell in (2, 3, 5, 11, 31):
+        assert local_torsion_order(E, Place.finite(ell), 5, polys=polys) == local_torsion_order(E, Place.finite(ell), 5)
+    with pytest.raises(ValueError, match="another curve or p"):
+        local_torsion_order(E, Place.finite(11), 3, polys=polys)
+    with pytest.raises(ValueError, match="another curve or p"):
+        local_torsion_order(WeierstrassCurve(0, 0, 0, 1, 0), Place.finite(11), 5, polys=polys)
 
 
 def test_inconsistent_local_data_detected():

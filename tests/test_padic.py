@@ -39,6 +39,19 @@ def test_valuation_of_zero_rejected():
         valuation(0, 5)
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, "12"])
+def test_valuation_rejects_inexact_input(bad):
+    # Fraction(0.1) = 3602879701896397 / 2^55 would give -55 at l = 2
+    with pytest.raises(ValueError, match="not an exact rational"):
+        valuation(bad, 2)
+
+
+@pytest.mark.parametrize("bad", [0.25, 4.0, "4"])
+def test_is_square_local_rejects_inexact_input(bad):
+    with pytest.raises(ValueError, match="not an exact rational"):
+        is_square_local(bad, 5)
+
+
 def test_valuation_requires_prime():
     with pytest.raises(ValueError):
         valuation(10, 6)
@@ -267,6 +280,22 @@ def test_squarefree_part_lead_divisible_by_every_prime(rational_gcd_calls):
     assert rational_gcd_calls
     g = f * f * IntegerPolynomial([2, 1])
     assert g.squarefree_part() == f * IntegerPolynomial([2, 1])
+
+
+def test_certified_polynomial_is_not_certified_again(corpus, monkeypatch):
+    psi = division_polynomial(corpus[0].curve(), 5)
+    sf = psi.squarefree_part()
+    assert isinstance(sf, padic.SquarefreePolynomial) and not isinstance(psi, padic.SquarefreePolynomial)
+    assert sf.squarefree_part() is sf and sf.primitive_part() is sf
+    assert (psi * 6).squarefree_part() == sf == psi.primitive_part()  # certified on the primitive part
+    assert type(sf + sf) is type(sf * 2) is IntegerPolynomial  # arithmetic drops the certificate
+    calls = []
+    real = IntegerPolynomial.squarefree_part
+    monkeypatch.setattr(IntegerPolynomial, "squarefree_part", lambda f: calls.append(f) or real(f))
+    assert len(find_roots_padic(sf, PadicContext(11))) == len(find_roots_padic(psi, PadicContext(11)))
+    assert calls == [psi]
+    with pytest.raises(ValueError, match="zero polynomial"):
+        real(IntegerPolynomial([]))
 
 
 def test_squarefree_part_matches_rational_reference():

@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Time the two ways ``padic._residue_roots`` finds roots mod l.
+
+For psi_3, psi_5 and psi_7 of the first 8 corpus curves and each l in a
+fixed list, time the residue scan (Horner's rule at every residue) and the
+Frobenius path (gcd(f, x^l - x), then the split), each as the minimum of 7
+repeats of one pass over the 8 polynomials.  Prints the scan/Frobenius time
+ratio: above 1 the Frobenius path is faster.  ``_RESIDUE_SCAN_LIMIT`` sits
+where the ratios cross 1.  Both paths must return the same roots for every
+polynomial, or the script exits with code 1.
+
+Usage: PYTHONPATH=src python3 scripts/residue_crossover.py
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import time
+from pathlib import Path
+
+from tamagawa import padic
+from tamagawa.lmfdb import fetch_curve
+from tamagawa.localorders import division_polynomial
+
+FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+CURVES = 8
+REPEATS = 7
+ELLS = (31, 61, 89, 113, 149, 173, 199, 229, 251, 281, 307, 401)
+
+
+def _reduced(psi: padic.IntegerPolynomial, ell: int) -> list[int]:
+    cs = [c % ell for c in psi.coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _frobenius_roots(cs: list[int], ell: int) -> list[int]:
+    return padic._linear_roots_mod(padic._gcd_with_frobenius(cs, ell), ell)
+
+
+def _best(fn, polys: list[list[int]], ell: int) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for cs in polys:
+            fn(cs, ell)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def main() -> int:
+    labels = json.loads((FIXTURES / "corpus.json").read_text())["labels"][:CURVES]
+    curves = [fetch_curve(label, fixtures_dir=FIXTURES).curve() for label in labels]
+    print(f"scan/Frobenius time ratio, {CURVES} corpus curves, min of {REPEATS}; "
+          f"_RESIDUE_SCAN_LIMIT = {padic._RESIDUE_SCAN_LIMIT}")
+    print("l     " + "".join(f"  psi_{p}" for p in (3, 5, 7)))
+    ok = True
+    for ell in ELLS:
+        row = []
+        for p in (3, 5, 7):
+            # constants mod l never reach either path
+            polys = [cs for cs in (_reduced(division_polynomial(E, p), ell) for E in curves) if len(cs) > 1]
+            for cs in polys:
+                if padic._scan_roots(cs, ell) != _frobenius_roots(cs, ell):
+                    print(f"paths disagree: psi_{p} mod {ell} = {cs}")
+                    ok = False
+            row.append(_best(padic._scan_roots, polys, ell) / _best(_frobenius_roots, polys, ell))
+        print(f"{ell:<6}" + "".join(f"{r:7.2f}" for r in row))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -66,17 +66,20 @@ def _is_rational_square(x: Fraction) -> bool:
     return rn * rn == n and rd * rd == d
 
 
-def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
+def global_torsion_order(curve: WeierstrassCurve, p: int, *, polys: TorsionPolynomials | None = None) -> int:
     """#E(Q)[p] for p in {3, 5, 7}; always 1 or p (p^2 would force the p-th
     roots of unity into Q, impossible for odd p).
 
     Fast path: reduction mod a good odd prime q != p is injective on
     p-torsion, so p not dividing some #E~(F_q) settles the answer.  Otherwise
     search the rational roots of the division polynomial and test whether the
-    y-quadratic has a rational solution.
+    y-quadratic has a rational solution, on ``polys`` when given (it must
+    belong to ``curve`` and p) instead of building and certifying them again.
     """
     if p not in SUPPORTED_P:
         raise ValueError(f"p must be one of {SUPPORTED_P}")
+    if polys is not None and (polys.p != p or polys.model != curve):
+        raise ValueError("polys were built for another curve or p")
     disc_num = int(abs(curve.discriminant.numerator))
     screened = 0
     q = 3
@@ -86,8 +89,10 @@ def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
                 return 1
             screened += 1
         q += 2
-    psi = division_polynomial(curve, p)
-    g = _y_squareness_poly(curve)
+    if polys is None:
+        psi, g = division_polynomial(curve, p), _y_squareness_poly(curve)
+    else:
+        psi, g = polys.psi, polys.g
     valid = 0
     for x0 in rational_roots(psi):
         if _is_rational_square(Fraction(g(x0))):
@@ -186,8 +191,8 @@ def verify_main_theorem(
     ldmap = dict(bad)
     if p not in ldmap:
         ldmap[p] = tate_local(curve, p)
-    # psi_p of the input model, certified once and counted at every place
-    # where Tate's transformation is a translation
+    # psi_p of the input model, certified once, counted at every place where
+    # Tate's transformation is a translation and searched for rational roots
     polys = TorsionPolynomials.of(curve, p) if any(d.transformation.u == 1 for d in ldmap.values()) else None
 
     orders: list[LocalSelmerOrders] = []
@@ -201,7 +206,7 @@ def verify_main_theorem(
         except PrecisionExhausted as exc:
             undecided.append(f"place {place}: {exc}")
 
-    g = global_torsion_order(curve, p)
+    g = global_torsion_order(curve, p, polys=polys)
 
     # right side: only the Tamagawa numbers from the reduction-type machine
     mt_rhs = 1

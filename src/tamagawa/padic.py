@@ -9,10 +9,20 @@ precision budget is escalated and, at the hard cap, ``PrecisionExhausted``
 is raised.  A wrong count is never returned.
 
 Residue roots mod l are found by scanning all l residues for
-l <= ``_RESIDUE_SCAN_LIMIT`` (300) and by splitting gcd(f, x^l - x) above
+l <= ``_RESIDUE_SCAN_LIMIT`` (160) and by splitting gcd(f, x^l - x) above
 it.  The limit sits at the measured crossover of the two paths for psi_3,
-psi_5 and psi_7 (their time ratio is about 1 at l = 250-300); l = 2 and 3
+psi_5 and psi_7 (their time ratio is about 1 at l = 150-200); l = 2 and 3
 must be scanned, because the root splitting cannot separate roots at l = 2.
+
+The powers (x + c)^e mod f over F_l behind that split, x^l mod f above all,
+run on packed integers: a residue mod f of degree n is one int whose W-bit
+slots hold its coefficients, each kept in [0, 2l) rather than [0, l).  A
+square has slots < 4nl^2; adding (2l - q) f for the quotient q mod l leaves
+slots < 6nl^2, and a packed Barrett step (multiply, shift, mask, subtract)
+brings them back into [0, 2l).  That step multiplies a slot by about
+2^s / l with s = bits(6nl^2), so W >= 2s - bits(l) + 2, rounded up to whole
+bytes.  Each bit of e then costs a fixed number of big-int operations and no
+Python loop over coefficients; canonical residues are taken once, at the end.
 
 The global side needs two more exact tools, which live here so that the
 pipeline runs without sympy.  ``prime_divisors`` factors the discriminant by
@@ -57,8 +67,9 @@ PRECISION_HARD_CAP = 2048
 _SQUAREFREE_PRIMES = (999983, 999979, 999961)
 
 # Largest l whose residue roots are found by scanning all l residues; above
-# it ``_residue_roots`` splits gcd(f, x^l - x).  See ``_residue_roots``.
-_RESIDUE_SCAN_LIMIT = 300
+# it ``_residue_roots`` splits gcd(f, x^l - x).  The crossover of the two
+# paths, measured with ``PYTHONPATH=src python3 scripts/residue_crossover.py``.
+_RESIDUE_SCAN_LIMIT = 160
 
 # Primes below 2^16, as a sieve for lookups and as a list for trial division.
 _SMALL_LIMIT = 1 << 16
@@ -624,22 +635,33 @@ def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
     """Roots of f mod l: a scan of every residue for l <= ``_RESIDUE_SCAN_LIMIT``,
     the split part gcd(f, x^l - x) above it.
 
-    The limit is the measured crossover of the two paths for degrees 4-24
-    (psi_3 to psi_7).  l = 2 and 3 must stay on the scan whatever the limit:
-    ``_linear_roots_mod`` splits with (x + c)^((l-1)/2) - 1, which cannot
-    separate roots at l = 2.
+    f is reduced mod l first; a nonzero constant has no roots and is not
+    scanned.  The limit is the measured crossover of the two paths for
+    degrees 4-24 (psi_3 to psi_7): their time ratio is about 1 at
+    l = 150-200 (``scripts/residue_crossover.py``).  l = 2 and 3 must stay
+    on the scan whatever the limit: ``_linear_roots_mod`` splits with
+    (x + c)^((l-1)/2) - 1, which cannot separate roots at l = 2.
     """
     cs = [c % ell for c in f.coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if len(cs) == 1:
+        return []
     if ell <= _RESIDUE_SCAN_LIMIT:
-        out = []
-        for r in range(ell):
-            acc = 0
-            for c in reversed(cs):
-                acc = (acc * r + c) % ell
-            if acc == 0:
-                out.append(r)
-        return out
+        return _scan_roots(cs, ell)
     return _linear_roots_mod(_gcd_with_frobenius(cs, ell), ell)
+
+
+def _scan_roots(cs: list[int], ell: int) -> list[int]:
+    """Every r in [0, l) with sum cs_i r^i = 0 mod l, by Horner's rule."""
+    out = []
+    for r in range(ell):
+        acc = 0
+        for c in reversed(cs):
+            acc = (acc * r + c) % ell
+        if acc == 0:
+            out.append(r)
+    return out
 
 
 def _poly_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
@@ -662,10 +684,6 @@ def _poly_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
     return a
 
 
-def _poly_mulmod_ell(a: list[int], b: list[int], mod: list[int], ell: int) -> list[int]:
-    return _poly_mod_ell(_mul(a, b), mod, ell)
-
-
 def _poly_gcd_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
     a = [c % ell for c in a]
     b = [c % ell for c in b]
@@ -682,17 +700,70 @@ def _poly_gcd_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
 
 
 def _linear_powmod_ell(c: int, e: int, f: list[int], ell: int) -> list[int]:
-    """(x + c)^e mod f over F_l, left to right: square on every bit of e and
-    multiply by x + c (a shift, a scaled add and one reduction) on each 1-bit."""
-    r = [1]
+    """(x + c)^e mod f over F_l, for f reduced mod l with a unit lead and
+    0 <= c < l, on packed integers.  Returns the canonical remainder.
+
+    f is made monic, of degree n.  A residue r_0 + ... + r_(n-1) x^(n-1) is
+    the int sum of r_i 2^(W i), every slot r_i in [0, 2l).  Each bit of e,
+    left to right:
+
+    - square it; the slots of the square are < n (2l)^2 = 4nl^2;
+    - reduce its high half (slots n to 2n-2) to [0, 2l) and multiply it by
+      h = rev(f)^-1 mod x^(n-1), packed in reverse; the top n - 1 slots of
+      that middle product are the quotient q mod l;
+    - add (2l - q) f, keep the low n slots (< 4nl^2 + 2nl^2 = 6nl^2), and
+      reduce them to [0, 2l): modulo l the high half is now zero;
+    - on a 1-bit, multiply by x + c: r x + c r + (2l - r_(n-1)) f, whose low
+      n slots are < 4l^2, and reduce them again.
+
+    The reduction is a packed Barrett step.  With V = 6nl^2, s = bits(V)
+    and M = floor(2^s / l), every slot v < 2^s leaves v - floor(v M / 2^s) l
+    in [0, 2l).  A slot of v M is < 2^(2s) / l <= 2^(2s - bits(l) + 1), so
+    W >= 2s - bits(l) + 2 keeps every slot from spilling into the next;
+    W is rounded up to whole bytes so packing is ``int.from_bytes``.  After
+    the shift by s the mask keeps the low W - s bits of each slot, which
+    drops what the slot above shifted in.
+    """
+    inv = pow(f[-1], -1, ell)
+    f = [a * inv % ell for a in f]
+    n = len(f) - 1
+    h: list[int] = []  # rev(f)^-1 mod x^(n-1); rev(f) has constant term 1
+    for k in range(n - 1):
+        acc = 1 if k == 0 else 0
+        for i in range(1, k + 1):
+            acc -= f[n - i] * h[k - i]
+        h.append(acc % ell)
+    s = (6 * n * ell * ell).bit_length()
+    width = (2 * s - ell.bit_length() + 9) // 8  # bytes per slot, W = 8 * width
+    w = 8 * width
+
+    def pack(cs: list[int]) -> int:
+        return int.from_bytes(b"".join(a.to_bytes(width, "little") for a in cs), "little")
+
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * n, "little")
+    low = ((1 << (w - s)) - 1) * ones
+    mask = (1 << (n * w)) - 1
+    two_ell = 2 * ell * (ones >> w)  # 2l in each of the n - 1 quotient slots
+    m = (1 << s) // ell
+    big_f, big_h = pack(f), pack(h[::-1])
+    hi_shift, mid_shift, top_shift = n * w, max(n - 2, 0) * w, (n - 1) * w
+    r = 1
     for bit in bin(e)[2:]:
-        r = _poly_mulmod_ell(r, r, f, ell)
+        sq = r * r
+        hi = sq >> hi_shift
+        hi -= (((hi * m) >> s) & low) * ell
+        q = (hi * big_h) >> mid_shift
+        q -= (((q * m) >> s) & low) * ell
+        r = (sq + (two_ell - q) * big_f) & mask
+        r -= (((r * m) >> s) & low) * ell
         if bit == "1":
-            t = [0] + r
-            for i, v in enumerate(r):
-                t[i] += c * v
-            r = _poly_mod_ell(t, f, ell)
-    return r
+            r = ((r << w) + c * r + (2 * ell - (r >> top_shift)) * big_f) & mask
+            r -= (((r * m) >> s) & low) * ell
+    raw = r.to_bytes(n * width, "little")
+    out = [int.from_bytes(raw[i : i + width], "little") % ell for i in range(0, n * width, width)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def _gcd_with_frobenius(cs: list[int], ell: int) -> list[int]:

@@ -128,7 +128,7 @@ def test_verify_undecided_exits_4(runner, monkeypatch):
             raise PrecisionExhausted(2048)
         raise PrecisionExhausted(2048)
 
-    monkeypatch.setattr(euler_mod, "global_torsion_order", lambda c, p: 1)
+    monkeypatch.setattr(euler_mod, "global_torsion_order", lambda c, p, **kwargs: 1)
     monkeypatch.setattr(euler_mod, "assemble_local_orders", boom)
     result = runner.invoke(main, ["verify", "--curve", ELEVEN_A1, "-p", "5"])
     assert result.exit_code == 4

@@ -13,8 +13,8 @@ from tamagawa.euler import (
     global_torsion_order,
     verify_main_theorem,
 )
-from tamagawa.localorders import Place
-from tamagawa.padic import IntegerPolynomial, PrecisionExhausted, _is_prime
+from tamagawa.localorders import Place, TorsionPolynomials
+from tamagawa.padic import IntegerPolynomial, PrecisionExhausted, SquarefreePolynomial, _is_prime
 
 
 def test_build_S_examples():
@@ -145,6 +145,48 @@ def test_global_torsion_rational_root_path_on_corpus(corpus, monkeypatch):
             expected = p if any(d % p == 0 for d in rec.torsion_structure) else 1
             assert global_torsion_order(rec.curve(), p) == expected, (rec.label, p)
     assert len(calls) == 3 * len(corpus) == 186
+
+
+def test_global_torsion_reuses_shared_polynomials_and_they_must_match():
+    E = WeierstrassCurve(0, -1, 1, -10, -20)
+    polys = TorsionPolynomials.of(E, 5)
+    assert global_torsion_order(E, 5, polys=polys) == 5
+    with pytest.raises(ValueError, match="another curve or p"):
+        global_torsion_order(E, 3, polys=polys)
+    with pytest.raises(ValueError, match="another curve or p"):
+        global_torsion_order(WeierstrassCurve(0, 0, 1, 0, 0), 5, polys=polys)
+
+
+def test_verify_builds_psi_once_when_global_torsion_needs_rational_roots(corpus, monkeypatch):
+    """With the finite-field screen stubbed out, global torsion always runs
+    its rational-root search; it reuses the certified psi_p the local side
+    counts on, so each verify builds psi_p exactly once."""
+    import tamagawa.euler as euler_mod
+    import tamagawa.localorders as lo
+
+    built = []
+    searched = []
+    real_division = lo.division_polynomial
+    real_roots = euler_mod.rational_roots
+
+    def division_polynomial(model, p):
+        built.append((model, p))
+        return real_division(model, p)
+
+    monkeypatch.setattr(euler_mod, "FiniteFieldCurve", _NoScreen)
+    monkeypatch.setattr(lo, "division_polynomial", division_polynomial)
+    monkeypatch.setattr(euler_mod, "division_polynomial", division_polynomial)
+    monkeypatch.setattr(euler_mod, "rational_roots", lambda f: searched.append(f) or real_roots(f))
+    assert 3 * len(corpus) == 186
+    for rec in corpus:
+        for p in (3, 5, 7):
+            built.clear()
+            searched.clear()
+            ledger = verify_main_theorem(rec.curve(), p)
+            expected = p if any(d % p == 0 for d in rec.torsion_structure) else 1
+            assert ledger.global_torsion == expected, (rec.label, p)
+            assert built == [(rec.curve(), p)], (rec.label, p)
+            assert len(searched) == 1 and isinstance(searched[0], SquarefreePolynomial), (rec.label, p)
 
 
 NON_MINIMAL_INVERSE_U = (2, 3, 5, 12, 10**12)

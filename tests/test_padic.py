@@ -352,7 +352,7 @@ def _scan_residue_roots(coeffs, ell):
 
 
 # below the scan limit, just above it, and above 3000
-RESIDUE_PRIMES = [2, 3, 5, 7, 13, 101, 293, 307, 331, 613, 997, 3001, 4999]
+RESIDUE_PRIMES = [2, 3, 5, 7, 13, 101, 157, 163, 293, 307, 331, 613, 997, 3001, 4999]
 
 
 @settings(max_examples=150, deadline=None)
@@ -374,12 +374,84 @@ def test_residue_roots_match_scan(ell, planted, cofactor, lead_divisible):
 def test_residue_roots_paths_agree_across_the_scan_limit():
     # psi_7 of 5077a1 on both paths, below and above the scan limit
     psi = division_polynomial(WeierstrassCurve(0, 0, 1, -7, 6), 7)
-    ells = (211, 307, 1009, 3001)
+    ells = (157, 307, 1009, 3001)
     assert ells[0] <= padic._RESIDUE_SCAN_LIMIT < ells[1]
     for ell in ells:
         expected = _scan_residue_roots(psi.coeffs, ell)
         assert padic._linear_roots_mod(padic._gcd_with_frobenius(list(psi.coeffs), ell), ell) == expected
         assert padic._residue_roots(psi, ell) == expected
+
+
+def test_residue_roots_skip_a_constant_reduction(monkeypatch):
+    """A polynomial that is a nonzero constant mod l has no residue roots
+    and is neither scanned nor split; one that is zero mod l keeps the
+    answer each path gave before (every residue on the scan, none above)."""
+
+    def no_scan(cs, ell):
+        raise AssertionError("a constant reduction was scanned")
+
+    monkeypatch.setattr(padic, "_scan_roots", no_scan)
+    monkeypatch.setattr(padic, "_gcd_with_frobenius", no_scan)
+    for ell in (2, 3, 157, 307, 3001):
+        assert padic._residue_roots(IntegerPolynomial([5 + 7 * ell, 3 * ell, 0, ell]), ell) == []
+        assert padic._residue_roots(IntegerPolynomial([1, 2 * ell, ell * ell]), ell) == []
+    monkeypatch.undo()
+    for ell in (5, 157):
+        assert padic._residue_roots(IntegerPolynomial([ell, 0, ell]), ell) == list(range(ell))
+    for ell in (307, 3001):
+        assert padic._residue_roots(IntegerPolynomial([ell, 0, ell]), ell) == []
+
+
+# The list-level kernel that padic._linear_powmod_ell replaced, kept verbatim
+# as the reference for the packed one.
+_poly_mod_ell, _mul = padic._poly_mod_ell, padic._mul
+
+
+def _poly_mulmod_ell(a: list[int], b: list[int], mod: list[int], ell: int) -> list[int]:
+    return _poly_mod_ell(_mul(a, b), mod, ell)
+
+
+def _linear_powmod_ell(c: int, e: int, f: list[int], ell: int) -> list[int]:
+    """(x + c)^e mod f over F_l, left to right: square on every bit of e and
+    multiply by x + c (a shift, a scaled add and one reduction) on each 1-bit."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = _poly_mulmod_ell(r, r, f, ell)
+        if bit == "1":
+            t = [0] + r
+            for i, v in enumerate(r):
+                t[i] += c * v
+            r = _poly_mod_ell(t, f, ell)
+    return r
+
+
+# 2^79 + 23, the least prime above 2^79
+POWMOD_PRIMES = [2, 3, 5, 7, 11, 157, 163, 307, 3001, 26557, 999983, 604462909807314587353111]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ell=st.sampled_from(POWMOD_PRIMES),
+    degree=st.integers(1, 24),
+    worst=st.booleans(),
+    data=st.data(),
+)
+def test_packed_powmod_matches_list_reference(ell, degree, worst, data):
+    """Packed (x + c)^e mod f against the list-level kernel, for deg f from 1
+    to 24; ``worst`` sets c and every coefficient of f to l - 1, the
+    largest canonical inputs."""
+    if worst:
+        f, c = [ell - 1] * (degree + 1), ell - 1
+    else:
+        f = data.draw(st.lists(st.integers(0, ell - 1), min_size=degree, max_size=degree))
+        f.append(data.draw(st.integers(1, ell - 1)))
+        c = data.draw(st.sampled_from([0, ell - 1]) | st.integers(0, ell - 1))
+    e = data.draw(
+        st.sampled_from([ell, (ell - 1) // 2])
+        | st.integers(0, 90).map(lambda k: 2**k - 1)
+        | st.integers(0, 2**96)
+    )
+    assert padic._linear_powmod_ell(c, e, f, ell) == _linear_powmod_ell(c, e, f, ell)
 
 
 def _compose_affine_reference(f: IntegerPolynomial, scale: int, offset: int) -> IntegerPolynomial:

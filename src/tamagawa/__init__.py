@@ -33,10 +33,8 @@ from .localorders import (
 )
 from .padic import (
     IntegerPolynomial,
-    PadicContext,
     PadicRoot,
     PrecisionExhausted,
-    count_roots_padic,
     find_roots_padic,
     is_square_local,
     valuation,
@@ -64,7 +62,7 @@ __all__ = [
     "EulerLedger", "build_S", "global_torsion_order", "chi_selmer",
     "euler_factor", "verify_main_theorem",
     "OracleRecord", "fetch_curve", "crosscheck",
-    "IntegerPolynomial", "PadicContext", "PadicRoot", "PrecisionExhausted",
-    "valuation", "is_square_local", "count_roots_padic", "find_roots_padic",
+    "IntegerPolynomial", "PadicRoot", "PrecisionExhausted",
+    "valuation", "is_square_local", "find_roots_padic",
     "__version__",
 ]

@@ -128,14 +128,6 @@ class WeierstrassCurve:
     def j_invariant(self) -> Fraction:
         return Fraction(self.c4**3) / self._disc
 
-    def invariants(self) -> dict[str, Rational]:
-        b2, b4, b6, b8 = self._b
-        return {
-            "b2": b2, "b4": b4, "b6": b6, "b8": b8,
-            "c4": self.c4, "c6": self.c6,
-            "disc": self._disc, "j": self.j_invariant,
-        }
-
     def __str__(self) -> str:
         return "E(" + ",".join(str(a) for a in self.ainvs) + ")"
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .curves import WeierstrassCurve
 from .padic import (
     IntegerPolynomial,
-    PadicContext,
     SquarefreePolynomial,
     _mul,
     _poly,
@@ -212,7 +211,7 @@ def local_torsion_order(
     if polys is None or data.transformation.u != 1:
         polys = TorsionPolynomials.of(data.minimal_model, p)
     valid = 0
-    for root in find_roots_padic(polys.psi, PadicContext(ell)):
+    for root in find_roots_padic(polys.psi, ell):
         if value_is_square_at_root(polys.g, root):
             valid += 1
     count = 1 + 2 * valid

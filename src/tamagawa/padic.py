@@ -2,11 +2,13 @@
 
 Everything here is integer/Fraction arithmetic; no floating point.  Root
 counting over Q_l works on integer polynomials via the Newton polygon
-(for negative-valuation roots) plus recursive lift-and-split with Hensel's
-lemma (for integral roots).  Results are certified: an answer is returned
-only when every residue-class decision is Hensel-stable, otherwise the
-precision budget is escalated and, at the hard cap, ``PrecisionExhausted``
-is raised.  A wrong count is never returned.
+(for negative-valuation roots) plus lift-and-split with Hensel's lemma (for
+integral roots).  Results are certified: an answer is returned only when
+every residue-class decision is Hensel-stable.  Lift-and-split runs in one
+pass over a work list under one fixed depth cap, ``PRECISION_HARD_CAP``;
+a root set that needs deeper splitting raises ``PrecisionExhausted``.  Only
+the square test at a root escalates its digits, doubling them up to the
+same cap.  A wrong count is never returned.
 
 Residue roots mod l are found by scanning all l residues for
 l <= ``_RESIDUE_SCAN_LIMIT`` (160) and by splitting gcd(f, x^l - x) above
@@ -45,21 +47,20 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "PrecisionExhausted",
-    "PadicContext",
     "IntegerPolynomial",
     "SquarefreePolynomial",
     "PadicRoot",
     "valuation",
     "is_square_local",
     "legendre_symbol",
-    "count_roots_padic",
     "find_roots_padic",
     "prime_divisors",
     "rational_roots",
 ]
 
-# Hard ceiling on working precision (base-l digits), per the escalation policy:
-# start at 20*deg, double on undecided classes, give up here.
+# Hard ceiling in base-l digits: on the lift-and-split depth of
+# ``find_roots_padic`` and on the digits ``value_is_square_at_root`` reaches.
+# Read at call time.
 PRECISION_HARD_CAP = 2048
 
 # Certificate primes for ``IntegerPolynomial.squarefree_part``: the largest
@@ -94,23 +95,9 @@ _RHO_STEPS = 1 << 22
 class PrecisionExhausted(Exception):
     """Raised when a decision is still unstable at the precision ceiling."""
 
-    def __init__(self, precision: int, message: str = "undecided at precision") -> None:
+    def __init__(self, precision: int) -> None:
         self.precision = precision
-        super().__init__(f"{message} {precision}")
-
-
-@dataclass(frozen=True)
-class PadicContext:
-    """Working context for computations in Q_l carried modulo l^N."""
-
-    ell: int
-    precision: int = 0  # 0 means "auto": 20 * deg(f)
-    max_precision: int = PRECISION_HARD_CAP
-
-    def __post_init__(self) -> None:
-        _require_prime(self.ell)
-        if self.precision < 0 or self.max_precision < 1:
-            raise ValueError("precision must be >= 1 (or 0 for auto)")
+        super().__init__(f"undecided at precision {precision}")
 
 
 def _is_prime(n: int) -> bool:
@@ -287,7 +274,14 @@ def is_square_local(x: int | Fraction, ell: int) -> bool:
     if x == 0:
         raise ValueError("x must be nonzero")
     _require_prime(ell)
-    if valuation(x, ell) % 2 != 0:
+    v = _int_valuation(x.numerator, ell) - _int_valuation(x.denominator, ell)
+    return _square_class(x, v, ell)
+
+
+def _square_class(x: Fraction, v: int, ell: int) -> bool:
+    """Whether the nonzero x, of valuation v at the prime l, is a square in
+    Q_l: v even, and the unit part 1 mod 8 at l = 2, a residue mod l above."""
+    if v % 2 != 0:
         return False
     if ell == 2:
         return _unit_residue(x, 2, 8) == 1
@@ -381,7 +375,7 @@ class IntegerPolynomial:
         """Divide out the largest power of l dividing every coefficient."""
         if self.is_zero:
             raise ValueError("the zero polynomial has no prime content")
-        e = min(_int_valuation(c, ell) for c in self.coeffs if c != 0)
+        e = _int_valuation(self.content(), ell)  # v_l(gcd c_i) = min v_l(c_i)
         if e == 0:
             return self
         q = ell**e
@@ -583,7 +577,7 @@ class PadicRoot:
     ell: int
     witness: IntegerPolynomial
     t0: int
-    scale: int  # power of l accumulated by lift-and-split recursion
+    scale: int  # power of l accumulated by lift-and-split
     offset: int
     shift: int  # s >= 0: the root is (integral root)/l^s
     _cache: tuple[int, int] = field(default=(0, 0), repr=False)  # (modulus_exp, lifted t)
@@ -595,22 +589,6 @@ class PadicRoot:
         t = self._lift(need)
         x_int = (self.offset + self.scale * t) % self.ell**need
         return Fraction(x_int, self.ell**self.shift)
-
-    def valuation(self, max_digits: int = 256) -> int | None:
-        """Exact v_l(x).  None means the root is exactly 0."""
-        if self.shift > 0:
-            return -self.shift  # integral part is a unit by construction
-        z = Fraction(-self.offset, self.scale)
-        if z.denominator == 1 and z % self.ell == self.t0 % self.ell and self.witness(int(z)) == 0:
-            return None  # x == 0 exactly
-        digits = 4
-        while digits <= max_digits:
-            m = self.ell**digits
-            res = (self.offset + self.scale * self._lift(digits)) % m
-            if res != 0:
-                return _int_valuation(res, self.ell)
-            digits *= 2
-        raise PrecisionExhausted(max_digits)
 
     def _lift(self, k: int) -> int:
         exp, t = self._cache
@@ -835,27 +813,42 @@ def _poly_divide_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
 def _integral_root_certs(
     f: IntegerPolynomial,
     ell: int,
-    budget: int,
     skip_zero_residue: bool = False,
 ) -> list[tuple[IntegerPolynomial, int, int, int]]:
     """Certificates (witness, t0, scale, offset) for the distinct roots of f
-    in Z_l.  f must be squarefree and l-primitive.  Recursion: a residue with
-    a simple reduction is Hensel-certified; a singular residue is refined by
-    substituting x = r + l*t and recursing on the l-primitive part.
+    in Z_l, depth first in residue order.  f must be squarefree and
+    l-primitive.
+
+    A work-list item (g, t0, scale, offset, depth) stands for the roots
+    x = offset + scale * t of f with g(t) = 0.  A residue t0 with a simple
+    reduction is Hensel-certified; a singular residue r is refined by
+    substituting t = r + l*u into g, one level deeper, on the l-primitive
+    part.  An item at depth ``PRECISION_HARD_CAP`` raises
+    ``PrecisionExhausted``; being a work list rather than a recursion, the
+    walk reaches that cap whatever Python's recursion limit.
+    ``skip_zero_residue`` drops t0 = 0 at depth 0.
     """
-    if budget <= 0:
-        raise PrecisionExhausted(budget if budget > 0 else 0)
+    cap = PRECISION_HARD_CAP
     certs: list[tuple[IntegerPolynomial, int, int, int]] = []
-    fp = f.derivative()
-    for r in _residue_roots(f, ell):
-        if skip_zero_residue and r == 0:
+    stack: list[tuple[IntegerPolynomial, int | None, int, int, int]] = [(f, None, 1, 0, 0)]
+    while stack:
+        g, t0, scale, offset, depth = stack.pop()
+        if t0 is not None:
+            certs.append((g, t0, scale, offset))
             continue
-        if fp(r) % ell != 0:
-            certs.append((f, r, 1, 0))
-        else:
-            g = f.compose_affine(ell, r).strip_prime_content(ell)
-            for witness, t0, scale, offset in _integral_root_certs(g, ell, budget - 1):
-                certs.append((witness, t0, scale * ell, r + ell * offset))
+        if depth >= cap:
+            raise PrecisionExhausted(cap)
+        gp = g.derivative()
+        children = []
+        for r in _residue_roots(g, ell):
+            if skip_zero_residue and depth == 0 and r == 0:
+                continue
+            if gp(r) % ell != 0:
+                children.append((g, r, scale, offset, depth))
+            else:
+                h = g.compose_affine(ell, r).strip_prime_content(ell)
+                children.append((h, None, scale * ell, offset + scale * r, depth + 1))
+        stack.extend(reversed(children))
     return certs
 
 
@@ -881,36 +874,22 @@ def _newton_polygon_positive_slopes(f: IntegerPolynomial, ell: int) -> list[int]
     return sorted(slopes)
 
 
-def find_roots_padic(f: IntegerPolynomial, ctx: PadicContext) -> list[PadicRoot]:
-    """All distinct roots of f in Q_l (not just Z_l), as certified PadicRoots."""
+def find_roots_padic(f: IntegerPolynomial, ell: int) -> list[PadicRoot]:
+    """All distinct roots of f in Q_l (not just Z_l), as certified PadicRoots,
+    for the prime l.  Raises ``PrecisionExhausted`` when lift-and-split
+    reaches depth ``PRECISION_HARD_CAP``."""
+    _require_prime(ell)
     if f.is_zero or f.degree == 0:
         raise ValueError("zero or constant polynomial has no well-defined root count")
-    ell = ctx.ell
     f0 = f.squarefree_part().strip_prime_content(ell)
-    budget = ctx.precision if ctx.precision else 20 * max(1, f0.degree)
-    while True:
-        try:
-            return _find_roots_with_budget(f0, ell, budget)
-        except PrecisionExhausted:
-            if budget >= ctx.max_precision:
-                raise PrecisionExhausted(budget)
-            budget = min(2 * budget, ctx.max_precision)
-
-
-def _find_roots_with_budget(f0: IntegerPolynomial, ell: int, budget: int) -> list[PadicRoot]:
     roots: list[PadicRoot] = []
-    for witness, t0, scale, offset in _integral_root_certs(f0, ell, budget):
+    for witness, t0, scale, offset in _integral_root_certs(f0, ell):
         roots.append(PadicRoot(ell, witness, t0, scale, offset, 0))
     for s in _newton_polygon_positive_slopes(f0, ell):
         g = f0.reverse_scale(ell, s).strip_prime_content(ell)
-        for witness, t0, scale, offset in _integral_root_certs(g, ell, budget, skip_zero_residue=True):
+        for witness, t0, scale, offset in _integral_root_certs(g, ell, skip_zero_residue=True):
             roots.append(PadicRoot(ell, witness, t0, scale, offset, s))
     return roots
-
-
-def count_roots_padic(f: IntegerPolynomial, ctx: PadicContext) -> int:
-    """Exact number of distinct roots of f in Q_l."""
-    return len(find_roots_padic(f, ctx))
 
 
 def rational_roots(f: IntegerPolynomial) -> list[Fraction]:
@@ -951,18 +930,14 @@ def rational_roots(f: IntegerPolynomial) -> list[Fraction]:
     return sorted(roots)
 
 
-def value_is_square_at_root(
-    h: IntegerPolynomial,
-    root: PadicRoot,
-    max_precision: int = PRECISION_HARD_CAP,
-) -> bool:
+def value_is_square_at_root(h: IntegerPolynomial, root: PadicRoot) -> bool:
     """Decide whether h(x) is a square in Q_l for a certified root x.
 
     Requires h(x) != 0 (guaranteed by callers: the torsion-x polynomial and
     the y-quadratic discriminant share no root for odd torsion orders).
     Evaluates h at rational approximations of x and stops as soon as the
-    valuation and unit part of h(x) are certified stable; escalates the
-    approximation precision otherwise.
+    valuation and unit part of h(x) are certified stable; doubles the
+    approximation digits otherwise, up to ``PRECISION_HARD_CAP``.
     """
     ell = root.ell
     s = root.shift
@@ -973,17 +948,14 @@ def value_is_square_at_root(
         if i >= 1
     )
     margin = 3 if ell == 2 else 1
+    cap = PRECISION_HARD_CAP
     digits = max(8, 4 * s + 8)
-    while digits <= max_precision:
+    while digits <= cap:
         x_hat = root.approx(digits)
         val = h(x_hat)
         if val != 0:
             v = _int_valuation(val.numerator, ell) - _int_valuation(val.denominator, ell)
             if v + margin <= digits + slack:
-                if v % 2 != 0:
-                    return False
-                if ell == 2:
-                    return _unit_residue(val, 2, 8) == 1
-                return legendre_symbol(_unit_residue(val, ell, ell), ell) == 1
+                return _square_class(val, v, ell)
         digits *= 2
-    raise PrecisionExhausted(max_precision)
+    raise PrecisionExhausted(cap)

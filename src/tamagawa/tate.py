@@ -61,10 +61,6 @@ class KodairaType:
         return self.family == "In"
 
     @property
-    def is_additive(self) -> bool:
-        return self.family not in ("I0", "In")
-
-    @property
     def component_count(self) -> int:
         """Number m of irreducible components of the special fiber
         (multiplicity-free count entering Ogg's formula)."""

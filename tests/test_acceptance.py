@@ -17,7 +17,6 @@ from tamagawa.lmfdb import crosscheck
 from tamagawa.localorders import Place, local_torsion_order
 from tamagawa.padic import (
     IntegerPolynomial,
-    PadicContext,
     _is_prime,
     find_roots_padic,
     is_square_local,
@@ -207,7 +206,7 @@ def test_criterion_7_randomized_arithmetic_suites():
         disc = int(sym_disc(Poly(list(reversed(coeffs)), xsym)))
         if disc == 0 or valuation(disc, ell) > dmax:
             continue
-        mine = sum(1 for r in find_roots_padic(IntegerPolynomial(coeffs), PadicContext(ell))
+        mine = sum(1 for r in find_roots_padic(IntegerPolynomial(coeffs), ell)
                    if r.shift == 0)
         assert mine == _brute_integral_count(coeffs, ell, M), (coeffs, ell)
         done += 1

@@ -134,6 +134,17 @@ def test_verify_undecided_exits_4(runner, monkeypatch):
     assert result.exit_code == 4
 
 
+def test_verify_exits_4_when_lift_and_split_reaches_the_cap(runner, monkeypatch):
+    # a real exhaustion, not a stubbed raise: psi_5 of 14a1 needs more than
+    # three levels of lift-and-split at some place of S
+    from tamagawa import padic
+
+    monkeypatch.setattr(padic, "PRECISION_HARD_CAP", 3)
+    result = runner.invoke(main, ["verify", "--curve", "1,0,1,4,-6", "-p", "5"])
+    assert result.exit_code == 4, result.output
+    assert "undecided at precision 3" in result.output
+
+
 def _write_batch_input(path, rows):
     path.write_text("\n".join(rows) + "\n")
 

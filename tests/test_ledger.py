@@ -210,9 +210,9 @@ def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, monkeypatc
         certified[id(out)] = out
         return out
 
-    def find_roots_padic(f, ctx):
+    def find_roots_padic(f, ell):
         assert certified.get(id(f)) is f, "root count on a polynomial squarefree_part did not return"
-        return real_find(f, ctx)
+        return real_find(f, ell)
 
     monkeypatch.setattr(IntegerPolynomial, "squarefree_part", squarefree_part)
     monkeypatch.setattr(lo, "find_roots_padic", find_roots_padic)

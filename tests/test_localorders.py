@@ -194,7 +194,7 @@ def test_local_orders_violating_identities_rejected():
 
 def test_torsion_count_outside_allowed_orders_rejected(monkeypatch):
     # two valid roots give 1 + 2*2 = 5 points, not one of 1, 3, 9 for p = 3
-    monkeypatch.setattr(localorders, "find_roots_padic", lambda f, ctx: [None, None])
+    monkeypatch.setattr(localorders, "find_roots_padic", lambda f, ell: [None, None])
     monkeypatch.setattr(localorders, "value_is_square_at_root", lambda h, root: True)
     E = WeierstrassCurve(0, 0, 0, 1, 0)
     with pytest.raises(InconsistentLocalData, match="torsion count 5"):

@@ -13,10 +13,8 @@ from tamagawa.curves import WeierstrassCurve
 from tamagawa.localorders import division_polynomial
 from tamagawa.padic import (
     IntegerPolynomial,
-    PadicContext,
     PadicRoot,
     PrecisionExhausted,
-    count_roots_padic,
     find_roots_padic,
     is_square_local,
     prime_divisors,
@@ -84,24 +82,25 @@ def test_squares_are_squares():
 
 
 def test_count_roots_examples():
-    assert count_roots_padic(IntegerPolynomial([-1, 0, 1]), PadicContext(3)) == 2
-    assert count_roots_padic(IntegerPolynomial([-3, 0, 1]), PadicContext(3)) == 0
-    assert count_roots_padic(IntegerPolynomial([1, 0, 1]), PadicContext(5)) == 2
+    assert len(find_roots_padic(IntegerPolynomial([-1, 0, 1]), 3)) == 2
+    assert len(find_roots_padic(IntegerPolynomial([-3, 0, 1]), 3)) == 0
+    assert len(find_roots_padic(IntegerPolynomial([1, 0, 1]), 5)) == 2
 
 
 def test_count_roots_rejects_degenerate():
     with pytest.raises(ValueError, match="constant"):
-        count_roots_padic(IntegerPolynomial([]), PadicContext(5))
+        len(find_roots_padic(IntegerPolynomial([]), 5))
     with pytest.raises(ValueError, match="constant"):
-        count_roots_padic(IntegerPolynomial([3]), PadicContext(5))
+        len(find_roots_padic(IntegerPolynomial([3]), 5))
 
 
 def test_negative_valuation_roots():
     # 25x^2 - 1 has the two roots +-1/5 in Q_5, neither integral
     f = IntegerPolynomial([-1, 0, 25])
-    roots = find_roots_padic(f, PadicContext(5))
+    roots = find_roots_padic(f, 5)
     assert len(roots) == 2
-    assert sorted(r.valuation() for r in roots) == [-1, -1]
+    assert [r.shift for r in roots] == [1, 1]
+    assert [valuation(r.approx(4), 5) for r in roots] == [-1, -1]
     for r in roots:
         val = f(r.approx(6))
         assert val == 0 or valuation(val, 5) >= 5  # f(x_hat) ~ 0 to the certified depth
@@ -110,8 +109,8 @@ def test_negative_valuation_roots():
 def test_mixed_valuation_root_set():
     # (5x - 1)(x - 5)(x - 1): roots 1/5, 5, 1 all lie in Q_5
     f = IntegerPolynomial([-1, 5]) * IntegerPolynomial([-5, 1]) * IntegerPolynomial([-1, 1])
-    roots = find_roots_padic(f, PadicContext(5))
-    assert sorted(r.valuation() for r in roots) == [-1, 0, 1]
+    roots = find_roots_padic(f, 5)
+    assert sorted(valuation(r.approx(4), 5) for r in roots) == [-1, 0, 1]
 
 
 def _random_constructed_poly(rng: random.Random, ell: int):
@@ -140,7 +139,7 @@ def test_count_roots_constructed_oracle():
     for _ in range(200):
         ell = rng.choice([3, 5, 7])
         f, roots = _random_constructed_poly(rng, ell)
-        assert count_roots_padic(f, PadicContext(ell)) == len(roots)
+        assert len(find_roots_padic(f, ell)) == len(roots)
 
 
 def _brute_integral_root_count(coeffs, ell, M):
@@ -181,7 +180,7 @@ def test_count_roots_vs_brute_oracle():
         if disc == 0 or (int(disc) != 0 and valuation(int(disc), ell) > dmax):
             continue
         f = IntegerPolynomial(coeffs)
-        mine = sum(1 for r in find_roots_padic(f, PadicContext(ell)) if r.shift == 0)
+        mine = sum(1 for r in find_roots_padic(f, ell) if r.shift == 0)
         brute = _brute_integral_root_count(coeffs, ell, M)
         assert mine == brute, (coeffs, ell, mine, brute)
         checked += 1
@@ -194,31 +193,51 @@ def test_root_multiplicity_distinct_count():
         f, roots = _random_constructed_poly(rng, ell)
         r = rng.randint(31, 60)  # outside the constructed root range
         g = f * IntegerPolynomial([-r, 1])
-        assert count_roots_padic(g, PadicContext(ell)) == count_roots_padic(f, PadicContext(ell)) + 1
+        assert len(find_roots_padic(g, ell)) == len(find_roots_padic(f, ell)) + 1
         # repeating an existing factor must not change the distinct count
         h = g * IntegerPolynomial([-r, 1])
-        assert count_roots_padic(h, PadicContext(ell)) == count_roots_padic(g, PadicContext(ell))
+        assert len(find_roots_padic(h, ell)) == len(find_roots_padic(g, ell))
 
 
-def test_precision_context_validation():
-    with pytest.raises(ValueError):
-        PadicContext(4)
-    with pytest.raises(ValueError):
-        PadicContext(5, precision=-1)
+def test_find_roots_requires_prime_ell():
+    with pytest.raises(ValueError, match="must be prime"):
+        find_roots_padic(IntegerPolynomial([-1, 0, 1]), 4)
 
 
-def test_precision_ceiling_reports_undecided():
-    # roots congruent to high depth force deep lift-and-split recursion;
+def test_precision_ceiling_reports_undecided(monkeypatch):
+    # roots congruent to high depth force deep lift-and-split;
     # a tiny ceiling must produce "undecided", never a wrong count
     f = IntegerPolynomial([-1, 1]) * IntegerPolynomial([-1 - 3**8, 1])
-    with pytest.raises(PrecisionExhausted, match="undecided at precision"):
-        count_roots_padic(f, PadicContext(3, precision=2, max_precision=2))
-    assert count_roots_padic(f, PadicContext(3)) == 2  # default budget decides
+    with monkeypatch.context() as m:
+        m.setattr(padic, "PRECISION_HARD_CAP", 2)
+        with pytest.raises(PrecisionExhausted, match="^undecided at precision 2$"):
+            find_roots_padic(f, 3)
+    assert len(find_roots_padic(f, 3)) == 2  # the fixed cap decides
+
+
+def test_lift_and_split_reaches_the_depth_cap(monkeypatch):
+    # x(x - 2^k): the roots agree to k binary digits, so lift-and-split goes
+    # k levels deep; k = 1100 is past Python's default recursion limit
+    roots = find_roots_padic(IntegerPolynomial([0, -(2**1100), 1]), 2)
+    assert sorted(r.approx(1200) for r in roots) == [0, 2**1100]
+    with pytest.raises(PrecisionExhausted, match="^undecided at precision 2048$"):
+        find_roots_padic(IntegerPolynomial([0, -(2**2100), 1]), 2)
+    monkeypatch.setattr(padic, "PRECISION_HARD_CAP", 64)
+    assert len(find_roots_padic(IntegerPolynomial([0, -(2**63), 1]), 2)) == 2  # levels 0..63
+    for k in (64, 100):
+        with pytest.raises(PrecisionExhausted, match="^undecided at precision 64$"):
+            find_roots_padic(IntegerPolynomial([0, -(2**k), 1]), 2)
+
+
+def test_roots_come_depth_first_in_residue_order():
+    # residue 1 splits five levels deep before the simple residue 2 is certified
+    f = IntegerPolynomial([-2, 1]) * IntegerPolynomial([-1, 1]) * IntegerPolynomial([-1 - 3**5, 1])
+    assert [r.approx(8) for r in find_roots_padic(f, 3)] == [1, 1 + 3**5, 2]
 
 
 def test_padic_root_refinement_is_consistent():
     f = IntegerPolynomial([-2, 0, 1])  # sqrt(2) in Q_7
-    roots = find_roots_padic(f, PadicContext(7))
+    roots = find_roots_padic(f, 7)
     assert len(roots) == 2
     for r in roots:
         a8, a16 = r.approx(8), r.approx(16)
@@ -292,7 +311,7 @@ def test_certified_polynomial_is_not_certified_again(corpus, monkeypatch):
     calls = []
     real = IntegerPolynomial.squarefree_part
     monkeypatch.setattr(IntegerPolynomial, "squarefree_part", lambda f: calls.append(f) or real(f))
-    assert len(find_roots_padic(sf, PadicContext(11))) == len(find_roots_padic(psi, PadicContext(11)))
+    assert len(find_roots_padic(sf, 11)) == len(find_roots_padic(psi, 11))
     assert calls == [psi]
     with pytest.raises(ValueError, match="zero polynomial"):
         real(IntegerPolynomial([]))
@@ -343,7 +362,7 @@ def test_constructor_rejects_inexact_coefficients():
     with pytest.raises(ValueError, match="not an exact integer"):
         IntegerPolynomial([1.0, 1])
     assert IntegerPolynomial([Fraction(4, 2), True, 0]).coeffs == (2, 1)
-    assert count_roots_padic(IntegerPolynomial([-1, 0, 2]), PadicContext(7)) == 2
+    assert len(find_roots_padic(IntegerPolynomial([-1, 0, 2]), 7)) == 2
 
 
 def _scan_residue_roots(coeffs, ell):
@@ -519,12 +538,13 @@ def test_is_prime_rejects_psi_12_and_raises_from_psi_13():
     for n in (PSI_13, nextprime(PSI_13), 10**30):
         with pytest.raises(ValueError, match="psi_13"):
             padic._is_prime(n)
+    x2_minus_1 = IntegerPolynomial([-1, 0, 1])
     with pytest.raises(ValueError, match="must be prime"):
-        PadicContext(PSI_12)
+        find_roots_padic(x2_minus_1, PSI_12)
     # entry points that take l from the factoring defer to sympy above psi_13
-    assert PadicContext(nextprime(PSI_13)).ell > PSI_13
+    assert len(find_roots_padic(x2_minus_1, nextprime(PSI_13))) == 2
     with pytest.raises(ValueError, match="must be prime"):
-        PadicContext(PSI_13)
+        find_roots_padic(x2_minus_1, PSI_13)
 
 
 @pytest.fixture

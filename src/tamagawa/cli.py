@@ -2,8 +2,9 @@
 batch runs over curve files.  Reports are JSON by default (stable field
 order, no timestamps) with a CSV option for the order tables.
 
-Exit codes: 0 success, 2 parse/usage error, 3 singular curve, 4 undecided
-(precision ceiling reached somewhere).
+Exit codes: 0 success, 2 parse/usage error (also a --label whose cached
+fixture is broken, and a batch --input that is not UTF-8), 3 singular curve,
+4 undecided (precision ceiling reached somewhere).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import click
 
 from .curves import SingularCurveError, WeierstrassCurve, parse_ainvs
 from .euler import local_data_for_bad_primes, verify_main_theorem
-from .lmfdb import FIXTURE_DIR_ENV, OracleNotFoundError, fetch_curve
+from .lmfdb import FIXTURE_DIR_ENV, OracleNotFoundError, OracleSchemaError, fetch_curve
 from .padic import PrecisionExhausted, _is_prime
 from .tate import tate_local
 
@@ -47,6 +48,8 @@ def _resolve_curve(curve: str | None, label: str | None, fixtures: str | None) -
         record = fetch_curve(label, fixtures_dir=fixtures)
     except OracleNotFoundError as exc:
         raise click.UsageError(str(exc)) from exc
+    except OracleSchemaError as exc:
+        raise click.UsageError(f"fixture for {label}: {exc}") from exc
     except OSError as exc:
         raise click.ClickException(f"label lookup failed (no fixture, network unreachable): {exc}") from exc
     return record.curve(), label
@@ -191,31 +194,35 @@ def cmd_batch(input_path, out_path, p, jobs) -> None:
     p = int(p)
     tasks: list[tuple[int, tuple[int, int, int, int, int] | None, str | None, int]] = []
     parse_failures: dict[int, dict] = {}
-    with open(input_path, "r", encoding="utf-8") as fh:
-        index = 0
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [s.strip() for s in line.split(",")]
-            label = None
-            if len(parts) == 6:
-                label = parts[5]
-                parts = parts[:5]
-            if len(parts) != 5:
-                parse_failures[index] = {"index": index, "label": label, "line": line,
-                                         "status": "failed-parse", "error": "expected 5 integers"}
-                index += 1
-                continue
-            try:
-                ainvs = tuple(int(s) for s in parts)
-            except ValueError:
-                parse_failures[index] = {"index": index, "label": label, "line": line,
-                                         "status": "failed-parse", "error": "non-integer coefficient"}
-                index += 1
-                continue
-            tasks.append((index, ainvs, label, p))
+    try:
+        with open(input_path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise click.BadParameter(f"not UTF-8 text ({exc.reason})", param_hint="'--input'") from exc
+    index = 0
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [s.strip() for s in line.split(",")]
+        label = None
+        if len(parts) == 6:
+            label = parts[5]
+            parts = parts[:5]
+        if len(parts) != 5:
+            parse_failures[index] = {"index": index, "label": label, "line": line,
+                                     "status": "failed-parse", "error": "expected 5 integers"}
             index += 1
+            continue
+        try:
+            ainvs = tuple(int(s) for s in parts)
+        except ValueError:
+            parse_failures[index] = {"index": index, "label": label, "line": line,
+                                     "status": "failed-parse", "error": "non-integer coefficient"}
+            index += 1
+            continue
+        tasks.append((index, ainvs, label, p))
+        index += 1
 
     results: dict[int, dict] = dict(parse_failures)
     # a forked pool starts all its workers at once, so more than one per

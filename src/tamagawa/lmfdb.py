@@ -180,7 +180,12 @@ def fetch_curve(
     otherwise fetch, normalize, and write the cache file."""
     path = _fixture_path(label, fixtures_dir)
     if path.exists() and not refresh:
-        return OracleRecord.deserialize(json.loads(path.read_text()))
+        raw = path.read_bytes()
+        try:
+            doc = json.loads(raw)
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise OracleSchemaError(f"{path} is not JSON ({exc})", raw) from exc
+        return OracleRecord.deserialize(doc)
 
     base = (base_url or os.environ.get(BASE_URL_ENV) or DEFAULT_BASE_URL).rstrip("/")
     get = http_get or _default_http_get

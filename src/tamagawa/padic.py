@@ -40,7 +40,7 @@ keeps a candidate only when the polynomial vanishes on it exactly.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence
@@ -580,7 +580,6 @@ class PadicRoot:
     scale: int  # power of l accumulated by lift-and-split
     offset: int
     shift: int  # s >= 0: the root is (integral root)/l^s
-    _cache: tuple[int, int] = field(default=(0, 0), repr=False)  # (modulus_exp, lifted t)
 
     def approx(self, digits: int) -> Fraction:
         need = digits + self.shift
@@ -591,11 +590,7 @@ class PadicRoot:
         return Fraction(x_int, self.ell**self.shift)
 
     def _lift(self, k: int) -> int:
-        exp, t = self._cache
-        if exp >= k:
-            return t % self.ell**k
-        if exp == 0:
-            exp, t = 1, self.t0 % self.ell
+        exp, t = 1, self.t0 % self.ell
         f, fp = self.witness, self.witness.derivative()
         while exp < k:
             exp = min(2 * exp, k)
@@ -605,7 +600,6 @@ class PadicRoot:
             if fpt % self.ell == 0:
                 raise ArithmeticError("witness root must be simple")
             t = (t - ft * pow(fpt, -1, m)) % m
-        self._cache = (exp, t)
         return t
 
 
@@ -763,18 +757,13 @@ def _gcd_with_frobenius(cs: list[int], ell: int) -> list[int]:
 def _linear_roots_mod(g: list[int], ell: int) -> list[int]:
     """Roots of a product of distinct linear factors over F_l (degree <= 3 here
     in practice); splits by gcd with (x + c)^((l-1)/2) - 1 for deterministic c."""
-    deg = len(g) - 1
-    if deg <= 0:
-        return []
-    if deg == 1:
-        return [(-g[0] * pow(g[1], -1, ell)) % ell]
     roots: list[int] = []
     stack = [g]
     shift = 0
     while stack:
         h = stack.pop()
         d = len(h) - 1
-        if d == 0:
+        if d <= 0:
             continue
         if d == 1:
             roots.append((-h[0] * pow(h[1], -1, ell)) % ell)

@@ -1,6 +1,11 @@
 """Tate's algorithm at a prime l: minimal model, Kodaira type, conductor
 exponent, Tamagawa number, and component-group structure.
 
+:class:`LocalData` stores what the algorithm decides (the minimal model and
+the transformation to it, v(Delta), the Kodaira type, c and the split flag)
+and derives the component count m, the conductor exponent f (Ogg's formula)
+and the component groups from them.
+
 The algorithm runs as an explicit step machine (steps 1-11 with the
 non-minimal restart), recording every coordinate change so the composite
 transformation from the input model to the returned l-minimal model is
@@ -60,15 +65,6 @@ class KodairaType:
     def is_multiplicative(self) -> bool:
         return self.family == "In"
 
-    @property
-    def component_count(self) -> int:
-        """Number m of irreducible components of the special fiber
-        (multiplicity-free count entering Ogg's formula)."""
-        return {
-            "I0": 1, "In": self.n, "II": 1, "III": 2, "IV": 3,
-            "I0*": 5, "In*": 5 + self.n, "IV*": 7, "III*": 8, "II*": 9,
-        }[self.family]
-
     def serialize(self) -> str:
         if self.family == "In":
             return f"In:{self.n}"
@@ -119,36 +115,65 @@ class FiniteAbelianGroup:
     def p_torsion_order(self, p: int) -> int:
         return math.prod(math.gcd(d, p) for d in self.factors)
 
-    def mod_p_quotient_order(self, p: int) -> int:
-        # equal to the p-torsion order for finite abelian groups
-        return self.p_torsion_order(p)
-
-    def embeds_in(self, other: "FiniteAbelianGroup") -> bool:
-        """Order divides and exponent divides (the check used for
-        arithmetic-inside-geometric component groups)."""
-        return other.order % self.order == 0 and other.exponent % self.exponent == 0
-
     def __str__(self) -> str:
         if not self.factors:
             return "trivial"
         return "Z/" + " x Z/".join(str(d) for d in self.factors)
 
 
+# Per Kodaira family, as a function of the index n (0 where the family has
+# none): the number m of components of the special fibre, which enters Ogg's
+# formula, and the invariant factors of the geometric component group.
+_FIBRES = {
+    "I0": lambda n: (1, ()),
+    "In": lambda n: (n, (n,) if n > 1 else ()),
+    "II": lambda n: (1, ()),
+    "III": lambda n: (2, (2,)),
+    "IV": lambda n: (3, (3,)),
+    "I0*": lambda n: (5, (2, 2)),
+    "In*": lambda n: (5 + n, (4,) if n % 2 else (2, 2)),
+    "IV*": lambda n: (7, (3,)),
+    "III*": lambda n: (8, (2,)),
+    "II*": lambda n: (9, ()),
+}
+
+
 @dataclass(frozen=True)
 class LocalData:
-    """Everything Tate's algorithm knows about E at the prime l."""
+    """What Tate's algorithm decides about E at the prime l.  The component
+    count m, the conductor exponent f and the component groups follow from
+    the Kodaira type, v(Delta) and c, and are derived where they are read."""
 
     prime: int
     minimal_model: WeierstrassCurve
     transformation: Transformation  # input model -> minimal model
     vdelta: int
     kodaira: KodairaType
-    f: int  # conductor exponent
     c: int  # Tamagawa number = #Phi(k_v)
-    phi_geometric: FiniteAbelianGroup
-    phi_arithmetic: FiniteAbelianGroup
     split: bool | None  # meaningful only for multiplicative types
-    m: int  # special-fiber component count (enters Ogg's formula)
+
+    @property
+    def m(self) -> int:
+        """Number of irreducible components of the special fibre."""
+        return _FIBRES[self.kodaira.family](self.kodaira.n)[0]
+
+    @property
+    def f(self) -> int:
+        """Conductor exponent, by Ogg's formula v(Delta) = f + m - 1."""
+        return self.vdelta - self.m + 1
+
+    @property
+    def phi_geometric(self) -> FiniteAbelianGroup:
+        return FiniteAbelianGroup(_FIBRES[self.kodaira.family](self.kodaira.n)[1])
+
+    @property
+    def phi_arithmetic(self) -> FiniteAbelianGroup:
+        """The Frobenius-fixed subgroup Phi(k_v), of order c: all of the
+        geometric group, or else its cyclic subgroup of order c."""
+        geom = self.phi_geometric
+        if self.c == geom.order:
+            return geom
+        return FiniteAbelianGroup((self.c,) if self.c > 1 else ())
 
     def serialize(self) -> dict:
         return {
@@ -173,14 +198,11 @@ def is_split_multiplicative(local: LocalData) -> bool:
 
 
 def phi_p_part_order(local: LocalData, p: int) -> int:
-    """#Phi(k_v)[p] for odd p, via the invariant factors of the arithmetic
-    component group.  The odd part of Phi(k_v) is cyclic for elliptic curves,
-    so this equals p exactly when p | c (checked)."""
+    """#Phi(k_v)[p] for odd p.  The odd part of Phi(k_v) is cyclic for
+    elliptic curves, so this is p exactly when p | c."""
     if p == 2:
         raise ValueError("odd p required")
-    out = local.phi_arithmetic.p_torsion_order(p)
-    _require(out == (p if local.c % p == 0 else 1), "odd part of the arithmetic component group must be cyclic")
-    return out
+    return p if local.c % p == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -414,43 +436,6 @@ class _Machine:
         return None
 
 
-def _component_groups(kod: KodairaType, c: int, split: bool | None) -> tuple[FiniteAbelianGroup, FiniteAbelianGroup]:
-    fam, n = kod.family, kod.n
-    if fam in ("I0", "II", "II*"):
-        geom: tuple[int, ...] = ()
-    elif fam == "In":
-        geom = (n,) if n >= 2 else ()
-    elif fam in ("III", "III*"):
-        geom = (2,)
-    elif fam in ("IV", "IV*"):
-        geom = (3,)
-    elif fam == "I0*":
-        geom = (2, 2)
-    elif fam == "In*":
-        geom = (2, 2) if n % 2 == 0 else (4,)
-    else:  # pragma: no cover
-        raise TateInvariantError(f"no component group for {fam}")
-
-    if fam == "In":
-        if split:
-            arith = geom
-        else:
-            arith = (2,) if n % 2 == 0 else ()
-    elif fam in ("I0*", "In*"):
-        # c = 4 means the Frobenius-fixed subgroup is everything
-        arith = {1: (), 2: (2,), 4: geom}[c]
-    elif fam in ("IV", "IV*"):
-        arith = (3,) if c == 3 else ()
-    elif fam in ("III", "III*"):
-        arith = (2,)
-    else:
-        arith = ()
-    g_geom, g_arith = FiniteAbelianGroup(geom), FiniteAbelianGroup(arith)
-    _require(g_arith.order == c, f"arithmetic component group order {g_arith.order} != c = {c}")
-    _require(g_arith.embeds_in(g_geom), "arithmetic component group does not embed")
-    return g_geom, g_arith
-
-
 def tate_local(curve: WeierstrassCurve, ell: int) -> LocalData:
     """Run Tate's algorithm for ``curve`` at the prime ``ell``."""
     _require_prime(ell)
@@ -459,29 +444,11 @@ def tate_local(curve: WeierstrassCurve, ell: int) -> LocalData:
 
     machine = _Machine(curve, ell)
     kod, vdelta, c, split = machine.run()
-    m = kod.component_count
-    f = vdelta - m + 1
-    # conductor-exponent sanity
-    if kod.family == "I0":
-        _require(f == 0, f"good reduction with f = {f}")
-    elif kod.is_multiplicative:
-        _require(f == 1, f"multiplicative reduction with f = {f}")
-    else:
-        _require(f >= 2, f"additive type with f = {f}")
-        _require(ell < 5 or f == 2, f"tame additive reduction must have f = 2, got {f}")
-    geom, arith = _component_groups(kod, c, split)
+    data = LocalData(ell, machine.model, machine.trans, vdelta, kod, c, split)
+    if kod.family not in ("I0", "In"):
+        _require(data.f >= 2, f"additive type with f = {data.f}")
+        _require(ell < 5 or data.f == 2, f"tame additive reduction must have f = 2, got {data.f}")
+    _require(data.phi_geometric.order % c == 0, f"c = {c} does not divide the component group order of {kod}")
     # the recorded transformation must reproduce the minimal model exactly
     _require(transform(curve, machine.trans) == machine.model, "recorded transformation does not reach the minimal model")
-    return LocalData(
-        prime=ell,
-        minimal_model=machine.model,
-        transformation=machine.trans,
-        vdelta=vdelta,
-        kodaira=kod,
-        f=f,
-        c=c,
-        phi_geometric=geom,
-        phi_arithmetic=arith,
-        split=split,
-        m=m,
-    )
+    return data

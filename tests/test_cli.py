@@ -91,6 +91,27 @@ def test_localdata_label_lookup(runner, fixtures_dir):
     assert json.loads(result.output)[0]["c"] == 5
 
 
+def _broken_fixtures(fixtures_dir):
+    good = json.loads((fixtures_dir / "11a1.json").read_text())
+    no_local_data = {k: v for k, v in good.items() if k != "local_data"}
+    return {
+        "not-json": "{ this is not json",
+        "singular": json.dumps(dict(good, ainvs=[0, 0, 0, 0, 0])),
+        "no-local-data": json.dumps(no_local_data),
+    }
+
+
+@pytest.mark.parametrize("broken", ["not-json", "singular", "no-local-data"])
+@pytest.mark.parametrize("command", [["verify", "-p", "5"], ["localdata", "--all-bad"]])
+def test_malformed_fixture_exits_2(runner, fixtures_dir, tmp_path, broken, command):
+    (tmp_path / "11a1.json").write_text(_broken_fixtures(fixtures_dir)[broken])
+    result = runner.invoke(main, [*command, "--label", "11a1", "--fixtures", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].startswith("Error: fixture for 11a1: ")
+
+
 def test_verify_all_passes(runner):
     result = runner.invoke(main, ["verify", "--curve", ELEVEN_A1, "-p", "5", "--check", "all"])
     assert result.exit_code == 0, result.output
@@ -190,6 +211,18 @@ def test_batch_isolates_bad_rows(runner, tmp_path):
     assert statuses == ["failed-parse", "passed", "failed-parse"]
 
 
+def test_batch_input_not_utf8_exits_2(runner, tmp_path):
+    inp = tmp_path / "curves.csv"
+    inp.write_bytes(b"0,-1,1,-10,-20,11a1\n\xff\xfe0,0,0,0,1\n")
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["batch", "--input", str(inp), "--out", str(out), "-p", "3"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: Invalid value for '--input': not UTF-8 text (invalid start byte)"]
+    assert not out.exists()
+
+
 def test_batch_deterministic_bytes(runner, tmp_path):
     inp = tmp_path / "curves.csv"
     _write_batch_input(inp, ["0,-1,1,-10,-20,11a1", "0,0,0,0,1,36a1"])
@@ -275,6 +308,20 @@ def test_batch_report_bytes_pinned(runner, corpus, fixtures_dir, tmp_path, p):
     result = runner.invoke(main, ["batch", "--input", str(curves), "--out", str(out), "-p", str(p)])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[str(p)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_localdata_report_bytes_pinned(runner, corpus, fixtures_dir, fmt):
+    """localdata --all-bad over the corpus, one output after another in
+    corpus order, is byte-for-byte what the committed digests record."""
+    digests = json.loads((fixtures_dir / "report_digests.json").read_text())["localdata"]
+    out = hashlib.sha256()
+    for rec in corpus:
+        curve = ",".join(map(str, rec.ainvs))
+        result = runner.invoke(main, ["localdata", "--curve", curve, "--all-bad", "--format", fmt])
+        assert result.exit_code == 0, (rec.label, result.output)
+        out.update(result.output.encode())
+    assert out.hexdigest() == digests[fmt]
 
 
 _IMPORT_GUARD = """

@@ -24,7 +24,7 @@ from tamagawa.localorders import (
     local_torsion_order,
 )
 from tamagawa.padic import IntegerPolynomial
-from tamagawa.tate import FiniteAbelianGroup, KodairaType, LocalData, tate_local
+from tamagawa.tate import KodairaType, LocalData, tate_local
 
 
 def test_division_polynomial_short_model():
@@ -171,12 +171,8 @@ def test_inconsistent_local_data_detected():
         transformation=honest.transformation,
         vdelta=4,
         kodaira=KodairaType("IV"),
-        f=2,
         c=3,
-        phi_geometric=FiniteAbelianGroup((3,)),
-        phi_arithmetic=FiniteAbelianGroup((3,)),
         split=None,
-        m=3,
     )
     with pytest.raises(InconsistentLocalData, match="inconsistent local data"):
         assemble_local_orders(E, Place.finite(7), 3, local_data=fake)

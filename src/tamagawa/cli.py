@@ -21,6 +21,7 @@ import click
 from .curves import SingularCurveError, WeierstrassCurve, parse_ainvs
 from .euler import local_data_for_bad_primes, verify_main_theorem
 from .lmfdb import FIXTURE_DIR_ENV, OracleNotFoundError, OracleSchemaError, fetch_curve
+from .localorders import P_MAX, check_p
 from .padic import PrecisionExhausted, _is_prime
 from .tate import tate_local
 
@@ -109,6 +110,16 @@ def _localdata_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _checked_p(ctx, param, p: int) -> int:
+    try:
+        check_p(p)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
+    return p
+
+
+_P_OPTION = click.option("-p", "p", type=int, required=True, callback=_checked_p, help=f"an odd prime <= {P_MAX}")
+
 _CHECK_VERDICTS = {
     "euler": ("euler_characteristic_is_one",),
     "main-theorem": ("main_identity", "square_chain_identity"),
@@ -119,7 +130,7 @@ _CHECK_VERDICTS = {
 @main.command("verify")
 @click.option("--curve", "curve_spec", help='five comma-separated integers "a1,a2,a3,a4,a6"')
 @click.option("--label", help="curve label resolved through the fixture cache")
-@click.option("-p", "p", type=click.Choice(["3", "5", "7"]), required=True)
+@_P_OPTION
 @click.option("--check", "check", type=click.Choice(sorted(_CHECK_VERDICTS)), default="all")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--fixtures", envvar=FIXTURE_DIR_ENV, default=None, help="fixture cache directory")
@@ -127,7 +138,7 @@ def cmd_verify(curve_spec, label, p, check, fmt, fixtures) -> None:
     """Verify the Euler-characteristic and product identities for one curve."""
     try:
         curve, lbl = _resolve_curve(curve_spec, label, fixtures)
-        ledger = verify_main_theorem(curve, int(p), label=lbl)
+        ledger = verify_main_theorem(curve, p, label=lbl)
     except SingularCurveError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_SINGULAR)
@@ -186,12 +197,11 @@ def _usable_cpus() -> int:
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help='CSV lines "a1,a2,a3,a4,a6[,label]"')
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-@click.option("-p", "p", type=click.Choice(["3", "5", "7"]), required=True)
+@_P_OPTION
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="parallel workers (across curves); no more than one per curve or per usable CPU start")
 def cmd_batch(input_path, out_path, p, jobs) -> None:
     """Run the verification over a curve file and write a JSON report."""
-    p = int(p)
     tasks: list[tuple[int, tuple[int, int, int, int, int] | None, str | None, int]] = []
     parse_failures: dict[int, dict] = {}
     try:
@@ -239,14 +249,8 @@ def cmd_batch(input_path, out_path, p, jobs) -> None:
 
     rows = [results[i] for i in sorted(results)]
     counts = {"passed": 0, "failed": 0, "undecided": 0}
-    for row in rows:
-        status = row["status"]
-        if status == "passed":
-            counts["passed"] += 1
-        elif status == "undecided":
-            counts["undecided"] += 1
-        else:
-            counts["failed"] += 1
+    for row in rows:  # "failed-parse" counts as failed
+        counts["failed" if row["status"].startswith("failed") else row["status"]] += 1
     report = {"p": p, "summary": counts, "rows": rows}
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(_dump_json(report) + "\n")

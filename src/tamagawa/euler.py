@@ -19,9 +19,9 @@ from .localorders import (
     InconsistentLocalData,
     LocalSelmerOrders,
     Place,
-    SUPPORTED_P,
     TorsionPolynomials,
     assemble_local_orders,
+    check_p,
     division_polynomial,
     _y_squareness_poly,
 )
@@ -51,8 +51,7 @@ def local_data_for_bad_primes(curve: WeierstrassCurve) -> dict[int, LocalData]:
 def build_S(curve: WeierstrassCurve, p: int, *, bad_data: dict[int, LocalData] | None = None) -> list[Place]:
     """The real place, the prime p, and every prime of bad reduction,
     deduplicated and sorted."""
-    if p not in SUPPORTED_P:
-        raise ValueError(f"p must be one of {SUPPORTED_P}")
+    check_p(p)
     bad = bad_data if bad_data is not None else local_data_for_bad_primes(curve)
     primes = sorted(set(bad) | {p})
     return [Place.real()] + [Place.finite(ell) for ell in primes]
@@ -67,7 +66,7 @@ def _is_rational_square(x: Fraction) -> bool:
 
 
 def global_torsion_order(curve: WeierstrassCurve, p: int, *, polys: TorsionPolynomials | None = None) -> int:
-    """#E(Q)[p] for p in {3, 5, 7}; always 1 or p (p^2 would force the p-th
+    """#E(Q)[p] for an odd prime p <= P_MAX; always 1 or p (p^2 would force the p-th
     roots of unity into Q, impossible for odd p).
 
     Fast path: reduction mod a good odd prime q != p is injective on
@@ -76,8 +75,7 @@ def global_torsion_order(curve: WeierstrassCurve, p: int, *, polys: TorsionPolyn
     y-quadratic has a rational solution, on ``polys`` when given (it must
     belong to ``curve`` and p) instead of building and certifying them again.
     """
-    if p not in SUPPORTED_P:
-        raise ValueError(f"p must be one of {SUPPORTED_P}")
+    check_p(p)
     if polys is not None and (polys.p != p or polys.model != curve):
         raise ValueError("polys were built for another curve or p")
     disc_num = int(abs(curve.discriminant.numerator))
@@ -93,11 +91,7 @@ def global_torsion_order(curve: WeierstrassCurve, p: int, *, polys: TorsionPolyn
         psi, g = division_polynomial(curve, p), _y_squareness_poly(curve)
     else:
         psi, g = polys.psi, polys.g
-    valid = 0
-    for x0 in rational_roots(psi):
-        if _is_rational_square(Fraction(g(x0))):
-            valid += 1
-    count = 1 + 2 * valid
+    count = 1 + 2 * sum(_is_rational_square(Fraction(g(x0))) for x0 in rational_roots(psi))
     if count not in (1, p):
         raise InconsistentLocalData(f"global p-torsion {count} impossible over Q")
     return count
@@ -184,8 +178,6 @@ def verify_main_theorem(
     and ``restricted_order``) to evaluate the global inequality; without
     them that verdict is reported as "not evaluated".
     """
-    if p not in SUPPORTED_P:
-        raise ValueError(f"p must be one of {SUPPORTED_P}")
     bad = local_data_for_bad_primes(curve)
     S = build_S(curve, p, bad_data=bad)
     ldmap = dict(bad)
@@ -209,17 +201,13 @@ def verify_main_theorem(
     g = global_torsion_order(curve, p, polys=polys)
 
     # right side: only the Tamagawa numbers from the reduction-type machine
-    mt_rhs = 1
-    for data in ldmap.values():
-        mt_rhs *= p if data.c % p == 0 else 1
+    mt_rhs = math.prod(p if data.c % p == 0 else 1 for data in ldmap.values())
 
     verdicts: dict[str, object] = {}
     if undecided:
         chi_s = chi_r = lhs = None
-        verdicts["euler_characteristic_is_one"] = "undecided"
-        verdicts["main_identity"] = "undecided"
-        verdicts["square_chain_identity"] = "undecided"
-        verdicts["local_identities"] = "undecided"
+        for key in ("euler_characteristic_is_one", "main_identity", "square_chain_identity", "local_identities"):
+            verdicts[key] = "undecided"
     else:
         chi_s = chi_selmer(orders, g)
         chi_r = chi_relaxed(orders, g)
@@ -237,7 +225,6 @@ def verify_main_theorem(
             for o in orders
         )
 
-    all_trivial = mt_rhs == 1
     if external and "selmer_order" in external and "restricted_order" in external:
         sel = int(external["selmer_order"])
         res = int(external["restricted_order"])
@@ -260,6 +247,6 @@ def verify_main_theorem(
         mt_rhs=mt_rhs,
         verdicts=verdicts,
         undecided=undecided,
-        all_phi_trivial=all_trivial,
+        all_phi_trivial=mt_rhs == 1,
         label=label,
     )

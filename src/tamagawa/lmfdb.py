@@ -9,7 +9,9 @@ exists for fixture (re)generation only and is rate limited.
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import threading
 import time
 import urllib.parse
@@ -37,6 +39,9 @@ DEFAULT_BASE_URL = "https://www.lmfdb.org"
 FIXTURE_DIR_ENV = "TAMAGAWA_FIXTURE_DIR"
 BASE_URL_ENV = "TAMAGAWA_LMFDB_URL"
 MIN_REQUEST_INTERVAL = 0.5  # seconds between live requests
+# Cremona labels (11a1), LMFDB labels (11.a2) and the synthetic fixtures
+# (syn-5-i1n); no path separator, so a label names a file in the cache only
+_LABEL = re.compile(r"[0-9A-Za-z]+([.-][0-9A-Za-z]+)*")
 
 _request_lock = threading.Lock()
 _last_request = [0.0]
@@ -117,28 +122,20 @@ class OracleRecord:
             raise OracleSchemaError(str(exc), doc) from exc
 
 
+# PARI/LMFDB integer codes of the Kodaira types without an index; In is
+# n + 4 and In* is -(n + 4)
+_KODAIRA_CODES = {"I0": 1, "II": 2, "III": 3, "IV": 4, "I0*": -1, "II*": -2, "III*": -3, "IV*": -4}
+
+
 def decode_kodaira_code(code: int) -> str:
     """PARI/LMFDB integer encoding -> serialized Kodaira string."""
-    if code == 1:
-        return "I0"
-    if code == 2:
-        return "II"
-    if code == 3:
-        return "III"
-    if code == 4:
-        return "IV"
     if code >= 5:
         return f"In:{code - 4}"
-    if code == -1:
-        return "I0*"
-    if code == -2:
-        return "II*"
-    if code == -3:
-        return "III*"
-    if code == -4:
-        return "IV*"
     if code <= -5:
         return f"In*:{-code - 4}"
+    for name, c in _KODAIRA_CODES.items():
+        if c == code:
+            return name
     raise ValueError(f"unknown Kodaira code {code}")
 
 
@@ -147,8 +144,7 @@ def encode_kodaira_code(kodaira: str) -> int:
         return int(kodaira[3:]) + 4
     if kodaira.startswith("In*:"):
         return -(int(kodaira[4:]) + 4)
-    table = {"I0": 1, "II": 2, "III": 3, "IV": 4, "I0*": -1, "II*": -2, "III*": -3, "IV*": -4}
-    return table[kodaira]
+    return _KODAIRA_CODES[kodaira]
 
 
 def _default_http_get(url: str) -> object:
@@ -164,6 +160,8 @@ def _default_http_get(url: str) -> object:
 
 
 def _fixture_path(label: str, fixtures_dir: str | Path | None) -> Path:
+    if not _LABEL.fullmatch(label):
+        raise OracleNotFoundError(f"not a curve label: {label!r}")
     base = fixtures_dir or os.environ.get(FIXTURE_DIR_ENV) or "fixtures"
     return Path(base) / f"{label}.json"
 
@@ -271,8 +269,6 @@ def crosscheck(curve: WeierstrassCurve, record: OracleRecord) -> DiffReport:
             entries.append(DiffEntry(row.prime, "c", data.c, row.c))
         if row.split is not None and data.split != row.split:
             entries.append(DiffEntry(row.prime, "split", data.split, row.split))
-    import math
-
     for p in (3, 5, 7):
         expected = math.prod(math.gcd(d, p) for d in record.torsion_structure)
         computed = global_torsion_order(curve, p)

@@ -22,6 +22,7 @@ from .curves import WeierstrassCurve
 from .padic import (
     IntegerPolynomial,
     SquarefreePolynomial,
+    _is_prime,
     _mul,
     _poly,
     _sub,
@@ -31,6 +32,8 @@ from .padic import (
 from .tate import LocalData, phi_p_part_order, tate_local
 
 __all__ = [
+    "P_MAX",
+    "check_p",
     "Place",
     "LocalSelmerOrders",
     "InconsistentLocalData",
@@ -41,7 +44,7 @@ __all__ = [
     "assemble_local_orders",
 ]
 
-SUPPORTED_P = (3, 5, 7)
+P_MAX = 31  # psi_31 has degree 480
 
 
 class InconsistentLocalData(RuntimeError):
@@ -124,29 +127,54 @@ class LocalSelmerOrders:
         }
 
 
+def check_p(p: int) -> None:
+    """The one rule for p everywhere: an odd prime at most P_MAX, else ValueError."""
+    if not (isinstance(p, int) and 3 <= p <= P_MAX and _is_prime(p)):
+        raise ValueError(f"p must be an odd prime <= {P_MAX}, not {p!r}")
+
+
 def division_polynomial(curve: WeierstrassCurve, p: int) -> IntegerPolynomial:
-    """The p-division polynomial in x for p in {3, 5, 7}; its roots are
-    exactly the x-coordinates of the nonzero p-torsion points."""
-    if p not in SUPPORTED_P:
-        raise ValueError(f"p exceeds desk-scale cap: {p} not in {SUPPORTED_P}")
+    """The p-division polynomial psi_p in x; its roots are exactly the
+    x-coordinates of the nonzero p-torsion points.
+
+    Built by the recurrence of Washington, *Elliptic Curves*, Sec. 3.2, on the
+    polynomials f_n = psi_n (n odd), psi_n / psi_2 (n even), where psi_2^2 = F:
+    f_{2m+1} = F^2 f_{m+2} f_m^3 - f_{m-1} f_{m+1}^3 for even m and
+    f_{m+2} f_m^3 - F^2 f_{m-1} f_{m+1}^3 for odd m, f_{2m} = f_m (f_{m+2}
+    f_{m-1}^2 - f_{m-2} f_{m+1}^2), from f_1 = f_2 = 1, f_3 = psi_3 and
+    f_4 = psi_4 / psi_2.  Each power f_n^k is built once; products with
+    f_1 = f_2 = 1 are skipped.
+    """
+    check_p(p)
     if not curve.is_integral:
         raise ValueError("integral model required")
     b2, b4, b6, b8 = curve.b_invariants
-    psi3 = [b8, 3 * b6, 3 * b4, b2, 3]
-    if p == 3:
-        psi = psi3
-    else:
-        # F = (2y + a1 x + a3)^2 and omega4 = psi4 / psi2 are polynomials in x
-        F = _y_squareness_poly(curve).coeffs
-        F2 = _mul(F, F)
-        omega4 = [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]
-        psi3_cubed = _mul(_mul(psi3, psi3), psi3)
-        psi5 = _sub(_mul(omega4, F2), psi3_cubed)
-        if p == 5:
-            psi = psi5
-        else:
-            psi = _sub(_mul(psi5, psi3_cubed), _mul(F2, _mul(_mul(omega4, omega4), omega4)))
-    psi = _poly(psi)
+    one = [1]
+    F = _y_squareness_poly(curve).coeffs
+    F2 = _mul(F, F) if p > 3 else one  # F^2 enters from f_5 on
+    powers = {(n, k): one for n in (1, 2) for k in (1, 2, 3)}  # (n, k) -> f_n^k
+    powers[3, 1] = [b8, 3 * b6, 3 * b4, b2, 3]
+    powers[4, 1] = [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]
+
+    def times(a: list[int], b: list[int]) -> list[int]:
+        return b if a is one else a if b is one else _mul(a, b)
+
+    def f(n: int, k: int = 1) -> list[int]:
+        if (n, k) not in powers:
+            m = n // 2
+            if k > 1:
+                out = times(f(n, k - 1), f(n))
+            elif n % 2 == 0:
+                out = times(f(m), _sub(times(f(m + 2), f(m - 1, 2)), times(f(m - 2), f(m + 1, 2))))
+            elif m % 2 == 0:
+                out = _sub(times(F2, times(f(m + 2), f(m, 3))), times(f(m - 1), f(m + 1, 3)))
+            else:
+                out = _sub(times(f(m + 2), f(m, 3)), times(F2, times(f(m - 1), f(m + 1, 3))))
+            powers[n, k] = out
+        return powers[n, k]
+
+    psi = _poly(f(p))
+    del f  # f refers to itself; breaking that cycle frees the memo now, not at the next GC pass
     if psi.degree != (p * p - 1) // 2 or psi.coeffs[-1] != p:
         raise InconsistentLocalData(f"psi_{p} has degree {psi.degree} and leading coefficient {psi.coeffs[-1]}")
     return psi
@@ -200,8 +228,7 @@ def local_torsion_order(
     coordinates x = u^2 x' + r maps the roots of psi_p one to one and
     multiplies g by u^6, a square.
     """
-    if p not in SUPPORTED_P:
-        raise ValueError(f"p exceeds desk-scale cap: {p} not in {SUPPORTED_P}")
+    check_p(p)
     if place.is_real:
         return p
     if polys is not None and (polys.p != p or polys.model != curve):
@@ -210,11 +237,7 @@ def local_torsion_order(
     data = local_data or tate_local(curve, ell)
     if polys is None or data.transformation.u != 1:
         polys = TorsionPolynomials.of(data.minimal_model, p)
-    valid = 0
-    for root in find_roots_padic(polys.psi, ell):
-        if value_is_square_at_root(polys.g, root):
-            valid += 1
-    count = 1 + 2 * valid
+    count = 1 + 2 * sum(value_is_square_at_root(polys.g, root) for root in find_roots_padic(polys.psi, ell))
     if count not in (1, p, p * p):
         raise InconsistentLocalData(f"torsion count {count} outside {{1, p, p^2}}")
     return count
@@ -224,6 +247,7 @@ def local_kummer_order(curve: WeierstrassCurve, place: Place, p: int, torsion_or
     """#E(K_v)/pE(K_v).  Real place: 1 (odd p divides nothing there).
     Finite l != p: equals the torsion order.  l = p: an extra factor p
     (the local Euler-characteristic factor |p|_v^{-1} over Q_p)."""
+    check_p(p)
     if place.is_real:
         return 1
     if place.prime == p:
@@ -241,10 +265,8 @@ def assemble_local_orders(
 ) -> LocalSelmerOrders:
     """All six local orders at one place (see :class:`LocalSelmerOrders`);
     ``polys`` as for :func:`local_torsion_order`."""
-    if p not in SUPPORTED_P:
-        raise ValueError(f"p exceeds desk-scale cap: {p} not in {SUPPORTED_P}")
     if place.is_real:
-        return LocalSelmerOrders(place, p, 1, 1)
+        return LocalSelmerOrders(place, local_torsion_order(curve, place, p), 1, 1)
     data = local_data or tate_local(curve, place.prime)
     torsion = local_torsion_order(curve, place, p, local_data=data, polys=polys)
     kummer = local_kummer_order(curve, place, p, torsion)

@@ -755,8 +755,8 @@ def _gcd_with_frobenius(cs: list[int], ell: int) -> list[int]:
 
 
 def _linear_roots_mod(g: list[int], ell: int) -> list[int]:
-    """Roots of a product of distinct linear factors over F_l (degree <= 3 here
-    in practice); splits by gcd with (x + c)^((l-1)/2) - 1 for deterministic c."""
+    """Roots of a product of distinct linear factors over F_l; splits by gcd
+    with (x + c)^((l-1)/2) - 1 for deterministic c."""
     roots: list[int] = []
     stack = [g]
     shift = 0

@@ -66,26 +66,16 @@ class KodairaType:
         return self.family == "In"
 
     def serialize(self) -> str:
-        if self.family == "In":
-            return f"In:{self.n}"
-        if self.family == "In*":
-            return f"In*:{self.n}"
-        return self.family
+        # n >= 1 exactly for In and In*, the families that print their index
+        return f"{self.family}:{self.n}" if self.n else self.family
 
     @classmethod
     def deserialize(cls, text: str) -> "KodairaType":
-        if text.startswith("In:"):
-            return cls("In", int(text[3:]))
-        if text.startswith("In*:"):
-            return cls("In*", int(text[4:]))
-        return cls(text)
+        family, _, n = text.partition(":")
+        return cls(family, int(n) if n else 0)
 
     def __str__(self) -> str:
-        if self.family == "In":
-            return f"I{self.n}"
-        if self.family == "In*":
-            return f"I{self.n}*"
-        return self.family
+        return f"I{self.n}{self.family[2:]}" if self.n else self.family
 
 
 @dataclass(frozen=True)

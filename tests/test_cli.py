@@ -131,6 +131,32 @@ def test_verify_rejects_even_p(runner):
     assert result.exit_code == 2
 
 
+def test_verify_takes_an_odd_prime_above_7(runner):
+    # split I11 at 3, so the identity's right side is 11
+    result = runner.invoke(main, ["verify", "--curve", "1,0,0,0,177147", "-p", "11", "--check", "all"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["mt_rhs"] == 11
+
+
+@pytest.mark.parametrize("p", ["2", "9", "37", "abc"])
+def test_verify_and_batch_reject_p_outside_the_rule(runner, tmp_path, p):
+    result = runner.invoke(main, ["verify", "--curve", ELEVEN_A1, "-p", p])
+    assert result.exit_code == 2, result.output
+    inp = tmp_path / "curves.csv"
+    inp.write_text(ELEVEN_A1 + "\n")
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["batch", "--input", str(inp), "--out", str(out), "-p", p])
+    assert result.exit_code == 2, result.output
+    assert not out.exists()
+
+
+def test_label_outside_the_fixture_directory_exits_2(runner, fixtures_dir):
+    # ../fixtures/11a1 would name tests/fixtures/11a1.json, a real file
+    result = runner.invoke(main, ["localdata", "--label", "../fixtures/11a1", "--fixtures", str(fixtures_dir), "--all-bad"])
+    assert result.exit_code == 2, result.output
+    assert "not a curve label" in result.output
+
+
 def test_verify_csv_order_table(runner):
     result = runner.invoke(main, ["verify", "--curve", ELEVEN_A1, "-p", "5", "--format", "csv"])
     assert result.exit_code == 0

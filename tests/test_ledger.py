@@ -13,7 +13,15 @@ from tamagawa.euler import (
     global_torsion_order,
     verify_main_theorem,
 )
-from tamagawa.localorders import Place, TorsionPolynomials
+from tamagawa.localorders import (
+    Place,
+    TorsionPolynomials,
+    assemble_local_orders,
+    check_p,
+    division_polynomial,
+    local_kummer_order,
+    local_torsion_order,
+)
 from tamagawa.padic import IntegerPolynomial, PrecisionExhausted, SquarefreePolynomial, _is_prime
 
 
@@ -269,10 +277,56 @@ def _raise_for_finite(fn):
 
 
 def test_invalid_p_rejected():
-    E = WeierstrassCurve(0, 0, 0, 1, 0)
-    with pytest.raises(ValueError):
-        verify_main_theorem(E, 2)
-    with pytest.raises(ValueError):
-        build_S(E, 11)
-    with pytest.raises(ValueError):
-        global_torsion_order(E, 13)
+    """Every public entry of the local and global layers that takes p
+    applies the one rule: an odd prime at most 31."""
+    E = WeierstrassCurve(0, -1, 1, -10, -20)
+    polys = TorsionPolynomials.of(E, 5)
+    entries = [
+        lambda p: check_p(p),
+        lambda p: division_polynomial(E, p),
+        lambda p: TorsionPolynomials.of(E, p),
+        lambda p: local_torsion_order(E, Place.real(), p),
+        lambda p: local_torsion_order(E, Place.finite(11), p),
+        lambda p: local_torsion_order(E, Place.finite(11), p, polys=polys),
+        lambda p: local_kummer_order(E, Place.real(), p, 1),
+        lambda p: assemble_local_orders(E, Place.real(), p),
+        lambda p: assemble_local_orders(E, Place.finite(11), p),
+        lambda p: build_S(E, p),
+        lambda p: global_torsion_order(E, p),
+        lambda p: euler_factor(E, 7, p),
+        lambda p: verify_main_theorem(E, p),
+    ]
+    for p in (2, 9, 33, 37, 1, -3, "5", 5.0):
+        for entry in entries:
+            with pytest.raises(ValueError, match="odd prime <= 31"):
+                entry(p)
+    for p in (3, 11, 31):
+        check_p(p)
+
+
+@pytest.mark.parametrize("a6, p, split_at, mt_rhs", [
+    (3**11, 11, {3: 11}, 11),
+    (5**13, 13, {5: 13}, 13),
+    (2**11 * 7**22, 11, {2: 11, 7: 22}, 121),
+])
+def test_verify_at_larger_p_on_split_multiplicative_curves(a6, p, split_at, mt_rhs):
+    """y^2 + xy = x^3 + a6 has split multiplicative reduction I_n at each
+    prime l | a6 (b2 = 1 is a square), with n = c = v_l(a6); p | c there."""
+    ledger = verify_main_theorem(WeierstrassCurve(1, 0, 0, 0, a6), p)
+    for ell, n in split_at.items():
+        data = ledger.local_data[ell]
+        assert (data.kodaira.serialize(), data.split, data.c) == (f"In:{n}", True, n)
+    assert ledger.passed
+    assert ledger.mt_rhs == mt_rhs
+    assert ledger.global_torsion == 1
+
+
+def test_global_torsion_is_trivial_on_the_corpus_at_p_11(corpus, monkeypatch):
+    """Mazur's theorem rules out rational 11-torsion; the code reaches that
+    answer itself, by the finite-field screen and, with the screen stubbed
+    out, by the rational-root search on psi_11."""
+    import tamagawa.euler as euler_mod
+
+    assert [global_torsion_order(rec.curve(), 11) for rec in corpus] == [1] * len(corpus)
+    monkeypatch.setattr(euler_mod, "FiniteFieldCurve", _NoScreen)
+    assert [global_torsion_order(rec.curve(), 11) for rec in corpus] == [1] * len(corpus)

@@ -1,6 +1,7 @@
 """Oracle client: payload normalization, cache behaviour, crosschecking."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +86,29 @@ def test_not_found(tmp_path):
 
     with pytest.raises(OracleNotFoundError, match="not found"):
         fetch_curve("999999.zz9", fixtures_dir=tmp_path, http_get=empty)
+
+
+@pytest.mark.parametrize("label", ["../outside/11a1", "cache/../../outside/11a1", "ABSOLUTE", "", "..", "11a1/", "11a1\\x", "11a1 ", ".11a1"])
+def test_bad_label_touches_no_file(tmp_path, fixtures_dir, monkeypatch, label):
+    """A label outside [0-9A-Za-z]+([.-][0-9A-Za-z]+)* is refused before
+    any path is built: no file read, no fetch, no cache file written."""
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "11a1.json").write_bytes((fixtures_dir / "11a1.json").read_bytes())
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    label = str(outside / "11a1") if label == "ABSOLUTE" else label
+    reads = []
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self))
+
+    def no_fetch(url):
+        raise AssertionError(f"fetched {url}")
+
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(OracleNotFoundError, match="not a curve label"):
+        fetch_curve(label, fixtures_dir=cache, http_get=no_fetch)
+    assert reads == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_schema_drift_keeps_payload(tmp_path):

@@ -23,7 +23,7 @@ from tamagawa.localorders import (
     local_kummer_order,
     local_torsion_order,
 )
-from tamagawa.padic import IntegerPolynomial
+from tamagawa.padic import IntegerPolynomial, _is_prime
 from tamagawa.tate import KodairaType, LocalData, tate_local
 
 
@@ -37,7 +37,7 @@ def test_division_polynomial_short_model():
         assert division_polynomial(E, 3) == IntegerPolynomial([-a * a, 12 * b, 6 * a, 0, 3])
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
 def test_division_polynomial_degree_and_lead(p):
     E = WeierstrassCurve(1, 0, 1, 4, -6)
     psi = division_polynomial(E, p)
@@ -46,9 +46,54 @@ def test_division_polynomial_degree_and_lead(p):
 
 
 def test_division_polynomial_cap():
+    """2, odd composites and primes above P_MAX = 31 raise; the odd primes
+    up to the cap are built (see the degree-and-lead test)."""
     E = WeierstrassCurve(0, 0, 0, 1, 0)
-    with pytest.raises(ValueError, match="cap"):
-        division_polynomial(E, 11)
+    for p in (2, 9, 33, 37):
+        with pytest.raises(ValueError, match="odd prime <= 31"):
+            division_polynomial(E, p)
+
+
+def _good_primes_below(curve: WeierstrassCurve, bound: int, p: int) -> list[int]:
+    return [q for q in range(3, bound, 2) if q != p and _is_prime(q) and curve.discriminant % q]
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_division_polynomial_vanishes_at_points_of_order_p(p):
+    """Independent of the recurrence: at good l < 200 where p | #E~(F_l),
+    brute-force the points of exact order p on the reduction and check that
+    psi_p mod l vanishes at each of their x-coordinates."""
+    checked = 0
+    for E in (WeierstrassCurve(0, -1, 1, -10, -20), WeierstrassCurve(0, 0, 1, -1, 0)):
+        psi = division_polynomial(E, p)
+        for ell in _good_primes_below(E, 200, p):
+            red = FiniteFieldCurve(E, ell)
+            if red.order() % p:
+                continue
+            xs = {pt.x for pt in red.points() if not pt.is_infinity and red.multiply(p, pt).is_infinity}
+            assert xs, (p, ell)
+            assert all(psi(x) % ell == 0 for x in xs), (p, ell)
+            checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("p, extra", [(11, ("0,-1,1,-7,10", 353)), (13, ("0,0,1,-38,90", 859))])
+def test_local_torsion_matches_reduction_oracle_at_larger_p(p, extra):
+    """At good l != p, E(Q_l)[p] is the p-torsion of the reduction, counted
+    by brute force.  11a1 at every good l < 200 meets the counts 1 and p; the
+    CM curve in ``extra`` (121b1 at p = 11, 361a1 at p = 13) has full
+    p-torsion mod a prime l = 1 mod p, the count p^2."""
+    E = WeierstrassCurve(0, -1, 1, -10, -20)
+    polys = TorsionPolynomials.of(E, p)
+    counts = []
+    for ell in _good_primes_below(E, 200, p):
+        count = local_torsion_order(E, Place.finite(ell), p, polys=polys)
+        assert count == count_p_torsion_mod(E, ell, p), (p, ell)
+        counts.append(count)
+    assert {1, p} <= set(counts)
+    curve, ell = extra
+    cm = WeierstrassCurve(*map(int, curve.split(",")))
+    assert local_torsion_order(cm, Place.finite(ell), p) == count_p_torsion_mod(cm, ell, p) == p * p
 
 
 def test_three_torsion_root_matches_group_law_oracle():

@@ -22,8 +22,6 @@ from .localorders import (
     TorsionPolynomials,
     assemble_local_orders,
     check_p,
-    division_polynomial,
-    _y_squareness_poly,
 )
 from .padic import PrecisionExhausted, _is_prime, prime_divisors, rational_roots
 from .tate import LocalData, tate_local
@@ -65,19 +63,17 @@ def _is_rational_square(x: Fraction) -> bool:
     return rn * rn == n and rd * rd == d
 
 
-def global_torsion_order(curve: WeierstrassCurve, p: int, *, polys: TorsionPolynomials | None = None) -> int:
+def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
     """#E(Q)[p] for an odd prime p <= P_MAX; always 1 or p (p^2 would force the p-th
     roots of unity into Q, impossible for odd p).
 
     Fast path: reduction mod a good odd prime q != p is injective on
     p-torsion, so p not dividing some #E~(F_q) settles the answer.  Otherwise
     search the rational roots of the division polynomial and test whether the
-    y-quadratic has a rational solution, on ``polys`` when given (it must
-    belong to ``curve`` and p) instead of building and certifying them again.
+    y-quadratic has a rational solution, on the memoized polynomials of
+    ``curve`` (:meth:`TorsionPolynomials.of`).
     """
     check_p(p)
-    if polys is not None and (polys.p != p or polys.model != curve):
-        raise ValueError("polys were built for another curve or p")
     disc_num = int(abs(curve.discriminant.numerator))
     screened = 0
     q = 3
@@ -87,11 +83,8 @@ def global_torsion_order(curve: WeierstrassCurve, p: int, *, polys: TorsionPolyn
                 return 1
             screened += 1
         q += 2
-    if polys is None:
-        psi, g = division_polynomial(curve, p), _y_squareness_poly(curve)
-    else:
-        psi, g = polys.psi, polys.g
-    count = 1 + 2 * sum(_is_rational_square(Fraction(g(x0))) for x0 in rational_roots(psi))
+    polys = TorsionPolynomials.of(curve, p)
+    count = 1 + 2 * sum(_is_rational_square(Fraction(polys.g(x0))) for x0 in rational_roots(polys.psi))
     if count not in (1, p):
         raise InconsistentLocalData(f"global p-torsion {count} impossible over Q")
     return count
@@ -178,14 +171,12 @@ def verify_main_theorem(
     and ``restricted_order``) to evaluate the global inequality; without
     them that verdict is reported as "not evaluated".
     """
+    check_p(p)  # before factoring the discriminant, which may take long
     bad = local_data_for_bad_primes(curve)
     S = build_S(curve, p, bad_data=bad)
     ldmap = dict(bad)
     if p not in ldmap:
         ldmap[p] = tate_local(curve, p)
-    # psi_p of the input model, certified once, counted at every place where
-    # Tate's transformation is a translation and searched for rational roots
-    polys = TorsionPolynomials.of(curve, p) if any(d.transformation.u == 1 for d in ldmap.values()) else None
 
     orders: list[LocalSelmerOrders] = []
     undecided: list[str] = []
@@ -194,11 +185,11 @@ def verify_main_theorem(
             orders.append(assemble_local_orders(curve, place, p))
             continue
         try:
-            orders.append(assemble_local_orders(curve, place, p, local_data=ldmap[place.prime], polys=polys))
+            orders.append(assemble_local_orders(curve, place, p, local_data=ldmap[place.prime]))
         except PrecisionExhausted as exc:
             undecided.append(f"place {place}: {exc}")
 
-    g = global_torsion_order(curve, p, polys=polys)
+    g = global_torsion_order(curve, p)
 
     # right side: only the Tamagawa numbers from the reduction-type machine
     mt_rhs = math.prod(p if data.c % p == 0 else 1 for data in ldmap.values())

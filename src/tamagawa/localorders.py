@@ -8,7 +8,8 @@ counting plus the local square test decide which of them carry points over
 Q_l.  The count runs on the input model where Tate's transformation at l
 is a translation (u = 1) and on the l-minimal model otherwise; both give
 the same count, since #E(Q_l)[p] belongs to E over Q_l, not to a model (see
-:func:`local_torsion_order`).  The remaining orders follow from the exact
+:func:`local_torsion_order`), and a small memo on (model, p) shares psi_p
+across the places of one curve.  The remaining orders follow from the exact
 sequences tying the local conditions to the component group; the
 divisibility they force is checked and a violation reported as inconsistent
 data rather than papered over.
@@ -17,15 +18,17 @@ data rather than papered over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .curves import WeierstrassCurve
 from .padic import (
+    P_MAX,
     IntegerPolynomial,
     SquarefreePolynomial,
-    _is_prime,
     _mul,
     _poly,
     _sub,
+    check_p,
     find_roots_padic,
     value_is_square_at_root,
 )
@@ -44,7 +47,9 @@ __all__ = [
     "assemble_local_orders",
 ]
 
-P_MAX = 31  # psi_31 has degree 480
+# Entries of the psi_p memo: the places of one curve use its input model and
+# a few minimal models in turn.  An entry at p = 31 holds about 64 kB for 11a1.
+_MEMO_SIZE = 8
 
 
 class InconsistentLocalData(RuntimeError):
@@ -127,12 +132,6 @@ class LocalSelmerOrders:
         }
 
 
-def check_p(p: int) -> None:
-    """The one rule for p everywhere: an odd prime at most P_MAX, else ValueError."""
-    if not (isinstance(p, int) and 3 <= p <= P_MAX and _is_prime(p)):
-        raise ValueError(f"p must be an odd prime <= {P_MAX}, not {p!r}")
-
-
 def division_polynomial(curve: WeierstrassCurve, p: int) -> IntegerPolynomial:
     """The p-division polynomial psi_p in x; its roots are exactly the
     x-coordinates of the nonzero p-torsion points.
@@ -199,7 +198,14 @@ class TorsionPolynomials:
 
     @classmethod
     def of(cls, model: WeierstrassCurve, p: int) -> "TorsionPolynomials":
-        return cls(model, p, division_polynomial(model, p).squarefree_part(), _y_squareness_poly(model))
+        """Memoized; p is checked first, so 5.0 or "5" never finds the entry of 5."""
+        check_p(p)
+        return _build(model, p)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _build(model: WeierstrassCurve, p: int) -> TorsionPolynomials:
+    return TorsionPolynomials(model, p, division_polynomial(model, p).squarefree_part(), _y_squareness_poly(model))
 
 
 def local_torsion_order(
@@ -208,7 +214,6 @@ def local_torsion_order(
     p: int,
     *,
     local_data: LocalData | None = None,
-    polys: TorsionPolynomials | None = None,
 ) -> int:
     """#E(K_v)[p] for odd p, always one of 1, p, p^2.
 
@@ -218,11 +223,11 @@ def local_torsion_order(
     root in Q_l; each such x carries exactly two points (odd p rules out the
     self-symmetric y).
 
-    The count runs on ``polys`` (which must belong to ``curve`` and p) when
-    Tate's transformation at l has u = 1: the l-minimal model is then
-    ``curve`` moved by an integer translation, an isometry of Q_l, so the
-    root geometry is the same, and a caller counting at several places
-    builds and certifies psi_p once.  Otherwise the count runs on the
+    The count runs on ``curve``'s psi_p when Tate's transformation at l has
+    u = 1: the l-minimal model is then ``curve`` moved by an integer
+    translation, an isometry of Q_l, so the root geometry is the same, and
+    the places of one curve share one memoized psi_p
+    (:meth:`TorsionPolynomials.of`).  Otherwise the count runs on the
     l-minimal model, since a heavily non-minimal model's psi_p needs much
     deeper Hensel recursion.  Both give the same count: a change of
     coordinates x = u^2 x' + r maps the roots of psi_p one to one and
@@ -231,12 +236,9 @@ def local_torsion_order(
     check_p(p)
     if place.is_real:
         return p
-    if polys is not None and (polys.p != p or polys.model != curve):
-        raise ValueError("polys were built for another curve or p")
     ell = place.prime
     data = local_data or tate_local(curve, ell)
-    if polys is None or data.transformation.u != 1:
-        polys = TorsionPolynomials.of(data.minimal_model, p)
+    polys = TorsionPolynomials.of(curve if data.transformation.u == 1 else data.minimal_model, p)
     count = 1 + 2 * sum(value_is_square_at_root(polys.g, root) for root in find_roots_padic(polys.psi, ell))
     if count not in (1, p, p * p):
         raise InconsistentLocalData(f"torsion count {count} outside {{1, p, p^2}}")
@@ -261,13 +263,11 @@ def assemble_local_orders(
     p: int,
     *,
     local_data: LocalData | None = None,
-    polys: TorsionPolynomials | None = None,
 ) -> LocalSelmerOrders:
-    """All six local orders at one place (see :class:`LocalSelmerOrders`);
-    ``polys`` as for :func:`local_torsion_order`."""
+    """All six local orders at one place (see :class:`LocalSelmerOrders`)."""
     if place.is_real:
         return LocalSelmerOrders(place, local_torsion_order(curve, place, p), 1, 1)
     data = local_data or tate_local(curve, place.prime)
-    torsion = local_torsion_order(curve, place, p, local_data=data, polys=polys)
+    torsion = local_torsion_order(curve, place, p, local_data=data)
     kummer = local_kummer_order(curve, place, p, torsion)
     return LocalSelmerOrders(place, torsion, kummer, phi_p_part_order(data, p))

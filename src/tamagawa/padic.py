@@ -46,6 +46,8 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 __all__ = [
+    "P_MAX",
+    "check_p",
     "PrecisionExhausted",
     "IntegerPolynomial",
     "SquarefreePolynomial",
@@ -85,6 +87,8 @@ del _i
 # Miller-Rabin bases and psi_13, the least strong pseudoprime to all of them.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
+
+P_MAX = 31  # the largest p the pipeline takes; psi_31 has degree 480
 
 # Pollard-Brent iterations ``prime_divisors`` spends on one cofactor before
 # it hands the cofactor to sympy: about 2.5 times the expected cost of a
@@ -129,6 +133,12 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_p(p: int) -> None:
+    """The one rule for p everywhere: an odd prime at most P_MAX, else ValueError."""
+    if not (isinstance(p, int) and 3 <= p <= P_MAX and _is_prime(p)):
+        raise ValueError(f"p must be an odd prime <= {P_MAX}, not {p!r}")
 
 
 def _require_prime(ell: int) -> None:
@@ -926,19 +936,17 @@ def value_is_square_at_root(h: IntegerPolynomial, root: PadicRoot) -> bool:
     the y-quadratic discriminant share no root for odd torsion orders).
     Evaluates h at rational approximations of x and stops as soon as the
     valuation and unit part of h(x) are certified stable; doubles the
-    approximation digits otherwise, up to ``PRECISION_HARD_CAP``.
+    approximation digits otherwise, up to ``PRECISION_HARD_CAP``.  The start,
+    4s + margin digits, is at s = 0 the fewest at which a unit value passes
+    the stop rule without slack; at odd l that needs no Newton step.
     """
     ell = root.ell
     s = root.shift
     # v(h(x) - h(x_hat)) >= A + min_i (v(c_i) - (i-1)*s) when v(x - x_hat) >= A
-    slack = min(
-        _int_valuation(c, ell) - (i - 1) * s
-        for i, c in enumerate(h.coeffs)
-        if i >= 1
-    )
+    slack = min(_int_valuation(c, ell) - (i - 1) * s for i, c in enumerate(h.coeffs) if i >= 1)
     margin = 3 if ell == 2 else 1
     cap = PRECISION_HARD_CAP
-    digits = max(8, 4 * s + 8)
+    digits = 4 * s + margin
     while digits <= cap:
         x_hat = root.approx(digits)
         val = h(x_hat)
@@ -946,5 +954,5 @@ def value_is_square_at_root(h: IntegerPolynomial, root: PadicRoot) -> bool:
             v = _int_valuation(val.numerator, ell) - _int_valuation(val.denominator, ell)
             if v + margin <= digits + slack:
                 return _square_class(val, v, ell)
-        digits *= 2
+        digits = cap if digits < cap < 2 * digits else 2 * digits  # the last try is at the cap
     raise PrecisionExhausted(cap)

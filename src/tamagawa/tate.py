@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .curves import Transformation, WeierstrassCurve, transform
-from .padic import IntegerPolynomial, _int_valuation, _poly_gcd_mod_ell, _require_prime, _residue_roots, legendre_symbol
+from .padic import IntegerPolynomial, _int_valuation, _poly_gcd_mod_ell, _require_prime, _residue_roots, check_p, legendre_symbol
 
 __all__ = [
     "KodairaType",
@@ -188,10 +188,9 @@ def is_split_multiplicative(local: LocalData) -> bool:
 
 
 def phi_p_part_order(local: LocalData, p: int) -> int:
-    """#Phi(k_v)[p] for odd p.  The odd part of Phi(k_v) is cyclic for
-    elliptic curves, so this is p exactly when p | c."""
-    if p == 2:
-        raise ValueError("odd p required")
+    """#Phi(k_v)[p] for p as :func:`check_p` allows.  The odd part of
+    Phi(k_v) is cyclic for elliptic curves, so this is p exactly when p | c."""
+    check_p(p)
     return p if local.c % p == 0 else 1
 
 

@@ -23,6 +23,7 @@ from tamagawa.localorders import (
     local_torsion_order,
 )
 from tamagawa.padic import IntegerPolynomial, PrecisionExhausted, SquarefreePolynomial, _is_prime
+from tamagawa.tate import phi_p_part_order, tate_local
 
 
 def test_build_S_examples():
@@ -155,14 +156,27 @@ def test_global_torsion_rational_root_path_on_corpus(corpus, monkeypatch):
     assert len(calls) == 3 * len(corpus) == 186
 
 
-def test_global_torsion_reuses_shared_polynomials_and_they_must_match():
+def test_global_torsion_reuses_the_memoized_polynomials(monkeypatch):
+    """With the screen stubbed out, global torsion searches the psi_p that
+    TorsionPolynomials.of memoized; another p or curve is another entry."""
+    import tamagawa.euler as euler_mod
+    import tamagawa.localorders as lo
+
     E = WeierstrassCurve(0, -1, 1, -10, -20)
     polys = TorsionPolynomials.of(E, 5)
-    assert global_torsion_order(E, 5, polys=polys) == 5
-    with pytest.raises(ValueError, match="another curve or p"):
-        global_torsion_order(E, 3, polys=polys)
-    with pytest.raises(ValueError, match="another curve or p"):
-        global_torsion_order(WeierstrassCurve(0, 0, 1, 0, 0), 5, polys=polys)
+    searched = []
+    built = []
+    real_division = lo.division_polynomial
+    real_roots = euler_mod.rational_roots
+    monkeypatch.setattr(euler_mod, "FiniteFieldCurve", _NoScreen)
+    monkeypatch.setattr(euler_mod, "rational_roots", lambda f: searched.append(f) or real_roots(f))
+    monkeypatch.setattr(lo, "division_polynomial", lambda model, p: built.append((model, p)) or real_division(model, p))
+    assert global_torsion_order(E, 5) == 5
+    assert len(searched) == 1 and searched[0] is polys.psi and built == []
+    other = WeierstrassCurve(0, 0, 1, 0, 0)
+    assert global_torsion_order(E, 3) == 1
+    assert global_torsion_order(other, 5) == 1
+    assert built == [(E, 3), (other, 5)]
 
 
 def test_verify_builds_psi_once_when_global_torsion_needs_rational_roots(corpus, monkeypatch):
@@ -183,7 +197,6 @@ def test_verify_builds_psi_once_when_global_torsion_needs_rational_roots(corpus,
 
     monkeypatch.setattr(euler_mod, "FiniteFieldCurve", _NoScreen)
     monkeypatch.setattr(lo, "division_polynomial", division_polynomial)
-    monkeypatch.setattr(euler_mod, "division_polynomial", division_polynomial)
     monkeypatch.setattr(euler_mod, "rational_roots", lambda f: searched.append(f) or real_roots(f))
     assert 3 * len(corpus) == 186
     for rec in corpus:
@@ -203,8 +216,12 @@ NON_MINIMAL_INVERSE_U = (2, 3, 5, 12, 10**12)
 def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, monkeypatch):
     """Every corpus curve under a seeded shift-only model and under models
     scaled by u = 1/k: the same record but for "curve", and every polynomial
-    whose roots are counted came out of squarefree_part.  The local side
-    builds psi_p once, plus once per place where Tate's u != 1."""
+    whose roots are counted came out of squarefree_part.  From an empty memo,
+    a verify builds psi_p once per distinct model it counts on (the input
+    where Tate's u = 1, else that place's minimal model; two places may share
+    one), in order of first use, and once more for the input when global
+    torsion searches rational roots and no place counted on the input."""
+    import tamagawa.euler as euler_mod
     import tamagawa.localorders as lo
 
     certified: dict[int, IntegerPolynomial] = {}  # id -> polynomial, kept alive
@@ -212,6 +229,8 @@ def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, monkeypatc
     real_squarefree = IntegerPolynomial.squarefree_part
     real_find = lo.find_roots_padic
     real_division = lo.division_polynomial
+    real_roots = euler_mod.rational_roots
+    searched = []
 
     def squarefree_part(self):
         out = real_squarefree(self)
@@ -225,6 +244,7 @@ def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, monkeypatc
     monkeypatch.setattr(IntegerPolynomial, "squarefree_part", squarefree_part)
     monkeypatch.setattr(lo, "find_roots_padic", find_roots_padic)
     monkeypatch.setattr(lo, "division_polynomial", lambda model, p: built.append(model) or real_division(model, p))
+    monkeypatch.setattr(euler_mod, "rational_roots", lambda f: searched.append(f) or real_roots(f))
     rng = random.Random(7)
     rescaled_places = 0
     for rec in corpus:
@@ -237,18 +257,22 @@ def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, monkeypatc
             models.append(WeierstrassCurve(*transform(curve, (Fraction(1, k), r, s, t)).integer_ainvs()))
         for p in (3, 5, 7):
             built.clear()
+            lo._build.cache_clear()
             expected = verify_main_theorem(curve, p).to_record()
             assert built == [curve]
             del expected["curve"]
             for model in models:
                 built.clear()
+                searched.clear()
+                lo._build.cache_clear()
                 ledger = verify_main_theorem(model, p)
                 record = ledger.to_record()
                 assert record.pop("curve") == list(model.integer_ainvs())
                 assert record == expected, (rec.label, p, model)
-                rescaled = sum(d.transformation.u != 1 for d in ledger.local_data.values())
-                assert len(built) == (rescaled < len(ledger.local_data)) + rescaled
-                rescaled_places += rescaled
+                used = [model if d.transformation.u == 1 else d.minimal_model for d in ledger.local_data.values()]
+                used += [model] * len(searched)
+                assert built == list(dict.fromkeys(used)), (rec.label, p, model)
+                rescaled_places += sum(d.transformation.u != 1 for d in ledger.local_data.values())
     assert rescaled_places > 0
 
 
@@ -280,14 +304,14 @@ def test_invalid_p_rejected():
     """Every public entry of the local and global layers that takes p
     applies the one rule: an odd prime at most 31."""
     E = WeierstrassCurve(0, -1, 1, -10, -20)
-    polys = TorsionPolynomials.of(E, 5)
+    data = tate_local(E, 11)
     entries = [
         lambda p: check_p(p),
         lambda p: division_polynomial(E, p),
         lambda p: TorsionPolynomials.of(E, p),
         lambda p: local_torsion_order(E, Place.real(), p),
         lambda p: local_torsion_order(E, Place.finite(11), p),
-        lambda p: local_torsion_order(E, Place.finite(11), p, polys=polys),
+        lambda p: phi_p_part_order(data, p),
         lambda p: local_kummer_order(E, Place.real(), p, 1),
         lambda p: assemble_local_orders(E, Place.real(), p),
         lambda p: assemble_local_orders(E, Place.finite(11), p),
@@ -302,6 +326,16 @@ def test_invalid_p_rejected():
                 entry(p)
     for p in (3, 11, 31):
         check_p(p)
+
+
+def test_verify_checks_p_before_factoring_the_discriminant(monkeypatch):
+    import tamagawa.euler as euler_mod
+
+    factored = []
+    monkeypatch.setattr(euler_mod, "prime_divisors", lambda n: factored.append(n) or 1 / 0)
+    with pytest.raises(ValueError, match="odd prime <= 31"):
+        verify_main_theorem(WeierstrassCurve(0, -1, 1, -10, -20), 37)
+    assert factored == []
 
 
 @pytest.mark.parametrize("a6, p, split_at, mt_rhs", [

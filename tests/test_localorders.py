@@ -18,12 +18,13 @@ from tamagawa.localorders import (
     LocalSelmerOrders,
     Place,
     TorsionPolynomials,
+    _y_squareness_poly,
     assemble_local_orders,
     division_polynomial,
     local_kummer_order,
     local_torsion_order,
 )
-from tamagawa.padic import IntegerPolynomial, _is_prime
+from tamagawa.padic import IntegerPolynomial, _is_prime, find_roots_padic, value_is_square_at_root
 from tamagawa.tate import KodairaType, LocalData, tate_local
 
 
@@ -84,10 +85,9 @@ def test_local_torsion_matches_reduction_oracle_at_larger_p(p, extra):
     CM curve in ``extra`` (121b1 at p = 11, 361a1 at p = 13) has full
     p-torsion mod a prime l = 1 mod p, the count p^2."""
     E = WeierstrassCurve(0, -1, 1, -10, -20)
-    polys = TorsionPolynomials.of(E, p)
     counts = []
     for ell in _good_primes_below(E, 200, p):
-        count = local_torsion_order(E, Place.finite(ell), p, polys=polys)
+        count = local_torsion_order(E, Place.finite(ell), p)
         assert count == count_p_torsion_mod(E, ell, p), (p, ell)
         counts.append(count)
     assert {1, p} <= set(counts)
@@ -194,15 +194,38 @@ def test_phi_p_via_independent_route(corpus):
                 assert o.relaxed_order // o.kummer_order == c_route
 
 
-def test_shared_polynomials_give_the_same_count_and_must_match():
+def test_good_primes_of_one_curve_build_psi_once(monkeypatch):
+    """Four good primes of one curve (Tate's u = 1 at each) share the
+    memoized psi_p of the input model, and count as on the minimal model."""
     E = WeierstrassCurve(0, -1, 1, -10, -20)
-    polys = TorsionPolynomials.of(E, 5)
-    for ell in (2, 3, 5, 11, 31):
-        assert local_torsion_order(E, Place.finite(ell), 5, polys=polys) == local_torsion_order(E, Place.finite(ell), 5)
-    with pytest.raises(ValueError, match="another curve or p"):
-        local_torsion_order(E, Place.finite(11), 3, polys=polys)
-    with pytest.raises(ValueError, match="another curve or p"):
-        local_torsion_order(WeierstrassCurve(0, 0, 0, 1, 0), Place.finite(11), 5, polys=polys)
+    built = []
+    real_division = localorders.division_polynomial
+    monkeypatch.setattr(localorders, "division_polynomial", lambda model, p: built.append((model, p)) or real_division(model, p))
+    for ell in (3, 7, 13, 31):
+        data = tate_local(E, ell)
+        assert data.transformation.u == 1
+        expected = 1 + 2 * sum(
+            value_is_square_at_root(_y_squareness_poly(data.minimal_model), root)
+            for root in find_roots_padic(real_division(data.minimal_model, 5), ell)
+        )
+        assert local_torsion_order(E, Place.finite(ell), 5) == expected
+    assert built == [(E, 5)]
+
+
+def test_memo_checks_p_before_the_lookup():
+    E = WeierstrassCurve(0, -1, 1, -10, -20)
+    assert TorsionPolynomials.of(E, 5) is TorsionPolynomials.of(E, 5)
+    for p in (5.0, "5", True):
+        with pytest.raises(ValueError, match="odd prime <= 31"):
+            TorsionPolynomials.of(E, p)
+
+
+def test_memo_holds_at_most_its_bound():
+    for a6 in range(1, 21):
+        E = WeierstrassCurve(0, 0, 1, -1, a6)
+        TorsionPolynomials.of(E, 3)
+        assert localorders._build.cache_info().currsize <= localorders._MEMO_SIZE
+    assert localorders._build.cache_info().currsize == localorders._MEMO_SIZE
 
 
 def test_inconsistent_local_data_detected():

@@ -20,6 +20,7 @@ from tamagawa.padic import (
     prime_divisors,
     rational_roots,
     valuation,
+    value_is_square_at_root,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -243,6 +244,75 @@ def test_padic_root_refinement_is_consistent():
         a8, a16 = r.approx(8), r.approx(16)
         assert valuation(a8 - a16, 7) >= 8 if a8 != a16 else True
         assert valuation(f(a16), 7) >= 16
+
+
+def _square_at_root_from_the_old_start(h: IntegerPolynomial, root: PadicRoot) -> bool:
+    """Reference: value_is_square_at_root as it was, starting at max(8, 4s + 8)
+    digits under the same stop rule."""
+    ell, s = root.ell, root.shift
+    slack = min(padic._int_valuation(c, ell) - (i - 1) * s for i, c in enumerate(h.coeffs) if i >= 1)
+    margin = 3 if ell == 2 else 1
+    digits = max(8, 4 * s + 8)
+    while digits <= padic.PRECISION_HARD_CAP:
+        val = h(root.approx(digits))
+        if val != 0:
+            v = valuation(val, ell)
+            if v + margin <= digits + slack:
+                return padic._square_class(val, v, ell)
+        digits *= 2
+    raise PrecisionExhausted(padic.PRECISION_HARD_CAP)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ell=st.sampled_from([2, 3, 5, 1009]),
+    s=st.integers(0, 3),
+    unit=st.integers(1, 10**4),
+    a=st.integers(-(10**6), 10**6),
+    b=st.integers(-(10**4), 10**4),
+    e=st.integers(0, 5),
+    w=st.integers(-(10**4), 10**4),
+    q=st.lists(st.integers(-50, 50), min_size=1, max_size=3),
+)
+def test_square_test_start_agrees_with_the_old_start(ell, s, unit, a, b, e, w, q):
+    """f = (d x - a)(x - b) with d = l^s * unit has the roots a/d (shift s when
+    l does not divide a, found through reverse_scale) and b.  On
+    h = (d x - a) q(x) + l^e w, h(a/d) = l^e w has valuation e, and h(b) is
+    whatever it is.  At each root the square test answers as it did from
+    8 + 4s digits, and as is_square_local on the exact value."""
+    assume(unit % ell and w % ell and a != b * unit * ell**s and any(q))
+    lin = IntegerPolynomial([-a, unit * ell**s])
+    h = lin * IntegerPolynomial(q) + IntegerPolynomial([ell**e * w])
+    assume(h(b) != 0)
+    roots = find_roots_padic(lin * IntegerPolynomial([-b, 1]), ell)
+    answers = [value_is_square_at_root(h, root) for root in roots]
+    assert answers == [_square_at_root_from_the_old_start(h, root) for root in roots]
+    assert sorted(answers) == sorted([is_square_local(ell**e * w, ell), is_square_local(h(b), ell)])
+
+
+def test_square_test_tries_the_cap_whatever_its_start():
+    """h(1) = w * 2^1600 at the root 1 of x - 1 in Z_2 passes the stop rule
+    from 1603 digits on.  Doubling from the start 3 reaches only 1536; the
+    last try must be at the cap, 2048, as doubling from 8 was."""
+    (root,) = find_roots_padic(IntegerPolynomial([-1, 1]), 2)
+    for w, square in ((1, True), (3, False)):
+        assert value_is_square_at_root(IntegerPolynomial([w * 2**1600 - 1, 1]), root) is square
+        assert _square_at_root_from_the_old_start(IntegerPolynomial([w * 2**1600 - 1, 1]), root) is square
+
+
+@pytest.mark.parametrize("ell", [7, 1009])
+def test_unit_value_at_a_simple_root_needs_one_approximation(ell, monkeypatch):
+    """x^2 - 2 has two simple roots r in Z_l; h = x + 1 is a unit there
+    (r = -1 would give r^2 = 1, not 2), so one digit decides."""
+    calls = []
+    real = PadicRoot.approx
+    monkeypatch.setattr(PadicRoot, "approx", lambda self, digits: calls.append(digits) or real(self, digits))
+    h = IntegerPolynomial([1, 1])
+    for root in find_roots_padic(IntegerPolynomial([-2, 0, 1]), ell):
+        expected = is_square_local(root.approx(1) + 1, ell)
+        calls.clear()
+        assert value_is_square_at_root(h, root) == expected
+        assert calls == [1]
 
 
 def _rational_squarefree_part(f: IntegerPolynomial) -> IntegerPolynomial:

@@ -26,7 +26,7 @@ from tamagawa.localorders import division_polynomial
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 CURVES = 8
 REPEATS = 7
-ELLS = (31, 61, 89, 113, 149, 173, 199, 229, 251, 281, 307, 401)
+ELLS = (31, 61, 89, 101, 113, 127, 137, 149, 173, 199, 229, 251, 281, 307, 401)
 
 
 def _reduced(psi: padic.IntegerPolynomial, ell: int) -> list[int]:

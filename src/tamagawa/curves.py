@@ -160,10 +160,13 @@ def transform(curve: WeierstrassCurve, tr: Transformation | tuple) -> Weierstras
     """The same curve in new coordinates; disc scales by u^-12, j is unchanged.
 
     The shift by (r, s, t) is exact integer arithmetic on an integral model;
-    only a rescaling (u != 1) divides, through ``Fraction``."""
+    only a rescaling (u != 1) divides, through ``Fraction``.  The identity
+    returns ``curve`` itself."""
     u, r, s, t = (_normalise(v) for v in tr)
     if u == 0:
         raise ValueError("degenerate transformation: u = 0")
+    if u == 1 and r == s == t == 0:
+        return curve
     a1, a2, a3, a4, a6 = curve.ainvs
     ai = (
         a1 + 2 * s,

@@ -11,10 +11,17 @@ the square test at a root escalates its digits, doubling them up to the
 same cap.  A wrong count is never returned.
 
 Residue roots mod l are found by scanning all l residues for
-l <= ``_RESIDUE_SCAN_LIMIT`` (160) and by splitting gcd(f, x^l - x) above
+l <= ``_RESIDUE_SCAN_LIMIT`` (131) and by splitting gcd(f, x^l - x) above
 it.  The limit sits at the measured crossover of the two paths for psi_3,
-psi_5 and psi_7 (their time ratio is about 1 at l = 150-200); l = 2 and 3
-must be scanned, because the root splitting cannot separate roots at l = 2.
+psi_5 and psi_7 (the Frobenius path wins for all three from l = 137 on);
+l = 2 and 3 must be scanned, because the root splitting cannot separate
+roots at l = 2.  The split takes a quadratic factor apart by a square root
+of its discriminant (Tonelli-Shanks, with the least non-residue), a larger
+one by gcds with (x + c)^((l-1)/2) - 1 (Cantor-Zassenhaus); see Cohen, A
+Course in Computational Algebraic Number Theory, 1.5.1 and 1.6.  A simple
+residue root then costs a fixed amount of work: no Newton-polygon hull when
+l does not divide the lead, no Newton step when one digit decides the
+square test, and integer arithmetic in that test at an integral root.
 
 The powers (x + c)^e mod f over F_l behind that split, x^l mod f above all,
 run on packed integers: a residue mod f of degree n is one int whose W-bit
@@ -40,7 +47,7 @@ keeps a candidate only when the polynomial vanishes on it exactly.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence
@@ -71,8 +78,9 @@ _SQUAREFREE_PRIMES = (999983, 999979, 999961)
 
 # Largest l whose residue roots are found by scanning all l residues; above
 # it ``_residue_roots`` splits gcd(f, x^l - x).  The crossover of the two
-# paths, measured with ``PYTHONPATH=src python3 scripts/residue_crossover.py``.
-_RESIDUE_SCAN_LIMIT = 160
+# paths, measured with ``PYTHONPATH=src python3 scripts/residue_crossover.py``:
+# the largest prime below 137, the first l where all three ratios exceed 1.
+_RESIDUE_SCAN_LIMIT = 131
 
 # Primes below 2^16, as a sieve for lookups and as a list for trial division.
 _SMALL_LIMIT = 1 << 16
@@ -265,7 +273,7 @@ def legendre_symbol(a: int, ell: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _unit_residue(x: Fraction, ell: int, modulus: int) -> int:
+def _unit_residue(x: int | Fraction, ell: int, modulus: int) -> int:
     """The l-adic unit part of the nonzero x reduced mod ``modulus`` (a power
     of the prime l; callers have checked primality)."""
     num, den = x.numerator, x.denominator
@@ -288,7 +296,7 @@ def is_square_local(x: int | Fraction, ell: int) -> bool:
     return _square_class(x, v, ell)
 
 
-def _square_class(x: Fraction, v: int, ell: int) -> bool:
+def _square_class(x: int | Fraction, v: int, ell: int) -> bool:
     """Whether the nonzero x, of valuation v at the prime l, is a square in
     Q_l: v even, and the unit part 1 mod 8 at l = 2, a residue mod l above."""
     if v % 2 != 0:
@@ -581,7 +589,7 @@ class PadicRoot:
     The root is x = (offset + scale * t) / l^shift where t is the unique
     zero of ``witness`` in the residue class t0 + l*Z_l, certified simple
     (witness'(t0) is an l-adic unit).  ``approx(A)`` refines by Hensel
-    lifting and returns a rational x_hat with v(x - x_hat) >= A.
+    lifting and returns an x_hat with v(x - x_hat) >= A.
     """
 
     ell: int
@@ -591,25 +599,39 @@ class PadicRoot:
     offset: int
     shift: int  # s >= 0: the root is (integral root)/l^s
 
-    def approx(self, digits: int) -> Fraction:
+    # the deepest lift so far, (digits, t mod l^digits): a later, deeper
+    # lift starts from it, so each doubling of the square test is one step
+    _last: tuple[int, int] | None = field(default=None, init=False, compare=False, repr=False)
+
+    def approx(self, digits: int) -> int | Fraction:
+        """x_hat with v(x - x_hat) >= digits: an int when the root is
+        integral (shift 0), else a Fraction with denominator l^shift."""
         need = digits + self.shift
         if need < 1:
             need = 1
         t = self._lift(need)
         x_int = (self.offset + self.scale * t) % self.ell**need
-        return Fraction(x_int, self.ell**self.shift)
+        return x_int if self.shift == 0 else Fraction(x_int, self.ell**self.shift)
 
     def _lift(self, k: int) -> int:
-        exp, t = 1, self.t0 % self.ell
+        """The zero of ``witness`` in t0 + l Z_l, mod l^k, in [0, l^k)."""
+        ell = self.ell
+        if k <= 1:
+            return self.t0 % ell
+        last = self._last
+        if last is not None and last[0] >= k:
+            return last[1] % ell**k
+        exp, t = last or (1, self.t0 % ell)
         f, fp = self.witness, self.witness.derivative()
         while exp < k:
             exp = min(2 * exp, k)
-            m = self.ell**exp
+            m = ell**exp
             ft = f(t) % m
             fpt = fp(t) % m
-            if fpt % self.ell == 0:
+            if fpt % ell == 0:
                 raise ArithmeticError("witness root must be simple")
             t = (t - ft * pow(fpt, -1, m)) % m
+        self._last = (exp, t)
         return t
 
 
@@ -619,10 +641,10 @@ def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
 
     f is reduced mod l first; a nonzero constant has no roots and is not
     scanned.  The limit is the measured crossover of the two paths for
-    degrees 4-24 (psi_3 to psi_7): their time ratio is about 1 at
-    l = 150-200 (``scripts/residue_crossover.py``).  l = 2 and 3 must stay
-    on the scan whatever the limit: ``_linear_roots_mod`` splits with
-    (x + c)^((l-1)/2) - 1, which cannot separate roots at l = 2.
+    degrees 4-24 (psi_3 to psi_7): the Frobenius path is faster for all
+    three from l = 137 on (``scripts/residue_crossover.py``).  l = 2 and 3
+    must stay on the scan whatever the limit: ``_linear_roots_mod`` splits
+    with (x + c)^((l-1)/2) - 1, which cannot separate roots at l = 2.
     """
     cs = [c % ell for c in f.coeffs]
     while cs and cs[-1] == 0:
@@ -764,9 +786,39 @@ def _gcd_with_frobenius(cs: list[int], ell: int) -> list[int]:
     return _poly_gcd_mod_ell(f, result, ell)
 
 
+def _sqrt_mod(a: int, ell: int) -> int:
+    """A square root of the quadratic residue a mod the odd prime l, by
+    Tonelli-Shanks (Cohen, Algorithm 1.5.1) with the least non-residue as
+    its generator, so the answer is deterministic."""
+    a %= ell
+    q, e = ell - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while legendre_symbol(z, ell) != -1:
+        z += 1
+    y, x = pow(z, q, ell), pow(a, (q - 1) // 2, ell)
+    b, x = a * x * x % ell, a * x % ell
+    while b > 1:  # b has order 2^m, m < e; y generates the 2^e-th roots of 1
+        m, t = 0, b
+        while t != 1:
+            t = t * t % ell
+            m += 1
+        t = pow(y, 1 << (e - m - 1), ell)
+        y, e = t * t % ell, m
+        x, b = x * t % ell, b * y % ell
+    return x
+
+
 def _linear_roots_mod(g: list[int], ell: int) -> list[int]:
-    """Roots of a product of distinct linear factors over F_l; splits by gcd
-    with (x + c)^((l-1)/2) - 1 for deterministic c."""
+    """Roots of a product of distinct linear factors over F_l, sorted.
+
+    A factor of degree 1 gives its root; at odd l one of degree 2, h2 x^2 +
+    h1 x + h0, gives (-h1 +- sqrt(D)) / (2 h2) with D = h1^2 - 4 h0 h2, which
+    must be a nonzero square mod l.  A larger factor is split by its gcd
+    with (x + c)^((l-1)/2) - 1 for c = 0, 1, 2, ...  A factor that is not
+    such a product raises ArithmeticError."""
     roots: list[int] = []
     stack = [g]
     shift = 0
@@ -777,6 +829,14 @@ def _linear_roots_mod(g: list[int], ell: int) -> list[int]:
             continue
         if d == 1:
             roots.append((-h[0] * pow(h[1], -1, ell)) % ell)
+            continue
+        if d == 2 and ell != 2:
+            h0, h1, h2 = h
+            disc = h1 * h1 - 4 * h0 * h2
+            if legendre_symbol(disc, ell) != 1:
+                raise ArithmeticError("root splitting failed to converge")
+            r, inv = _sqrt_mod(disc, ell), pow(2 * h2, -1, ell)
+            roots += [(-h1 + r) * inv % ell, (-h1 - r) * inv % ell]
             continue
         # split h using gcd with (x + shift)^((l-1)/2) - 1
         acc = _linear_powmod_ell(shift % ell, (ell - 1) // 2, h, ell)
@@ -853,7 +913,10 @@ def _integral_root_certs(
 
 def _newton_polygon_positive_slopes(f: IntegerPolynomial, ell: int) -> list[int]:
     """Positive integer slopes of the Newton polygon of f; a slope s means
-    candidate roots of valuation -s."""
+    candidate roots of valuation -s.  With l not dividing lc(f) the last
+    point of the hull is its lowest, so no slope is positive."""
+    if f.coeffs[-1] % ell:
+        return []
     pts = [(i, _int_valuation(c, ell)) for i, c in enumerate(f.coeffs) if c != 0]
     # lower convex hull, left to right
     hull: list[tuple[int, int]] = []
@@ -938,7 +1001,9 @@ def value_is_square_at_root(h: IntegerPolynomial, root: PadicRoot) -> bool:
     valuation and unit part of h(x) are certified stable; doubles the
     approximation digits otherwise, up to ``PRECISION_HARD_CAP``.  The start,
     4s + margin digits, is at s = 0 the fewest at which a unit value passes
-    the stop rule without slack; at odd l that needs no Newton step.
+    the stop rule without slack; at odd l that needs no Newton step.  At an
+    integral root (s = 0) ``root.approx`` is an int, so h is evaluated on
+    ints; the root keeps its last lift, so a doubling costs one Newton step.
     """
     ell = root.ell
     s = root.shift

@@ -18,6 +18,7 @@ from tamagawa.curves import (
     parse_ainvs,
     transform,
 )
+from tamagawa.tate import tate_local
 
 
 def test_invariants_examples():
@@ -77,6 +78,19 @@ def test_transform_identity_and_scaling():
     assert halved.j_invariant == E.j_invariant
     with pytest.raises(ValueError, match="degenerate"):
         transform(E, (0, 0, 0, 0))
+
+
+def test_identity_transform_returns_its_input():
+    """So tate_local's check that the recorded transformation reaches the
+    minimal model is a comparison at a good prime, not a rebuild."""
+    E = WeierstrassCurve(0, -1, 1, -10, -20)
+    assert transform(E, Transformation.identity()) is E
+    assert transform(E, (Fraction(2, 2), 0, Fraction(0), 0)) is E
+    assert transform(E, (1, 0, 0, 1)) is not E
+    with pytest.raises(ValueError):
+        transform(E, (1.0, 0, 0, 0))
+    data = tate_local(E, 7)
+    assert data.transformation == Transformation.identity() and data.minimal_model is E
 
 
 def test_j_invariance_under_random_transformations():

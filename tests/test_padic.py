@@ -114,6 +114,51 @@ def test_mixed_valuation_root_set():
     assert sorted(valuation(r.approx(4), 5) for r in roots) == [-1, 0, 1]
 
 
+def _newton_polygon_positive_slopes(f: IntegerPolynomial, ell: int) -> list[int]:
+    """Reference: the hull walk without the early exit at a unit lead."""
+    pts = [(i, padic._int_valuation(c, ell)) for i, c in enumerate(f.coeffs) if c != 0]
+    hull: list[tuple[int, int]] = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    slopes = set()
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        num, den = y2 - y1, x2 - x1
+        if num > 0 and num % den == 0:
+            slopes.add(num // den)
+    return sorted(slopes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ell=st.sampled_from([2, 3, 5, 7, 1009]),
+    coeffs=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=12),
+    lead=st.integers(1, 10**4),
+    lead_power=st.integers(0, 6),
+    scales=st.lists(st.integers(0, 8), min_size=12, max_size=12),
+)
+def test_newton_polygon_exit_matches_the_hull(ell, coeffs, lead, lead_power, scales):
+    """Coefficients scaled by random powers of l give polygons of every
+    shape; the lead is a unit or l^lead_power times one."""
+    cs = [c * ell**k for c, k in zip(coeffs, scales)] + [lead * ell**lead_power]
+    f = IntegerPolynomial(cs)
+    assert padic._newton_polygon_positive_slopes(f, ell) == _newton_polygon_positive_slopes(f, ell)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 1009])
+def test_root_of_shift_one_survives_the_newton_polygon_exit(ell):
+    # (l x - 1)(x - 2): the root 1/l has shift 1, the root 2 is integral
+    f = IntegerPolynomial([-1, ell]) * IntegerPolynomial([-2, 1])
+    roots = find_roots_padic(f, ell)
+    assert sorted(r.shift for r in roots) == [0, 1]
+    assert sorted(r.approx(6) for r in roots) == sorted([Fraction(1, ell), 2])
+
+
 def _random_constructed_poly(rng: random.Random, ell: int):
     """Product of linear factors with known Q_l roots times a mod-l
     irreducible quadratic (hence without Q_l roots)."""
@@ -244,6 +289,36 @@ def test_padic_root_refinement_is_consistent():
         a8, a16 = r.approx(8), r.approx(16)
         assert valuation(a8 - a16, 7) >= 8 if a8 != a16 else True
         assert valuation(f(a16), 7) >= 16
+
+
+def _fresh(root: PadicRoot) -> PadicRoot:
+    return PadicRoot(root.ell, root.witness, root.t0, root.scale, root.offset, root.shift)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 7, 1009])
+def test_doubling_the_digits_continues_the_last_lift(ell, monkeypatch):
+    """After approx(A), approx(2A) is what a fresh root gives, and that
+    doubling costs one Newton step: one evaluation of the witness and one of
+    its derivative.  A shallower approx then needs no evaluation at all."""
+    # 1/l has shift 1; 1 + 8 l^3 is a unit square in Z_l, also at l = 2
+    f = IntegerPolynomial([-1, ell]) * IntegerPolynomial([-(1 + 8 * ell**3), 0, 1])
+    roots = find_roots_padic(f, ell)
+    assert sorted(r.shift for r in roots) == [0, 0, 1]
+    evaluations = []
+    real_call = IntegerPolynomial.__call__
+    for root in roots:
+        for digits in (5, 10, 20, 40):
+            assert root.approx(digits) == _fresh(root).approx(digits)
+        with monkeypatch.context() as m:
+            m.setattr(IntegerPolynomial, "__call__", lambda g, x: evaluations.append(x) or real_call(g, x))
+            evaluations.clear()
+            deep = root.approx(80)
+            assert len(evaluations) == 2
+            evaluations.clear()
+            shallow = root.approx(30)
+            assert evaluations == []
+        assert deep == _fresh(root).approx(80)
+        assert shallow == _fresh(root).approx(30)
 
 
 def _square_at_root_from_the_old_start(h: IntegerPolynomial, root: PadicRoot) -> bool:
@@ -414,6 +489,50 @@ def test_linear_roots_rejects_irreducible_factor():
         padic._linear_roots_mod([1, 0, 1], 3)
 
 
+# l = 3 mod 4, l = 5 mod 8, and primes with a large power of 2 in l - 1,
+# where Tonelli-Shanks runs its longest loops (786433 - 1 = 3 * 2^18)
+QUADRATIC_PRIMES = [3, 7, 11, 19, 131, 5, 13, 29, 37, 101, 17, 97, 193, 257, 7681, 12289, 65537, 786433]
+
+
+def _scan_quadratic(h: list[int], ell: int) -> list[int]:
+    """Reference: every residue r with h(r) = 0 mod l, by brute force."""
+    h0, h1, h2 = h
+    return [r for r in range(ell) if (h0 + r * (h1 + r * h2)) % ell == 0]
+
+
+@pytest.mark.parametrize("ell", QUADRATIC_PRIMES)
+def test_quadratic_base_case_matches_a_scan(ell, monkeypatch):
+    """u (x - a)(x - b) for distinct a, b and a unit u splits to its two
+    roots by a square root, with no power of x + c; a double root or an
+    irreducible quadratic raises as a factor that never splits did before."""
+
+    def no_powmod(*args):
+        raise AssertionError("a quadratic reached the split by powers of x + c")
+
+    monkeypatch.setattr(padic, "_linear_powmod_ell", no_powmod)
+    rng = random.Random(ell)
+    n = next(d for d in range(1, ell) if padic.legendre_symbol(d, ell) == -1)
+    for _ in range(4):
+        a, b = rng.sample(range(ell), 2)
+        u = rng.randrange(1, ell)
+        h = [u * a * b % ell, -u * (a + b) % ell, u]
+        assert padic._linear_roots_mod(h, ell) == _scan_quadratic(h, ell) == sorted([a, b])
+        c = rng.randrange(ell)
+        double = [u * c * c % ell, -2 * u * c % ell, u]  # u (x - c)^2
+        irreducible = [u * (c * c - n) % ell, -2 * u * c % ell, u]  # u ((x - c)^2 - n)
+        for bad, scanned in ((double, [c]), (irreducible, [])):
+            assert _scan_quadratic(bad, ell) == scanned
+            with pytest.raises(ArithmeticError, match="root splitting failed to converge"):
+                padic._linear_roots_mod(bad, ell)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ell=st.sampled_from(QUADRATIC_PRIMES), data=st.data())
+def test_sqrt_mod_squares_back(ell, data):
+    a = data.draw(st.integers(1, ell - 1))
+    assert padic._sqrt_mod(a * a, ell) in (a, ell - a)
+
+
 def test_argument_preconditions_raise_value_error():
     # checks that must hold under python -O, where assert statements vanish
     assert padic._int_valuation(0, 7) == 10**9  # v(0) is the "infinite" sentinel
@@ -441,7 +560,7 @@ def _scan_residue_roots(coeffs, ell):
 
 
 # below the scan limit, just above it, and above 3000
-RESIDUE_PRIMES = [2, 3, 5, 7, 13, 101, 157, 163, 293, 307, 331, 613, 997, 3001, 4999]
+RESIDUE_PRIMES = [2, 3, 5, 7, 13, 101, 131, 137, 293, 307, 331, 613, 997, 3001, 4999]
 
 
 @settings(max_examples=150, deadline=None)
@@ -463,7 +582,7 @@ def test_residue_roots_match_scan(ell, planted, cofactor, lead_divisible):
 def test_residue_roots_paths_agree_across_the_scan_limit():
     # psi_7 of 5077a1 on both paths, below and above the scan limit
     psi = division_polynomial(WeierstrassCurve(0, 0, 1, -7, 6), 7)
-    ells = (157, 307, 1009, 3001)
+    ells = (131, 137, 1009, 3001)
     assert ells[0] <= padic._RESIDUE_SCAN_LIMIT < ells[1]
     for ell in ells:
         expected = _scan_residue_roots(psi.coeffs, ell)
@@ -481,13 +600,13 @@ def test_residue_roots_skip_a_constant_reduction(monkeypatch):
 
     monkeypatch.setattr(padic, "_scan_roots", no_scan)
     monkeypatch.setattr(padic, "_gcd_with_frobenius", no_scan)
-    for ell in (2, 3, 157, 307, 3001):
+    for ell in (2, 3, 131, 137, 3001):
         assert padic._residue_roots(IntegerPolynomial([5 + 7 * ell, 3 * ell, 0, ell]), ell) == []
         assert padic._residue_roots(IntegerPolynomial([1, 2 * ell, ell * ell]), ell) == []
     monkeypatch.undo()
-    for ell in (5, 157):
+    for ell in (5, 131):
         assert padic._residue_roots(IntegerPolynomial([ell, 0, ell]), ell) == list(range(ell))
-    for ell in (307, 3001):
+    for ell in (137, 3001):
         assert padic._residue_roots(IntegerPolynomial([ell, 0, ell]), ell) == []
 
 

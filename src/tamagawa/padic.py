@@ -640,15 +640,18 @@ def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
     the split part gcd(f, x^l - x) above it.
 
     f is reduced mod l first; a nonzero constant has no roots and is not
-    scanned.  The limit is the measured crossover of the two paths for
-    degrees 4-24 (psi_3 to psi_7): the Frobenius path is faster for all
-    three from l = 137 on (``scripts/residue_crossover.py``).  l = 2 and 3
-    must stay on the scan whatever the limit: ``_linear_roots_mod`` splits
-    with (x + c)^((l-1)/2) - 1, which cannot separate roots at l = 2.
+    scanned, and zero raises ``ValueError``.  The limit is the measured
+    crossover of the two paths for degrees 4-24 (psi_3 to psi_7): the
+    Frobenius path is faster for all three from l = 137 on
+    (``scripts/residue_crossover.py``).  l = 2 and 3 must stay on the scan
+    whatever the limit: ``_linear_roots_mod`` splits with
+    (x + c)^((l-1)/2) - 1, which cannot separate roots at l = 2.
     """
     cs = [c % ell for c in f.coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
+    if not cs:
+        raise ValueError(f"polynomial is zero mod {ell}")
     if len(cs) == 1:
         return []
     if ell <= _RESIDUE_SCAN_LIMIT:

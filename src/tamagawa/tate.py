@@ -9,8 +9,10 @@ and the component groups from them.
 The algorithm runs as an explicit step machine (steps 1-11 with the
 non-minimal restart), recording every coordinate change so the composite
 transformation from the input model to the returned l-minimal model is
-auditable.  The small primes 2 and 3 go through the full branches; no
-valuation-table shortcuts are taken there.
+auditable.  The steps ask the residue field F_l four questions, each answered
+by one helper at every l: is a quadratic separable, does it split, what is its
+double root, and what is the multiple root of a cubic.  The rules for l = 2
+live only in those helpers and in the closed form of the singular point.
 """
 
 from __future__ import annotations
@@ -212,7 +214,8 @@ class _Machine:
         self.trans = self.trans.compose(tr)
 
     def shift(self, r: int = 0, s: int = 0, t: int = 0) -> None:
-        self._change(Transformation(1, r, s, t))
+        if r or s or t:
+            self._change(Transformation(1, r, s, t))
 
     def rescale(self) -> None:
         self._change(Transformation(self.ell, 0, 0, 0))
@@ -221,54 +224,63 @@ class _Machine:
     def v(self, n: int) -> int:
         return _int_valuation(n, self.ell)
 
-    # -- residue-field helpers --
+    # -- residue-field helpers: every question a step asks of F_l --
+
+    def _separable(self, A: int, B: int, C: int) -> bool:
+        """Whether A Y^2 + B Y + C (A a unit) has distinct roots over the
+        algebraic closure of F_l; at l = 2 the discriminant is B mod 2."""
+        return (B * B - 4 * A * C) % self.ell != 0
+
+    def _quadratic_is_rational(self, A: int, B: int, C: int) -> bool:
+        """Whether the separable quadratic A Y^2 + B Y + C splits over F_l."""
+        _require(self._separable(A, B, C), "inseparable quadratic")
+        if self.ell == 2:
+            # A and B are odd, so Y = 0 and Y = 1 both give C mod 2
+            return C % 2 == 0
+        return legendre_symbol(B * B - 4 * A * C, self.ell) == 1
+
+    def _double_root(self, A: int, B: int, C: int) -> int:
+        """The root of the inseparable quadratic A Y^2 + B Y + C = A (Y - r)^2."""
+        _require(not self._separable(A, B, C), "separable quadratic has no double root")
+        if self.ell == 2:
+            return C % 2  # A Y^2 + C with A odd, and r^2 = r over F_2
+        return -B * pow(2 * A, -1, self.ell) % self.ell
+
+    def _multiple_root(self, cubic: list[int]) -> int | None:
+        """The multiple root alpha over F_l of a cubic with a unit lead
+        (coefficients from the constant up), or None.  gcd(P, P') = (T - alpha)^k
+        has T^(k-1) coefficient -k alpha; for a cubic l | k only when k = l, and
+        then the gcd is T^l - alpha^l = T^l - alpha."""
+        ell = self.ell
+        g = _poly_gcd_mod_ell(cubic, [i * c for i, c in enumerate(cubic)][1:], ell)
+        k = len(g) - 1
+        if k == 0:
+            return None
+        if k % ell:
+            return -g[k - 1] * pow(k, -1, ell) % ell
+        return -g[0] % ell
 
     def _singular_point(self) -> tuple[int, int]:
+        """The singular point of the reduction, which is F_l-rational."""
         ell = self.ell
         a1, a2, a3, a4, a6 = self.model.ainvs
         if ell == 2:
-            for x0 in (0, 1):
-                for y0 in (0, 1):
-                    on = (y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0**3 - a2 * x0 * x0 - a4 * x0 - a6) % 2 == 0
-                    fx = (a1 * y0 - 3 * x0 * x0 - 2 * a2 * x0 - a4) % 2 == 0
-                    fy = (2 * y0 + a1 * x0 + a3) % 2 == 0
-                    if on and fx and fy:
-                        return x0, y0
-            raise TateInvariantError("algorithm invariant violated: no singular point mod 2")
-        b2, b4, b6, _ = self.model.b_invariants
-        g = [b6 % ell, (2 * b4) % ell, b2 % ell, 4 % ell]
-        gp = [(2 * b4) % ell, (2 * b2) % ell, 12 % ell]
-        gcd = _poly_gcd_mod_ell(g, gp, ell)
-        deg = len(gcd) - 1
-        if deg == 1:
-            x0 = (-gcd[0]) % ell
-        elif deg == 2:
-            # (x - x0)^2: the doubled root
-            x0 = (-gcd[1] * pow(2, -1, ell)) % ell
-        elif deg == 3:
-            # only at l = 3 with g' == 0: g = x^3 + const is a perfect cube
-            _require(ell == 3, "cubic singular locus away from l = 3")
-            x0 = (-gcd[0]) % 3
+            # mod 2 the partial derivatives are a1 x + a3 and a1 y + x + a4
+            # (x^2 = x); with a1 even the curve itself gives y
+            x0 = (a3 if a1 % 2 else a4) % 2
+            y0 = (x0 + a4 if a1 % 2 else x0 * (1 + a2 + a4) + a6) % 2
         else:
-            raise TateInvariantError("algorithm invariant violated: reduction not singular")
-        y0 = (-(a1 * x0 + a3) * pow(2, -1, ell)) % ell
+            # the double root of 4x^3 + b2 x^2 + 2 b4 x + b6, the right side
+            # of (2y + a1 x + a3)^2 = ...
+            b2, b4, b6, _ = self.model.b_invariants
+            x0 = self._multiple_root([b6, 2 * b4, b2, 4])
+            _require(x0 is not None, "reduction not singular")
+            y0 = -(a1 * x0 + a3) * pow(2, -1, ell) % ell
         fx = (a1 * y0 - 3 * x0 * x0 - 2 * a2 * x0 - a4) % ell
         fy = (2 * y0 + a1 * x0 + a3) % ell
         on = (y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0**3 - a2 * x0 * x0 - a4 * x0 - a6) % ell
         _require(fx == 0 and fy == 0 and on == 0, "singular point misidentified")
         return x0, y0
-
-    def _quadratic_is_rational(self, A: int, B: int, C: int) -> bool:
-        """Whether the separable quadratic A Y^2 + B Y + C splits over F_l."""
-        ell = self.ell
-        if ell == 2:
-            # separable means B odd; A Y^2 + B Y + C ~ Y^2 + Y + C/A has
-            # roots iff C is even
-            _require(B % 2 == 1, "inseparable quadratic at l = 2")
-            return C % 2 == 0
-        disc = (B * B - 4 * A * C) % ell
-        _require(disc != 0, "inseparable quadratic")
-        return legendre_symbol(disc, ell) == 1
 
     # -- the algorithm --
 
@@ -290,19 +302,15 @@ class _Machine:
 
         # Step 2: move the singular point to the origin
         x0, y0 = self._singular_point()
-        if (x0, y0) != (0, 0):
-            self.shift(r=x0, t=y0)
+        self.shift(r=x0, t=y0)
         a1, a2, a3, a4, a6 = self.model.ainvs
         _require(a3 % ell == 0 and a4 % ell == 0 and a6 % ell == 0, "singular point not at the origin")
 
         b2, b4, b6, b8 = self.model.b_invariants
         if b2 % ell != 0:
-            # multiplicative: slopes of the node satisfy T^2 + a1 T - a2
-            if ell == 2:
-                _require(a1 % 2 == 1, "node at l = 2 needs odd a1")
-                split = a2 % 2 == 0
-            else:
-                split = legendre_symbol(b2 % ell, ell) == 1
+            # multiplicative: the slopes of the node are the roots of
+            # T^2 + a1 T - a2, whose discriminant is b2
+            split = self._quadratic_is_rational(1, a1, -a2)
             c = n if split else (2 if n % 2 == 0 else 1)
             return KodairaType("In", n), n, c, split
 
@@ -312,26 +320,16 @@ class _Machine:
         # Step 4
         if self.v(b8) < 3:
             return KodairaType("III"), n, 2, None
-        # Step 5
+        # Step 5: Y^2 + a3/l Y - a6/l^2 has discriminant b6/l^2
         if self.v(b6) < 3:
-            a31, a62 = a3 // ell, a6 // ell**2
-            if ell == 2:
-                _require(a31 % 2 == 1, "type IV at l = 2 needs odd a3/2")
-            c = 3 if self._quadratic_is_rational(1, a31, -a62) else 1
+            c = 3 if self._quadratic_is_rational(1, a3 // ell, -(a6 // ell**2)) else 1
             return KodairaType("IV"), n, c, None
 
-        # Normalize for step 6: v(a1)>=1, v(a2)>=1, v(a3)>=2, v(a4)>=2, v(a6)>=3
-        if ell == 2:
-            _require(a1 % 2 == 0, "a1 odd although 2 | b2")
-            self.shift(s=a2 % 2)
-            _require(self.v(self.model.a3) >= 2, "v(a3) < 2 although v(b6) >= 3 at l = 2")
-            tau = (self.model.a6 // 4) % 2
-            if tau:
-                self.shift(t=2 * tau)
-        else:
-            self.shift(s=(-a1 * pow(2, -1, ell)) % ell)
-            a31 = (self.model.a3 // ell) % ell
-            self.shift(t=ell * ((-a31 * pow(2, -1, ell)) % ell))
+        # Normalize for step 6: v(a1)>=1, v(a2)>=1, v(a3)>=2, v(a4)>=2, v(a6)>=3, by the
+        # double roots of S^2 + a1 S - a2 and T^2 + a3/l T - a6/l^2 (discriminants b2, b6/l^2)
+        s = self._double_root(1, a1, -a2)
+        t = self._double_root(1, a3 // ell, -(a6 // ell**2))
+        self.shift(s=s, t=ell * t)
         a1, a2, a3, a4, a6 = self.model.ainvs
         _require(
             self.v(a1) >= 1 and self.v(a2) >= 1 and self.v(a3) >= 2 and self.v(a4) >= 2 and self.v(a6) >= 3,
@@ -339,78 +337,51 @@ class _Machine:
         )
 
         # Step 6: the cubic P(T) = T^3 + a2/l T^2 + a4/l^2 T + a6/l^3
-        a21, a42, a63 = a2 // ell, a4 // ell**2, a6 // ell**3
-        P = [a63 % ell, a42 % ell, a21 % ell, 1]
-        Pp = [a42 % ell, (2 * a21) % ell, 3 % ell]
-        g = _poly_gcd_mod_ell(P, Pp, ell)
-        gdeg = len(g) - 1 if g else -1
-        if gdeg <= 0:
-            roots = _residue_roots(IntegerPolynomial(P), ell)
-            return KodairaType("I0*"), n, 1 + len(roots), None
-        if ell == 2:
-            # P' = (T + a42)^2 mod 2, so the gcd is (T + a42)^2 for a double
-            # root and for a triple one alike: P = (T + alpha)^3 tells them apart
-            alpha = a42 % 2
-            triple = P == [alpha, alpha, alpha, 1]
-        elif gdeg == 1:
-            alpha, triple = (-g[0]) % ell, False
-        else:
-            # triple root: P = (T - alpha)^3, so 3 alpha = -a21; at l = 3 the cube
-            # collapses to T^3 + a63 whose root is -a63 (cubing fixes F_3)
-            alpha, triple = ((-a63) % 3) if ell == 3 else ((-a21 * pow(3, -1, ell)) % ell), True
+        P = [a6 // ell**3, a4 // ell**2, a2 // ell, 1]
+        alpha = self._multiple_root(P)
+        if alpha is None:
+            return KodairaType("I0*"), n, 1 + len(_residue_roots(IntegerPolynomial(P), ell)), None
+        triple = [c % ell for c in P] == [-alpha**3 % ell, 3 * alpha**2 % ell, -3 * alpha % ell, 1]
         return self._step8(alpha, n) if triple else self._step7_loop(alpha, n)
 
     def _step7_loop(self, alpha: int, n_delta: int):
         """Type In* (n >= 1): translate the double root to T = 0, then probe
-        alternating quadratics in Y and X until one is separable."""
+        quadratics in Y (odd n) and X (even n) until one is separable."""
         ell = self.ell
         self.shift(r=ell * alpha)
         a1, a2, a3, a4, a6 = self.model.ainvs
         _require(self.v(a2) == 1 and self.v(a3) >= 2 and self.v(a4) >= 3 and self.v(a6) >= 4, "step 7 translation")
-        q = 2
-        while True:
+        for n in range(1, n_delta + 1):
+            q = (n + 3) // 2
             a1, a2, a3, a4, a6 = self.model.ainvs
-            # Y-stage: quadratic Y^2 + (a3/l^q) Y - a6/l^(2q); subtype n = 2q-3
-            _require(self.v(a3) >= q and self.v(a6) >= 2 * q, "In* Y-stage valuations")
-            a3q, a62q = a3 // ell**q, a6 // ell ** (2 * q)
-            separable = (a3q % 2 == 1) if ell == 2 else ((a3q * a3q + 4 * a62q) % ell != 0)
-            if separable:
-                n = 2 * q - 3
-                c = 4 if self._quadratic_is_rational(1, a3q, -a62q) else 2
-                return KodairaType("In*", n), n_delta, c, None
-            y0 = (a62q % 2) if ell == 2 else ((-a3q * pow(2, -1, ell)) % ell)
-            self.shift(t=ell**q * y0)
-            a1, a2, a3, a4, a6 = self.model.ainvs
-            # X-stage: quadratic (a2/l) X^2 + (a4/l^(q+1)) X + a6/l^(2q+1); n = 2q-2
-            _require(self.v(a3) >= q + 1 and self.v(a4) >= q + 1 and self.v(a6) >= 2 * q + 1, "In* X-stage valuations")
-            a21 = a2 // ell
-            a4q1, a62q1 = a4 // ell ** (q + 1), a6 // ell ** (2 * q + 1)
-            separable = (a4q1 % 2 == 1) if ell == 2 else ((a4q1 * a4q1 - 4 * a21 * a62q1) % ell != 0)
-            if separable:
-                n = 2 * q - 2
-                c = 4 if self._quadratic_is_rational(a21, a4q1, a62q1) else 2
-                return KodairaType("In*", n), n_delta, c, None
-            if ell == 2:
-                x0 = a62q1 % 2
+            if n % 2:
+                # Y^2 + (a3/l^q) Y - a6/l^(2q), for n = 2q-3
+                _require(self.v(a3) >= q and self.v(a6) >= 2 * q, "In* Y-stage valuations")
+                quadratic = (1, a3 // ell**q, -(a6 // ell ** (2 * q)))
             else:
-                x0 = (-a4q1 * pow(2 * a21, -1, ell)) % ell
-            self.shift(r=ell**q * x0)
-            q += 1
-            if 2 * q - 3 > n_delta:
-                raise TateInvariantError("algorithm invariant violated: In* loop exceeded v(delta)")
+                # (a2/l) X^2 + (a4/l^(q+1)) X + a6/l^(2q+1), for n = 2q-2
+                _require(self.v(a3) >= q + 1 and self.v(a4) >= q + 1 and self.v(a6) >= 2 * q + 1, "In* X-stage valuations")
+                quadratic = (a2 // ell, a4 // ell ** (q + 1), a6 // ell ** (2 * q + 1))
+            if self._separable(*quadratic):
+                c = 4 if self._quadratic_is_rational(*quadratic) else 2
+                return KodairaType("In*", n), n_delta, c, None
+            root = ell**q * self._double_root(*quadratic)
+            if n % 2:
+                self.shift(t=root)
+            else:
+                self.shift(r=root)
+        raise TateInvariantError("algorithm invariant violated: In* loop exceeded v(delta)")
 
     def _step8(self, alpha: int, n_delta: int):
         ell = self.ell
         self.shift(r=ell * alpha)
         a1, a2, a3, a4, a6 = self.model.ainvs
         _require(self.v(a2) >= 2 and self.v(a3) >= 2 and self.v(a4) >= 3 and self.v(a6) >= 4, "step 8 translation")
-        a32, a64 = a3 // ell**2, a6 // ell**4
-        separable = (a32 % 2 == 1) if ell == 2 else ((a32 * a32 + 4 * a64) % ell != 0)
-        if separable:
-            c = 3 if self._quadratic_is_rational(1, a32, -a64) else 1
+        quadratic = (1, a3 // ell**2, -(a6 // ell**4))
+        if self._separable(*quadratic):
+            c = 3 if self._quadratic_is_rational(*quadratic) else 1
             return KodairaType("IV*"), n_delta, c, None
-        y0 = (a64 % 2) if ell == 2 else ((-a32 * pow(2, -1, ell)) % ell)
-        self.shift(t=ell**2 * y0)
+        self.shift(t=ell**2 * self._double_root(*quadratic))
         a1, a2, a3, a4, a6 = self.model.ainvs
         _require(self.v(a3) >= 3 and self.v(a6) >= 5, "step 8 completion")
         # Step 9

@@ -592,8 +592,8 @@ def test_residue_roots_paths_agree_across_the_scan_limit():
 
 def test_residue_roots_skip_a_constant_reduction(monkeypatch):
     """A polynomial that is a nonzero constant mod l has no residue roots
-    and is neither scanned nor split; one that is zero mod l keeps the
-    answer each path gave before (every residue on the scan, none above)."""
+    and is neither scanned nor split; one that is zero mod l raises on the
+    scan path and on the Frobenius path alike."""
 
     def no_scan(cs, ell):
         raise AssertionError("a constant reduction was scanned")
@@ -604,10 +604,9 @@ def test_residue_roots_skip_a_constant_reduction(monkeypatch):
         assert padic._residue_roots(IntegerPolynomial([5 + 7 * ell, 3 * ell, 0, ell]), ell) == []
         assert padic._residue_roots(IntegerPolynomial([1, 2 * ell, ell * ell]), ell) == []
     monkeypatch.undo()
-    for ell in (5, 131):
-        assert padic._residue_roots(IntegerPolynomial([ell, 0, ell]), ell) == list(range(ell))
-    for ell in (137, 3001):
-        assert padic._residue_roots(IntegerPolynomial([ell, 0, ell]), ell) == []
+    for ell in (2, 5, 131, 137, 3001):
+        with pytest.raises(ValueError, match="zero mod"):
+            padic._residue_roots(IntegerPolynomial([ell, 0, ell]), ell)
 
 
 # The list-level kernel that padic._linear_powmod_ell replaced, kept verbatim

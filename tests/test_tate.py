@@ -2,6 +2,7 @@
 numbers, component groups, minimality."""
 
 import importlib.util
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,18 +227,54 @@ def test_rescale_requires_divisible_coefficients():
         machine.rescale()
 
 
-@settings(max_examples=60, deadline=None)
-@given(ai=st.tuples(*[st.integers(-30, 30)] * 5), data=st.data())
-def test_reduction_data_survives_non_minimal_models(ai, data):
-    curve = _curve_or_reject(ai)
-    ell = data.draw(st.sampled_from(sorted(set(factorint(abs(curve.discriminant))) | {2, 3, 5})), label="ell")
-    k = data.draw(st.integers(1, 2), label="k")
-    r, s, t = data.draw(st.tuples(*[st.integers(-9, 9)] * 3), label="rst")
+def _check_survives_rescaling(curve, ell, k, r, s, t):
     model = transform(curve, (Fraction(1, ell**k), r, s, t))  # forces the rescale restart
     assert model.is_integral
     blown = tate_local(model, ell)
     assert _reduction_data(blown) == _reduction_data(tate_local(curve, ell))
     assert transform(model, blown.transformation) == blown.minimal_model
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reduction_data_survives_non_minimal_models(data):
+    if data.draw(st.booleans(), label="ladder"):
+        # a_i = m_i l^e_i, with e_i from d w / 6 to w + 1 for the weight w and
+        # a depth d, reaches every Kodaira family at 2 and 3; draws from
+        # [-30, 30] rarely get past step 6 there
+        ell = data.draw(st.sampled_from([2, 3]), label="ell")
+        d = data.draw(st.integers(0, 6), label="depth")
+        m = data.draw(st.tuples(*[st.integers(-9, 9)] * 5), label="m")
+        e = data.draw(st.tuples(*[st.integers(w * d // 6, w + 1) for w in (1, 2, 3, 4, 6)]), label="e")
+        curve = _curve_or_reject(tuple(mi * ell**ei for mi, ei in zip(m, e)))
+    else:
+        curve = _curve_or_reject(data.draw(st.tuples(*[st.integers(-30, 30)] * 5), label="ai"))
+        ell = data.draw(st.sampled_from(sorted(set(factorint(abs(curve.discriminant))) | {2, 3, 5})), label="ell")
+    k = data.draw(st.integers(1, 2), label="k")
+    r, s, t = data.draw(st.tuples(*[st.integers(-9, 9)] * 3), label="rst")
+    _check_survives_rescaling(curve, ell, k, r, s, t)
+
+
+# One small curve per Kodaira family at 2 and at 3, so that every run reaches
+# each family there; the family is the one tate_local gives, not an outside oracle
+_FAMILY_CURVES = [
+    (2, "I0", (0, 0, 1, 0, 0)), (2, "In", (1, 0, 1, 0, 0)), (2, "II", (0, 0, 0, 0, -1)),
+    (2, "III", (0, 0, 0, -1, 0)), (2, "IV", (0, 0, 0, 0, 1)), (2, "I0*", (0, 0, 0, 1, -2)),
+    (2, "In*", (0, 0, 0, 1, 2)), (2, "IV*", (0, 0, 0, 0, 4)), (2, "III*", (0, -1, 0, 0, -4)),
+    (2, "II*", (0, -2, 0, -4, -8)),
+    (3, "I0", (0, 0, 0, 1, 0)), (3, "In", (0, 1, 0, 1, 0)), (3, "II", (0, 0, 1, 0, 0)),
+    (3, "III", (0, 0, 0, 0, 1)), (3, "IV", (0, 0, 1, 0, 2)), (3, "I0*", (0, 0, 1, 6, 0)),
+    (3, "In*", (1, -1, 0, 9, 0)), (3, "IV*", (0, 0, 3, 0, -9)), (3, "III*", (0, 0, 6, 0, 18)),
+    (3, "II*", (0, 0, 0, 0, 243)),
+]
+
+
+@pytest.mark.parametrize("ell, family, ainvs", _FAMILY_CURVES, ids=[f"{e}-{f}" for e, f, _ in _FAMILY_CURVES])
+def test_every_family_at_2_and_3_survives_non_minimal_models(ell, family, ainvs):
+    curve = WeierstrassCurve(*ainvs)
+    assert tate_local(curve, ell).kodaira.family == family
+    for k, (r, s, t) in ((1, (0, 0, 0)), (1, (1, -1, 1)), (2, (-2, 1, 3))):
+        _check_survives_rescaling(curve, ell, k, r, s, t)
 
 
 @settings(max_examples=80, deadline=None)
@@ -254,3 +291,70 @@ def test_tate_agrees_with_valuation_classifier(ell, head, i, j, A, B):
     curve = _curve_or_reject((*head, A * ell**i, B * ell**j))
     got = tate_local(curve, ell)
     assert (got.kodaira.serialize(), got.f, got.c, got.split) == classify_ge5(curve.integer_ainvs(), ell)
+
+
+# The residue-field helpers of the machine, against brute force over F_l.
+
+
+def _residue_machine(ell: int) -> _Machine:
+    """A machine at l for the helpers that read only l, not the model."""
+    return _Machine(WeierstrassCurve(0, 0, 0, 0, 1), ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_quadratic_helpers_match_brute_force(ell):
+    # A Y^2 + B Y + C is inseparable exactly when it is A (Y - r)^2 for some
+    # r, and splits exactly when it has a root; A runs over unreduced units
+    machine = _residue_machine(ell)
+    units = [A for A in range(1, 2 * ell) if A % ell]
+    for A, B, C in itertools.product(units, range(ell * ell), range(ell * ell)):
+        double = [r for r in range(ell) if (B + 2 * A * r) % ell == 0 and (C - A * r * r) % ell == 0]
+        assert len(double) <= 1
+        assert machine._separable(A, B, C) == (not double)
+        if double:
+            assert machine._double_root(A, B, C) == double[0]
+            with pytest.raises(TateInvariantError, match="inseparable quadratic"):
+                machine._quadratic_is_rational(A, B, C)
+        else:
+            rational = any((A * y * y + B * y + C) % ell == 0 for y in range(ell))
+            assert machine._quadratic_is_rational(A, B, C) == rational
+            with pytest.raises(TateInvariantError, match="no double root"):
+                machine._double_root(A, B, C)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_multiple_root_matches_brute_force(ell):
+    # every cubic with a unit lead mod l: monic ones, and lead 4 as in step 2
+    machine = _residue_machine(ell)
+    for *low, lead in itertools.product(range(ell), range(ell), range(ell), range(1, ell)):
+        cubic = [*low, lead]
+        value = [sum(c * r**i for i, c in enumerate(cubic)) % ell for r in range(ell)]
+        slope = [sum(i * c * r ** (i - 1) for i, c in enumerate(cubic) if i) % ell for r in range(ell)]
+        multiple = [r for r in range(ell) if value[r] == slope[r] == 0]
+        assert len(multiple) <= 1  # a multiple root of a cubic is rational
+        assert machine._multiple_root(cubic) == (multiple[0] if multiple else None), cubic
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_singular_point_matches_brute_force(ell):
+    # every residue model with singular reduction, lifted to Delta != 0
+    seen = 0
+    for a1, a2, a3, a4, a6 in itertools.product(range(ell), repeat=5):
+        for k in itertools.count():
+            try:
+                curve = WeierstrassCurve(a1, a2, a3, a4, a6 + k * ell)
+                break
+            except SingularCurveError:
+                continue
+        if curve.discriminant % ell:
+            continue
+        singular = [
+            (x, y)
+            for x, y in itertools.product(range(ell), repeat=2)
+            if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % ell == 0
+            and (a1 * y - 3 * x * x - 2 * a2 * x - a4) % ell == 0
+            and (2 * y + a1 * x + a3) % ell == 0
+        ]
+        assert [_Machine(curve, ell)._singular_point()] == singular, (a1, a2, a3, a4, a6)
+        seen += 1
+    assert seen == ell**4  # over F_q, q^4 of the q^5 Weierstrass equations are singular

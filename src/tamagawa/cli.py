@@ -3,8 +3,9 @@ batch runs over curve files.  Reports are JSON by default (stable field
 order, no timestamps) with a CSV option for the order tables.
 
 Exit codes: 0 success, 2 parse/usage error (also a --label whose cached
-fixture is broken, and a batch --input that is not UTF-8), 3 singular curve,
-4 undecided (precision ceiling reached somewhere).
+fixture is broken, a batch --input that is not UTF-8, and a batch --out in a
+directory that does not exist), 3 singular curve, 4 undecided (precision
+ceiling reached somewhere).
 """
 
 from __future__ import annotations
@@ -202,6 +203,10 @@ def _usable_cpus() -> int:
               help="parallel workers (across curves); no more than one per curve or per usable CPU start")
 def cmd_batch(input_path, out_path, p, jobs) -> None:
     """Run the verification over a curve file and write a JSON report."""
+    out_dir = os.path.dirname(os.path.abspath(out_path))
+    if not os.path.isdir(out_dir):  # checked before any row runs, not after all of them
+        click.echo(f"error: --out: directory {out_dir} does not exist", err=True)
+        sys.exit(EXIT_USAGE)
     tasks: list[tuple[int, tuple[int, int, int, int, int] | None, str | None, int]] = []
     parse_failures: dict[int, dict] = {}
     try:

@@ -94,15 +94,18 @@ def chi_selmer(orders: list[LocalSelmerOrders], global_torsion: int) -> Fraction
     """The Euler-characteristic product with the classical local conditions:
     (#H^0(Q)/#H^0(Q)) * prod over S of kummer/torsion.  Truncation to S is
     exact because good-reduction factors away from p equal 1."""
-    chi = Fraction(global_torsion, global_torsion)
-    for o in orders:
-        chi *= Fraction(o.kummer_order, o.torsion_order)
-    return chi
+    return Fraction(
+        global_torsion * math.prod(o.kummer_order for o in orders),
+        global_torsion * math.prod(o.torsion_order for o in orders),
+    )
 
 
 def chi_relaxed(orders: list[LocalSelmerOrders], global_torsion: int) -> Fraction:
     """Same product with the relaxed local conditions (relaxed = kummer * tt_p)."""
-    return chi_selmer(orders, global_torsion) * math.prod(o.tt_p for o in orders)
+    return Fraction(
+        global_torsion * math.prod(o.relaxed_order for o in orders),
+        global_torsion * math.prod(o.torsion_order for o in orders),
+    )
 
 
 def euler_factor(curve: WeierstrassCurve, ell: int, p: int) -> Fraction:

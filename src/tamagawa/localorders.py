@@ -9,7 +9,10 @@ Q_l.  The count runs on the input model where Tate's transformation at l
 is a translation (u = 1) and on the l-minimal model otherwise; both give
 the same count, since #E(Q_l)[p] belongs to E over Q_l, not to a model (see
 :func:`local_torsion_order`), and a small memo on (model, p) shares psi_p
-across the places of one curve.  The remaining orders follow from the exact
+across the places of one curve.  At a bad place the count runs in the frame
+where the singular point of the reduction sits at x = 0 mod l, where most
+roots of psi_p mod l lie, so the residue-root search sees a cofactor of
+small degree.  The remaining orders follow from the exact
 sequences tying the local conditions to the component group; the
 divisibility they force is checked and a violation reported as inconsistent
 data rather than papered over.
@@ -232,14 +235,25 @@ def local_torsion_order(
     deeper Hensel recursion.  Both give the same count: a change of
     coordinates x = u^2 x' + r maps the roots of psi_p one to one and
     multiplies g by u^6, a square.
+
+    The roots are counted in the frame where the singular point of the
+    reduction sits at x = 0 mod l.  The minimal model already has it there.
+    Where u = 1, psi_p and g of ``curve`` are translated by x0 = r mod l
+    (x -> x + x0), an integer translation again; at a good place r = 0 and
+    nothing is translated.  At a bad place l != p, p(p - 1)/2 of the
+    (p^2 - 1)/2 roots of psi_p mod l sit at the singular point, so the
+    residue-root search sees a cofactor of degree (p - 1)/2 or less.
     """
     check_p(p)
     if place.is_real:
         return p
     ell = place.prime
     data = local_data or tate_local(curve, ell)
-    polys = TorsionPolynomials.of(curve if data.transformation.u == 1 else data.minimal_model, p)
-    count = 1 + 2 * sum(value_is_square_at_root(polys.g, root) for root in find_roots_padic(polys.psi, ell))
+    u1 = data.transformation.u == 1
+    polys = TorsionPolynomials.of(curve if u1 else data.minimal_model, p)
+    x0 = data.transformation.r % ell if u1 else 0
+    psi, g = polys.psi.translated(x0), polys.g.translated(x0)
+    count = 1 + 2 * sum(value_is_square_at_root(g, root) for root in find_roots_padic(psi, ell))
     if count not in (1, p, p * p):
         raise InconsistentLocalData(f"torsion count {count} outside {{1, p, p^2}}")
     return count

@@ -33,6 +33,15 @@ brings them back into [0, 2l).  That step multiplies a slot by about
 bytes.  Each bit of e then costs a fixed number of big-int operations and no
 Python loop over coefficients; canonical residues are taken once, at the end.
 
+Before the scan or the gcd runs, the largest power x^k dividing f mod l is
+split off: 0 is a root iff k >= 1, and either path sees only the cofactor
+f/x^k mod l.  A caller that counts in a frame where many roots of f mod l
+sit at 0 (``localorders`` puts the singular point of the reduction there at
+a bad place) thereby hands them a cofactor of small degree.  In
+lift-and-split, a singular residue r with v_l(f(r)) = 1 gets no child:
+l | f'(r) gives f(r + l t) = f(r) mod l^2 for every t in Z_l, so its class
+holds no root.
+
 The global side needs two more exact tools, which live here so that the
 pipeline runs without sympy.  ``prime_divisors`` factors the discriminant by
 trial division below 2^16 and Pollard-Brent; ``_is_prime`` proves primality
@@ -393,10 +402,9 @@ class IntegerPolynomial:
         """Divide out the largest power of l dividing every coefficient."""
         if self.is_zero:
             raise ValueError("the zero polynomial has no prime content")
-        e = _int_valuation(self.content(), ell)  # v_l(gcd c_i) = min v_l(c_i)
-        if e == 0:
+        if any(c % ell for c in self.coeffs):
             return self
-        q = ell**e
+        q = ell ** _int_valuation(self.content(), ell)  # v_l(gcd c_i) = min v_l(c_i)
         return _poly([c // q for c in self.coeffs])
 
     def compose_affine(self, scale: int, offset: int) -> "IntegerPolynomial":
@@ -412,6 +420,10 @@ class IntegerPolynomial:
             m *= scale
             c[i] *= m
         return _poly(c)
+
+    def translated(self, r: int) -> "IntegerPolynomial":
+        """f(x + r); f itself at r = 0."""
+        return self.compose_affine(1, r) if r else self
 
     def reverse_scale(self, ell: int, s: int) -> "IntegerPolynomial":
         """l^(s*deg) * f(x / l^s): coefficient a_i picks up l^(s*(deg-i))."""
@@ -446,11 +458,12 @@ class IntegerPolynomial:
 
 
 class SquarefreePolynomial(IntegerPolynomial):
-    """A nonzero polynomial that ``squarefree_part`` returned: primitive and
-    squarefree over Q.  Its own ``primitive_part`` and ``squarefree_part``
-    return it unchanged, so a root count on it certifies nothing twice.
-    Only ``squarefree_part`` builds one; arithmetic on it gives a plain
-    ``IntegerPolynomial``."""
+    """A nonzero polynomial that is primitive and squarefree over Q.  Its own
+    ``primitive_part`` and ``squarefree_part`` return it unchanged, so a root
+    count on it certifies nothing twice.  ``squarefree_part`` builds one, and
+    ``translated`` keeps one (x -> x + r is an automorphism of Z[x], so it
+    keeps the content and the factorisation); other arithmetic on it gives a
+    plain ``IntegerPolynomial``."""
 
     __slots__ = ()
 
@@ -459,6 +472,9 @@ class SquarefreePolynomial(IntegerPolynomial):
 
     def squarefree_part(self) -> "SquarefreePolynomial":
         return self
+
+    def translated(self, r: int) -> "SquarefreePolynomial":
+        return _certified(self.compose_affine(1, r)) if r else self
 
 
 def _certified(f: IntegerPolynomial) -> SquarefreePolynomial:
@@ -636,11 +652,14 @@ class PadicRoot:
 
 
 def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
-    """Roots of f mod l: a scan of every residue for l <= ``_RESIDUE_SCAN_LIMIT``,
-    the split part gcd(f, x^l - x) above it.
+    """Roots of f mod l, sorted.
 
-    f is reduced mod l first; a nonzero constant has no roots and is not
-    scanned, and zero raises ``ValueError``.  The limit is the measured
+    f is reduced mod l first, and zero raises ``ValueError``.  The largest
+    power x^k dividing the reduction is split off: 0 is a root iff k >= 1,
+    and the other roots are those of the cofactor f/x^k mod l, which a
+    nonzero constant does not have.  The cofactor's roots come from a scan
+    of every residue for l <= ``_RESIDUE_SCAN_LIMIT`` and from the split
+    part of gcd(f/x^k, x^l - x) above it.  The limit is the measured
     crossover of the two paths for degrees 4-24 (psi_3 to psi_7): the
     Frobenius path is faster for all three from l = 137 on
     (``scripts/residue_crossover.py``).  l = 2 and 3 must stay on the scan
@@ -652,6 +671,11 @@ def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
         cs.pop()
     if not cs:
         raise ValueError(f"polynomial is zero mod {ell}")
+    if cs[0] == 0:
+        k = 1
+        while cs[k] == 0:
+            k += 1
+        return [0] + _residue_roots(_poly(cs[k:]), ell)
     if len(cs) == 1:
         return []
     if ell <= _RESIDUE_SCAN_LIMIT:
@@ -883,14 +907,16 @@ def _integral_root_certs(
 
     A work-list item (g, t0, scale, offset, depth) stands for the roots
     x = offset + scale * t of f with g(t) = 0.  A residue t0 with a simple
-    reduction is Hensel-certified; a singular residue r is refined by
-    substituting t = r + l*u into g, one level deeper, on the l-primitive
-    part.  An item at depth ``PRECISION_HARD_CAP`` raises
-    ``PrecisionExhausted``; being a work list rather than a recursion, the
-    walk reaches that cap whatever Python's recursion limit.
-    ``skip_zero_residue`` drops t0 = 0 at depth 0.
+    reduction is Hensel-certified.  A singular residue r with v_l(g(r)) = 1
+    holds no root: l | g'(r) gives g(r + l*u) = g(r) mod l^2 for every u in
+    Z_l.  Any other singular residue is refined by substituting t = r + l*u
+    into g, one level deeper, on the l-primitive part.  An item at depth
+    ``PRECISION_HARD_CAP`` raises ``PrecisionExhausted``; being a work list
+    rather than a recursion, the walk reaches that cap whatever Python's
+    recursion limit.  ``skip_zero_residue`` drops t0 = 0 at depth 0.
     """
     cap = PRECISION_HARD_CAP
+    ell2 = ell * ell
     certs: list[tuple[IntegerPolynomial, int, int, int]] = []
     stack: list[tuple[IntegerPolynomial, int | None, int, int, int]] = [(f, None, 1, 0, 0)]
     while stack:
@@ -907,7 +933,7 @@ def _integral_root_certs(
                 continue
             if gp(r) % ell != 0:
                 children.append((g, r, scale, offset, depth))
-            else:
+            elif g(r) % ell2 == 0:
                 h = g.compose_affine(ell, r).strip_prime_content(ell)
                 children.append((h, None, scale * ell, offset + scale * r, depth + 1))
         stack.extend(reversed(children))

@@ -249,6 +249,25 @@ def test_batch_input_not_utf8_exits_2(runner, tmp_path):
     assert not out.exists()
 
 
+def test_batch_out_in_a_missing_directory_exits_2_before_any_row(runner, tmp_path, monkeypatch):
+    import tamagawa.cli as cli
+
+    def no_row(task):
+        raise AssertionError("a row ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "_batch_worker", no_row)
+    inp = tmp_path / "curves.csv"
+    _write_batch_input(inp, ["0,-1,1,-10,-20,11a1", "0,0,0,0,1,36a1"])
+    missing = tmp_path / "missing"
+    for jobs in ("1", "2"):
+        result = runner.invoke(main, ["batch", "--input", str(inp), "--out", str(missing / "report.json"),
+                                      "-p", "3", "--jobs", jobs])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output.splitlines() == [f"error: --out: directory {missing} does not exist"]
+        assert not missing.exists()
+
+
 def test_batch_deterministic_bytes(runner, tmp_path):
     inp = tmp_path / "curves.csv"
     _write_batch_input(inp, ["0,-1,1,-10,-20,11a1", "0,0,0,0,1,36a1"])

@@ -216,7 +216,8 @@ NON_MINIMAL_INVERSE_U = (2, 3, 5, 12, 10**12)
 def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, monkeypatch):
     """Every corpus curve under a seeded shift-only model and under models
     scaled by u = 1/k: the same record but for "curve", and every polynomial
-    whose roots are counted came out of squarefree_part.  From an empty memo,
+    whose roots are counted is certified squarefree: squarefree_part returned
+    it, or it is the translation of one that was.  From an empty memo,
     a verify builds psi_p once per distinct model it counts on (the input
     where Tate's u = 1, else that place's minimal model; two places may share
     one), in order of first use, and once more for the input when global
@@ -227,6 +228,7 @@ def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, monkeypatc
     certified: dict[int, IntegerPolynomial] = {}  # id -> polynomial, kept alive
     built = []
     real_squarefree = IntegerPolynomial.squarefree_part
+    real_translated = SquarefreePolynomial.translated
     real_find = lo.find_roots_padic
     real_division = lo.division_polynomial
     real_roots = euler_mod.rational_roots
@@ -237,11 +239,18 @@ def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, monkeypatc
         certified[id(out)] = out
         return out
 
+    def translated(self, r):
+        out = real_translated(self, r)
+        if certified.get(id(self)) is self:  # x -> x + r keeps a certificate
+            certified[id(out)] = out
+        return out
+
     def find_roots_padic(f, ell):
-        assert certified.get(id(f)) is f, "root count on a polynomial squarefree_part did not return"
+        assert certified.get(id(f)) is f, "root count on a polynomial that is not certified squarefree"
         return real_find(f, ell)
 
     monkeypatch.setattr(IntegerPolynomial, "squarefree_part", squarefree_part)
+    monkeypatch.setattr(SquarefreePolynomial, "translated", translated)
     monkeypatch.setattr(lo, "find_roots_padic", find_roots_padic)
     monkeypatch.setattr(lo, "division_polynomial", lambda model, p: built.append(model) or real_division(model, p))
     monkeypatch.setattr(euler_mod, "rational_roots", lambda f: searched.append(f) or real_roots(f))

@@ -12,6 +12,7 @@ from tamagawa.curves import (
     SingularCurveError,
     WeierstrassCurve,
     count_p_torsion_mod,
+    transform,
 )
 from tamagawa.localorders import (
     InconsistentLocalData,
@@ -24,7 +25,13 @@ from tamagawa.localorders import (
     local_kummer_order,
     local_torsion_order,
 )
-from tamagawa.padic import IntegerPolynomial, _is_prime, find_roots_padic, value_is_square_at_root
+from tamagawa.padic import (
+    IntegerPolynomial,
+    SquarefreePolynomial,
+    _is_prime,
+    find_roots_padic,
+    value_is_square_at_root,
+)
 from tamagawa.tate import KodairaType, LocalData, tate_local
 
 
@@ -344,3 +351,44 @@ def test_local_torsion_bounded_by_reduction_oracle(corpus):
                     assert torsion % e0 == 0, (rec.label, p, ell, torsion, e0)
                 checked += 1
     assert checked == 606
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_translated_psi_is_the_psi_of_the_translated_model(p):
+    for ainvs in ((0, -1, 1, -10, -20), (1, 0, 0, 0, 177147), (0, 0, 1, -7, 6)):
+        E = WeierstrassCurve(*ainvs)
+        psi = division_polynomial(E, p).squarefree_part()
+        for r in (0, 1, -2, 6, 1000):
+            moved = psi.translated(r)
+            assert isinstance(moved, SquarefreePolynomial), (ainvs, p, r)
+            assert moved == division_polynomial(transform(E, (1, r, 0, 0)), p).squarefree_part(), (ainvs, p, r)
+            assert _y_squareness_poly(E).translated(r) == _y_squareness_poly(transform(E, (1, r, 0, 0)))
+        assert psi.translated(0) is psi
+
+
+def test_count_in_the_singular_frame_matches_the_untranslated_psi(corpus, monkeypatch):
+    """At every bad place of every corpus curve, for p in {3, 5, 7, 11}, the
+    count in the frame of the singular point equals the count on the
+    untranslated psi_p of the same model, and in that frame x^(p(p-1)/2)
+    divides psi_p mod l when l != p."""
+    from tamagawa.euler import local_data_for_bad_primes
+
+    counted = []
+    monkeypatch.setattr(localorders, "find_roots_padic", lambda f, ell: counted.append(f) or find_roots_padic(f, ell))
+    translated = 0
+    for rec in corpus:
+        E = rec.curve()
+        for ell, data in sorted(local_data_for_bad_primes(E).items()):
+            u1 = data.transformation.u == 1
+            translated += u1 and data.transformation.r % ell != 0
+            for p in (3, 5, 7, 11):
+                polys = TorsionPolynomials.of(E if u1 else data.minimal_model, p)
+                roots = find_roots_padic(polys.psi, ell)
+                untranslated = 1 + 2 * sum(value_is_square_at_root(polys.g, root) for root in roots)
+                counted.clear()
+                count = local_torsion_order(E, Place.finite(ell), p, local_data=data)
+                assert count == untranslated, (rec.label, ell, p)
+                if ell != p:
+                    (psi,) = counted
+                    assert all(c % ell == 0 for c in psi.coeffs[: p * (p - 1) // 2]), (rec.label, ell, p)
+    assert translated > 0

@@ -275,6 +275,96 @@ def test_lift_and_split_reaches_the_depth_cap(monkeypatch):
             find_roots_padic(IntegerPolynomial([0, -(2**k), 1]), 2)
 
 
+def _integral_root_certs_reference(f, ell):
+    """The lift-and-split walk before singular residues with v_l(g(r)) = 1
+    were dropped: every singular residue gets a child."""
+    cap = padic.PRECISION_HARD_CAP
+    certs = []
+    stack = [(f, None, 1, 0, 0)]
+    while stack:
+        g, t0, scale, offset, depth = stack.pop()
+        if t0 is not None:
+            certs.append((g, t0, scale, offset))
+            continue
+        if depth >= cap:
+            raise PrecisionExhausted(cap)
+        gp = g.derivative()
+        children = []
+        for r in padic._residue_roots(g, ell):
+            if gp(r) % ell != 0:
+                children.append((g, r, scale, offset, depth))
+            else:
+                h = g.compose_affine(ell, r).strip_prime_content(ell)
+                children.append((h, None, scale * ell, offset + scale * r, depth + 1))
+        stack.extend(reversed(children))
+    return certs
+
+
+def _certs_at_cap(walk, f, ell, cap):
+    saved = padic.PRECISION_HARD_CAP
+    padic.PRECISION_HARD_CAP = cap
+    try:
+        return walk(f, ell)
+    except PrecisionExhausted:
+        return None
+    finally:
+        padic.PRECISION_HARD_CAP = saved
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ell=st.sampled_from([2, 3, 5, 7]),
+    # roots c + u l^e, and ramified pairs (x - c)^2 - w l^k, with no root in
+    # Q_l when k is odd and l does not divide w
+    roots=st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4), st.integers(0, 5)), max_size=4),
+    pairs=st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 6), st.integers(0, 7)), max_size=2),
+    cofactor=st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+    cap=st.integers(1, 6),
+)
+def test_v1_rule_matches_the_walk_without_it(ell, roots, pairs, cofactor, cap):
+    f = IntegerPolynomial(cofactor)
+    for c, u, e in roots:
+        f = f * IntegerPolynomial([-(c + u * ell**e), 1])
+    for c, w, k in pairs:
+        f = f * IntegerPolynomial([c * c - w * ell**k, -2 * c, 1])
+    assume(f.degree >= 1)
+    f = f.squarefree_part().strip_prime_content(ell)
+    expected = _integral_root_certs_reference(f, ell)
+    assert padic._integral_root_certs(f, ell) == expected
+    # under a lower cap the walk answers wherever the old one did, and then
+    # the same; it may also answer where the old one ran into the cap
+    reference, certs = (_certs_at_cap(w, f, ell, cap) for w in (_integral_root_certs_reference, padic._integral_root_certs))
+    if reference is not None:
+        assert certs == reference
+    if certs is not None:
+        assert certs == expected
+
+
+def test_v1_rule_runs_no_taylor_shift_and_answers_under_the_cap(monkeypatch):
+    shifts = []
+    real_compose = IntegerPolynomial.compose_affine
+    monkeypatch.setattr(IntegerPolynomial, "compose_affine", lambda self, *a: shifts.append(a) or real_compose(self, *a))
+    # x^2 - 3 and (x - 1)^2 - 5: the singular residue has v(g(r)) = 1, so no
+    # child and no compose_affine there, at r = 0 and at r = 1 alike
+    for f, ell in ((IntegerPolynomial([-3, 0, 1]), 3), (IntegerPolynomial([-4, -2, 1]), 5)):
+        assert _integral_root_certs_reference(f, ell) == []
+        assert len(shifts) == 1
+        shifts.clear()
+        assert padic._integral_root_certs(f, ell) == []
+        assert shifts == []
+    # x^2 - 3^7 refines three levels to u^2 - 3, whose v = 1 residue used to
+    # open a child at depth 4; at cap 4 that child raised, now the (empty)
+    # root set is answered
+    f = IntegerPolynomial([-(3**7), 0, 1])
+    monkeypatch.setattr(padic, "PRECISION_HARD_CAP", 4)
+    with pytest.raises(PrecisionExhausted, match="^undecided at precision 4$"):
+        _integral_root_certs_reference(f, 3)
+    assert find_roots_padic(f, 3) == []
+    monkeypatch.setattr(padic, "PRECISION_HARD_CAP", 3)
+    with pytest.raises(PrecisionExhausted, match="^undecided at precision 3$"):
+        find_roots_padic(f, 3)
+
+
 def test_roots_come_depth_first_in_residue_order():
     # residue 1 splits five levels deep before the simple residue 2 is certified
     f = IntegerPolynomial([-2, 1]) * IntegerPolynomial([-1, 1]) * IntegerPolynomial([-1 - 3**5, 1])
@@ -563,19 +653,23 @@ def _scan_residue_roots(coeffs, ell):
 RESIDUE_PRIMES = [2, 3, 5, 7, 13, 101, 131, 137, 293, 307, 331, 613, 997, 3001, 4999]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     ell=st.sampled_from(RESIDUE_PRIMES),
     planted=st.lists(st.tuples(st.integers(0, 10**4), st.integers(1, 3)), max_size=4),
     cofactor=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
     lead_divisible=st.booleans(),
+    zero_power=st.integers(0, 6),
+    zero_lift=st.integers(-5, 5),
 )
-def test_residue_roots_match_scan(ell, planted, cofactor, lead_divisible):
+def test_residue_roots_match_scan(ell, planted, cofactor, lead_divisible, zero_power, zero_lift):
+    # (x - l * zero_lift)^zero_power is x^zero_power mod l: the power of x
+    # that _residue_roots splits off before the scan or the gcd
     lead = (cofactor[-1] or 1) * (ell if lead_divisible else 1)
-    f = IntegerPolynomial(cofactor[:-1] + [lead])
+    f = IntegerPolynomial(cofactor[:-1] + [lead]) * IntegerPolynomial([-ell * zero_lift, 1]) ** zero_power
     for r, m in planted:
         f = f * IntegerPolynomial([-r, 1]) ** m
-    assume(1 <= f.degree <= 24 and any(c % ell for c in f.coeffs))
+    assume(1 <= f.degree <= 30 and any(c % ell for c in f.coeffs))
     assert padic._residue_roots(f, ell) == _scan_residue_roots(f.coeffs, ell)
 
 
@@ -591,9 +685,10 @@ def test_residue_roots_paths_agree_across_the_scan_limit():
 
 
 def test_residue_roots_skip_a_constant_reduction(monkeypatch):
-    """A polynomial that is a nonzero constant mod l has no residue roots
-    and is neither scanned nor split; one that is zero mod l raises on the
-    scan path and on the Frobenius path alike."""
+    """A polynomial that is a nonzero constant mod l has no residue roots,
+    one that is x^k times a nonzero constant has the root 0 alone, and
+    neither is scanned nor split; one that is zero mod l raises on the scan
+    path and on the Frobenius path alike."""
 
     def no_scan(cs, ell):
         raise AssertionError("a constant reduction was scanned")
@@ -603,6 +698,9 @@ def test_residue_roots_skip_a_constant_reduction(monkeypatch):
     for ell in (2, 3, 131, 137, 3001):
         assert padic._residue_roots(IntegerPolynomial([5 + 7 * ell, 3 * ell, 0, ell]), ell) == []
         assert padic._residue_roots(IntegerPolynomial([1, 2 * ell, ell * ell]), ell) == []
+        for k in range(1, 7):
+            f = IntegerPolynomial([ell * (i + 1) for i in range(k)] + [-1, ell, ell * ell])
+            assert padic._residue_roots(f, ell) == [0], (ell, k)
     monkeypatch.undo()
     for ell in (2, 5, 131, 137, 3001):
         with pytest.raises(ValueError, match="zero mod"):
@@ -679,6 +777,7 @@ def _compose_affine_reference(f: IntegerPolynomial, scale: int, offset: int) -> 
 def test_compose_affine_matches_horner_reference(coeffs, scale, offset):
     f = IntegerPolynomial(coeffs)
     assert f.compose_affine(scale, offset) == _compose_affine_reference(f, scale, offset)
+    assert f.translated(offset) == _compose_affine_reference(f, 1, offset)
 
 
 def test_valuation_int_fast_path_matches_fraction_path():

@@ -343,7 +343,7 @@ def test_usable_cpus_is_the_affinity_mask():
     assert _usable_cpus() == expected >= 1
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_batch_report_bytes_pinned(runner, corpus, fixtures_dir, tmp_path, p):
     """The corpus report is byte-for-byte what the committed digests record."""
     digests = json.loads((fixtures_dir / "report_digests.json").read_text())["batch"]

@@ -28,6 +28,7 @@ from .padic import (
     P_MAX,
     IntegerPolynomial,
     SquarefreePolynomial,
+    _certified,
     _mul,
     _poly,
     _sub,
@@ -137,7 +138,12 @@ class LocalSelmerOrders:
 
 def division_polynomial(curve: WeierstrassCurve, p: int) -> IntegerPolynomial:
     """The p-division polynomial psi_p in x; its roots are exactly the
-    x-coordinates of the nonzero p-torsion points.
+    x-coordinates of the nonzero p-torsion points.  It is squarefree by
+    theorem: psi_p = p * prod (x - x(P)) over the (p^2 - 1)/2 pairs +-P of
+    nonzero points of E[p], whose x(P) are distinct in characteristic 0
+    (Washington, *Elliptic Curves*, Sec. 3.2; Silverman, *AEC* III.6.4).  The
+    degree and leading coefficient of that product are checked here, against
+    a fault in the recurrence.
 
     Built by the recurrence of Washington, *Elliptic Curves*, Sec. 3.2, on the
     polynomials f_n = psi_n (n odd), psi_n / psi_2 (n even), where psi_2^2 = F:
@@ -191,8 +197,9 @@ def _y_squareness_poly(curve: WeierstrassCurve) -> IntegerPolynomial:
 
 @dataclass(frozen=True)
 class TorsionPolynomials:
-    """psi_p of one integral model, made primitive and certified squarefree,
-    with g = 4x^3 + b2 x^2 + 2 b4 x + b6 of the same model."""
+    """psi_p of one integral model, made primitive and certified squarefree
+    by theorem (see :func:`division_polynomial`: its roots are distinct), with
+    g = 4x^3 + b2 x^2 + 2 b4 x + b6 of the same model."""
 
     model: WeierstrassCurve
     p: int
@@ -208,7 +215,7 @@ class TorsionPolynomials:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _build(model: WeierstrassCurve, p: int) -> TorsionPolynomials:
-    return TorsionPolynomials(model, p, division_polynomial(model, p).squarefree_part(), _y_squareness_poly(model))
+    return TorsionPolynomials(model, p, _certified(division_polynomial(model, p).primitive_part()), _y_squareness_poly(model))
 
 
 def local_torsion_order(
@@ -243,8 +250,13 @@ def local_torsion_order(
     nothing is translated.  At a bad place l != p, p(p - 1)/2 of the
     (p^2 - 1)/2 roots of psi_p mod l sit at the singular point, so the
     residue-root search sees a cofactor of degree (p - 1)/2 or less.
+
+    ``local_data``, when given, is Tate's output at this place's prime; data
+    for another prime raises ``ValueError``.
     """
     check_p(p)
+    if local_data is not None and local_data.prime != place.prime:
+        raise ValueError(f"local data at {local_data.prime} given for the place {place}")
     if place.is_real:
         return p
     ell = place.prime
@@ -278,9 +290,10 @@ def assemble_local_orders(
     *,
     local_data: LocalData | None = None,
 ) -> LocalSelmerOrders:
-    """All six local orders at one place (see :class:`LocalSelmerOrders`)."""
+    """All six local orders at one place (see :class:`LocalSelmerOrders`);
+    ``local_data`` as in :func:`local_torsion_order`."""
     if place.is_real:
-        return LocalSelmerOrders(place, local_torsion_order(curve, place, p), 1, 1)
+        return LocalSelmerOrders(place, local_torsion_order(curve, place, p, local_data=local_data), 1, 1)
     data = local_data or tate_local(curve, place.prime)
     torsion = local_torsion_order(curve, place, p, local_data=data)
     kummer = local_kummer_order(curve, place, p, torsion)

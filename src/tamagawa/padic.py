@@ -42,6 +42,14 @@ lift-and-split, a singular residue r with v_l(f(r)) = 1 gets no child:
 l | f'(r) gives f(r + l t) = f(r) mod l^2 for every t in Z_l, so its class
 holds no root.
 
+Root counting needs simple roots, so ``find_roots_padic`` and
+``rational_roots`` count on a ``SquarefreePolynomial``.  The psi_p of the
+pipeline is one by theorem (its roots, the x(+-P) for the nonzero P in E[p],
+are distinct in characteristic 0), and ``localorders`` certifies it so where
+it builds it.  A plain ``IntegerPolynomial`` is certified first by
+``IntegerPolynomial.squarefree_part``: a prime below 2^16 that proves it
+squarefree, or ``ValueError`` when it has a repeated factor.
+
 The global side needs two more exact tools, which live here so that the
 pipeline runs without sympy.  ``prime_divisors`` factors the discriminant by
 trial division below 2^16 and Pollard-Brent; ``_is_prime`` proves primality
@@ -80,10 +88,6 @@ __all__ = [
 # ``find_roots_padic`` and on the digits ``value_is_square_at_root`` reaches.
 # Read at call time.
 PRECISION_HARD_CAP = 2048
-
-# Certificate primes for ``IntegerPolynomial.squarefree_part``: the largest
-# three below 10^6.
-_SQUAREFREE_PRIMES = (999983, 999979, 999961)
 
 # Largest l whose residue roots are found by scanning all l residues; above
 # it ``_residue_roots`` splits gcd(f, x^l - x).  The crossover of the two
@@ -431,36 +435,32 @@ class IntegerPolynomial:
         return _poly([c * ell ** (s * (d - i)) for i, c in enumerate(self.coeffs)])
 
     def squarefree_part(self) -> "SquarefreePolynomial":
-        """f / gcd(f, f'), primitive over Z; same root set, all roots simple.
+        """The primitive part f of the nonzero input, certified squarefree
+        over Q: the one way a plain polynomial becomes a
+        ``SquarefreePolynomial``.
 
-        Works on the primitive part f of the nonzero input.  Modular
-        certificate first: if some prime q in ``_SQUAREFREE_PRIMES`` does
-        not divide lc(f) and gcd(f mod q, f' mod q) = 1, then f is
-        squarefree over Q and is returned.  (A repeated factor h^2 of f over
-        Z has q not dividing lc(h), so h keeps its degree mod q and divides
-        both f and f' there.)  The exact rational Euclid runs only when no
-        prime certifies f: f has a repeated factor, every such prime divides
-        lc(f), or f collapses mod every such prime.
+        A prime q below 2^16 with q not dividing lc(f) and gcd(f mod q,
+        f' mod q) = 1 certifies f (``_certificate_prime``).  An f with a
+        repeated factor has no such prime and raises ``ValueError``; it is
+        refused, not reduced to its squarefree part.  psi_p never needs
+        this: it is squarefree by theorem (``localorders.division_polynomial``).
         """
         if self.is_zero:
             raise ValueError("the zero polynomial has no squarefree part")
         f = self.primitive_part()
-        if f.degree <= 1:
+        if f.degree <= 1 or _certificate_prime(f) is not None:
             return _certified(f)
-        fp = f.derivative().coeffs
-        for q in _SQUAREFREE_PRIMES:
-            if f.coeffs[-1] % q and _poly_gcd_mod_ell(list(f.coeffs), list(fp), q) == [1]:
-                return _certified(f)
-        g = _rational_poly_gcd(f.coeffs, fp)
-        if len(g) == 1:  # gcd is constant: already squarefree
-            return _certified(f)
-        return _certified(_clear_denominators(_rational_poly_divide_exact(f.coeffs, g)))
+        raise ValueError(f"the polynomial of degree {f.degree} has a repeated factor")
 
 
 class SquarefreePolynomial(IntegerPolynomial):
     """A nonzero polynomial that is primitive and squarefree over Q.  Its own
     ``primitive_part`` and ``squarefree_part`` return it unchanged, so a root
-    count on it certifies nothing twice.  ``squarefree_part`` builds one, and
+    count on it certifies nothing twice.  Two things build one: the prime
+    certificate of ``IntegerPolynomial.squarefree_part``, and the theorem that
+    psi_p of an elliptic curve has distinct roots in characteristic 0
+    (Washington, *Elliptic Curves*, Sec. 3.2; Silverman, *AEC* III.6.4), by
+    which ``localorders`` certifies the primitive psi_p it builds.
     ``translated`` keeps one (x -> x + r is an automorphism of Z[x], so it
     keeps the content and the factorisation); other arithmetic on it gives a
     plain ``IntegerPolynomial``."""
@@ -481,6 +481,32 @@ def _certified(f: IntegerPolynomial) -> SquarefreePolynomial:
     out = object.__new__(SquarefreePolynomial)
     out.coeffs = f.coeffs
     return out
+
+
+def _certificate_prime(f: IntegerPolynomial) -> int | None:
+    """The first prime q below 2^16 with q not dividing lc(f) and
+    gcd(f mod q, f' mod q) = 1, for f of degree >= 1; None when f has a
+    repeated factor over Q.
+
+    Such a q proves f squarefree: a repeated factor h^2 of f over Z has q not
+    dividing lc(h), so h keeps its degree mod q and divides f and f' there.
+    A prime q not dividing lc(f) with a nontrivial gcd divides disc(f), since
+    lc(f) disc(f) = +-Res(f, f').  Once the product of such primes exceeds
+    Mahler's bound |disc(f)| <= n^n ||f||_2^(2n-2), disc(f) = 0: f has a
+    repeated factor, and the search stops.  If neither happens below 2^16,
+    ``ValueError`` says so.
+    """
+    cs, dcs, lc, n = f.coeffs, f.derivative().coeffs, f.coeffs[-1], f.degree
+    limit = n * n.bit_length() + (n - 1) * sum(c * c for c in cs).bit_length()  # Mahler's bound < 2^limit
+    product = 1
+    for q in _SMALL_PRIMES:
+        if lc % q:
+            if _poly_gcd_mod_ell(cs, dcs, q) == [1]:
+                return q
+            product *= q
+            if product.bit_length() > limit:
+                return None
+    raise ValueError(f"no prime below 2^16 decides whether the polynomial of degree {n} is squarefree")
 
 
 def _exact_int(c) -> int:
@@ -537,61 +563,6 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out
-
-
-def _rational_poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[Fraction]:
-    """Monic gcd over Q, as a Fraction coefficient list."""
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    while any(fb):
-        fa, fb = fb, _poly_mod(fa, fb)
-    lead = fa[-1]
-    return [c / lead for c in fa]
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    while a and a[-1] == 0:
-        a.pop()
-    bb = b[:]
-    while bb and bb[-1] == 0:
-        bb.pop()
-    while len(a) >= len(bb):
-        coef = a[-1] / bb[-1]
-        shift = len(a) - len(bb)
-        for i, c in enumerate(bb):
-            a[i + shift] -= coef * c
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return a
-
-
-def _rational_poly_divide_exact(a: Sequence[int], b: list[Fraction]) -> list[Fraction]:
-    """a / b over Q; a nonzero remainder raises ArithmeticError."""
-    ra = [Fraction(c) for c in a]
-    q = [Fraction(0)] * (len(ra) - len(b) + 1)
-    while len(ra) >= len(b) and any(ra):
-        coef = ra[-1] / b[-1]
-        shift = len(ra) - len(b)
-        q[shift] = coef
-        for i, c in enumerate(b):
-            ra[i + shift] -= coef * c
-        while ra and ra[-1] == 0:
-            ra.pop()
-    if any(ra):
-        raise ArithmeticError("exact division expected")
-    return q
-
-
-def _clear_denominators(q: list[Fraction]) -> IntegerPolynomial:
-    from math import lcm
-
-    den = 1
-    for c in q:
-        den = lcm(den, c.denominator)
-    return IntegerPolynomial([int(c * den) for c in q]).primitive_part()
 
 
 # ---------------------------------------------------------------------------
@@ -966,9 +937,12 @@ def _newton_polygon_positive_slopes(f: IntegerPolynomial, ell: int) -> list[int]
 
 
 def find_roots_padic(f: IntegerPolynomial, ell: int) -> list[PadicRoot]:
-    """All distinct roots of f in Q_l (not just Z_l), as certified PadicRoots,
-    for the prime l.  Raises ``PrecisionExhausted`` when lift-and-split
-    reaches depth ``PRECISION_HARD_CAP``."""
+    """All roots of f in Q_l (not just Z_l), as certified PadicRoots, for the
+    prime l.  f is a ``SquarefreePolynomial``, so its roots are simple; a
+    plain ``IntegerPolynomial`` is certified first by ``squarefree_part``,
+    which raises ``ValueError`` on a repeated factor.  Raises
+    ``PrecisionExhausted`` when lift-and-split reaches depth
+    ``PRECISION_HARD_CAP``."""
     _require_prime(ell)
     if f.is_zero or f.degree == 0:
         raise ValueError("zero or constant polynomial has no well-defined root count")
@@ -984,10 +958,12 @@ def find_roots_padic(f: IntegerPolynomial, ell: int) -> list[PadicRoot]:
 
 
 def rational_roots(f: IntegerPolynomial) -> list[Fraction]:
-    """The distinct rational roots of the nonzero f, sorted.
+    """The rational roots of the nonzero f, sorted.
 
-    Let g be the squarefree primitive part of f and q the first prime with
-    q not dividing lc(g) and g mod q squarefree.  A rational root a/d has
+    f is a ``SquarefreePolynomial`` g; a plain ``IntegerPolynomial`` is
+    certified first by ``squarefree_part``, which raises ``ValueError`` on a
+    repeated factor.  Let q be the prime of ``_certificate_prime``: q does
+    not divide lc(g) and g mod q is squarefree.  A rational root a/d has
     d | lc(g), so it lies in Z_q, and its residue is a simple root of g mod q.
     Each residue root is Hensel-lifted until q^k > 2 * sum |g_i|, which
     exceeds twice the integer |lc(g) * root| (Cauchy's bound); lc(g) * root
@@ -999,12 +975,7 @@ def rational_roots(f: IntegerPolynomial) -> list[Fraction]:
     g = f.squarefree_part()
     if g.degree < 1:
         return []
-    cs, dcs, lc = g.coeffs, g.derivative().coeffs, g.coeffs[-1]
-    for q in _SMALL_PRIMES:
-        if lc % q and _poly_gcd_mod_ell(cs, dcs, q) == [1]:
-            break
-    else:
-        raise ArithmeticError("no prime below 2^16 keeps the polynomial squarefree")
+    cs, lc, q = g.coeffs, g.coeffs[-1], _certificate_prime(g)
     bound = 2 * sum(abs(c) for c in cs)
     k, modulus = 1, q
     while modulus <= bound:

@@ -3,6 +3,7 @@ product identity, truncation soundness."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -210,50 +211,86 @@ def test_verify_builds_psi_once_when_global_torsion_needs_rational_roots(corpus,
             assert len(searched) == 1 and isinstance(searched[0], SquarefreePolynomial), (rec.label, p)
 
 
-NON_MINIMAL_INVERSE_U = (2, 3, 5, 12, 10**12)
+@pytest.fixture
+def counted_polys(monkeypatch):
+    """Spies on the polynomials whose roots the verify path counts.
 
-
-def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, monkeypatch):
-    """Every corpus curve under a seeded shift-only model and under models
-    scaled by u = 1/k: the same record but for "curve", and every polynomial
-    whose roots are counted is certified squarefree: squarefree_part returned
-    it, or it is the translation of one that was.  From an empty memo,
-    a verify builds psi_p once per distinct model it counts on (the input
-    where Tate's u = 1, else that place's minimal model; two places may share
-    one), in order of first use, and once more for the input when global
-    torsion searches rational roots and no place counted on the input."""
+    ``psi`` holds each TorsionPolynomials.of(...).psi and each translation of
+    one, by id (the values keep them alive); find_roots_padic in localorders
+    and rational_roots in euler fail on any other polynomial.  ``built``
+    lists the models division_polynomial ran on, ``searched`` the inputs of
+    rational_roots and ``squarefree`` the calls to
+    IntegerPolynomial.squarefree_part."""
     import tamagawa.euler as euler_mod
     import tamagawa.localorders as lo
 
-    certified: dict[int, IntegerPolynomial] = {}  # id -> polynomial, kept alive
-    built = []
-    real_squarefree = IntegerPolynomial.squarefree_part
+    spy = SimpleNamespace(psi={}, built=[], searched=[], squarefree=[])
+    real_of = TorsionPolynomials.of.__func__
     real_translated = SquarefreePolynomial.translated
+    real_squarefree = IntegerPolynomial.squarefree_part
     real_find = lo.find_roots_padic
     real_division = lo.division_polynomial
     real_roots = euler_mod.rational_roots
-    searched = []
 
-    def squarefree_part(self):
-        out = real_squarefree(self)
-        certified[id(out)] = out
-        return out
+    def of(cls, model, p):
+        polys = real_of(cls, model, p)
+        spy.psi[id(polys.psi)] = polys.psi
+        return polys
 
     def translated(self, r):
         out = real_translated(self, r)
-        if certified.get(id(self)) is self:  # x -> x + r keeps a certificate
-            certified[id(out)] = out
+        if spy.psi.get(id(self)) is self:
+            spy.psi[id(out)] = out
         return out
 
     def find_roots_padic(f, ell):
-        assert certified.get(id(f)) is f, "root count on a polynomial that is not certified squarefree"
+        assert spy.psi.get(id(f)) is f, "root count on a polynomial that is not a certified psi_p"
         return real_find(f, ell)
 
-    monkeypatch.setattr(IntegerPolynomial, "squarefree_part", squarefree_part)
+    def rational_roots(f):
+        assert spy.psi.get(id(f)) is f, "rational roots of a polynomial that is not a certified psi_p"
+        spy.searched.append(f)
+        return real_roots(f)
+
+    monkeypatch.setattr(TorsionPolynomials, "of", classmethod(of))
     monkeypatch.setattr(SquarefreePolynomial, "translated", translated)
+    monkeypatch.setattr(IntegerPolynomial, "squarefree_part", lambda f: spy.squarefree.append(f) or real_squarefree(f))
     monkeypatch.setattr(lo, "find_roots_padic", find_roots_padic)
-    monkeypatch.setattr(lo, "division_polynomial", lambda model, p: built.append(model) or real_division(model, p))
-    monkeypatch.setattr(euler_mod, "rational_roots", lambda f: searched.append(f) or real_roots(f))
+    monkeypatch.setattr(lo, "division_polynomial", lambda model, p: spy.built.append(model) or real_division(model, p))
+    monkeypatch.setattr(euler_mod, "rational_roots", rational_roots)
+    return spy
+
+
+def test_verify_runs_no_squarefree_certificate(corpus, counted_polys):
+    """psi_p is squarefree by theorem, so from an empty memo a verify over the
+    corpus at p up to 13 never calls squarefree_part, and every root count
+    and rational-root search runs on a TorsionPolynomials psi_p or on a
+    translation of one."""
+    import tamagawa.localorders as lo
+
+    for p in (3, 5, 7, 11, 13):
+        lo._build.cache_clear()
+        for rec in corpus:
+            verify_main_theorem(rec.curve(), p)
+    assert counted_polys.squarefree == []
+    assert counted_polys.searched and counted_polys.built
+
+
+NON_MINIMAL_INVERSE_U = (2, 3, 5, 12, 10**12)
+
+
+def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, counted_polys):
+    """Every corpus curve under a seeded shift-only model and under models
+    scaled by u = 1/k: the same record but for "curve", and every polynomial
+    whose roots are counted is a psi_p that TorsionPolynomials certified, or
+    the translation of one (``counted_polys``).  From an empty memo, a
+    verify builds psi_p once per distinct model it counts on (the input
+    where Tate's u = 1, else that place's minimal model; two places may share
+    one), in order of first use, and once more for the input when global
+    torsion searches rational roots and no place counted on the input."""
+    import tamagawa.localorders as lo
+
+    built, searched = counted_polys.built, counted_polys.searched
     rng = random.Random(7)
     rescaled_places = 0
     for rec in corpus:
@@ -283,6 +320,7 @@ def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, monkeypatc
                 assert built == list(dict.fromkeys(used)), (rec.label, p, model)
                 rescaled_places += sum(d.transformation.u != 1 for d in ledger.local_data.values())
     assert rescaled_places > 0
+    assert counted_polys.squarefree == []
 
 
 def test_undecided_propagation(monkeypatch):

@@ -253,6 +253,20 @@ def test_inconsistent_local_data_detected():
         assemble_local_orders(E, Place.finite(7), 3, local_data=fake)
 
 
+def test_local_data_for_another_prime_rejected():
+    # 14a1 at p = 3: Tate's data at 7 handed to the place 2 gave phi_p 3,
+    # relaxed 9 and restricted 1; at 2 they are 1, 3 and 3
+    E = WeierstrassCurve(1, 0, 1, 4, -6)
+    o = assemble_local_orders(E, Place.finite(2), 3, local_data=tate_local(E, 2))
+    assert (o.phi_p, o.relaxed_order, o.restricted_order) == (1, 3, 3)
+    at_7 = tate_local(E, 7)
+    for place in (Place.finite(2), Place.real()):
+        with pytest.raises(ValueError, match=f"local data at 7 given for the place {place}$"):
+            assemble_local_orders(E, place, 3, local_data=at_7)
+        with pytest.raises(ValueError, match=f"local data at 7 given for the place {place}$"):
+            local_torsion_order(E, place, 3, local_data=at_7)
+
+
 def test_local_orders_violating_identities_rejected():
     # relaxed, restricted and tt_p are derived, so only phi_p | kummer can fail
     o = LocalSelmerOrders(Place.finite(5), 25, 125, 5)

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol, discriminant, factorint, isprime, nextprime
 
 from tamagawa import padic
-from tamagawa.curves import WeierstrassCurve
-from tamagawa.localorders import division_polynomial
+from tamagawa.curves import SingularCurveError, WeierstrassCurve, transform
+from tamagawa.localorders import TorsionPolynomials, division_polynomial
 from tamagawa.padic import (
     IntegerPolynomial,
     PadicRoot,
@@ -161,7 +161,8 @@ def test_root_of_shift_one_survives_the_newton_polygon_exit(ell):
 
 def _random_constructed_poly(rng: random.Random, ell: int):
     """Product of linear factors with known Q_l roots times a mod-l
-    irreducible quadratic (hence without Q_l roots)."""
+    irreducible quadratic (hence without Q_l roots); squarefree, since a
+    root drawn twice gets one factor."""
     roots = set()
     f = IntegerPolynomial([1])
     for _ in range(rng.randint(0, 3)):
@@ -169,8 +170,9 @@ def _random_constructed_poly(rng: random.Random, ell: int):
         den = rng.choice([1, 1, ell])  # occasional negative-valuation root
         if den != 1 and num % ell == 0:
             num += 1
-        f = f * IntegerPolynomial([-num, den])
-        roots.add(Fraction(num, den))
+        if Fraction(num, den) not in roots:
+            f = f * IntegerPolynomial([-num, den])
+            roots.add(Fraction(num, den))
     while True:
         b, c = rng.randint(0, ell - 1), rng.randint(1, ell - 1)
         disc = (b * b - 4 * c) % ell
@@ -240,9 +242,10 @@ def test_root_multiplicity_distinct_count():
         r = rng.randint(31, 60)  # outside the constructed root range
         g = f * IntegerPolynomial([-r, 1])
         assert len(find_roots_padic(g, ell)) == len(find_roots_padic(f, ell)) + 1
-        # repeating an existing factor must not change the distinct count
+        # a repeated factor is refused, not counted once
         h = g * IntegerPolynomial([-r, 1])
-        assert len(find_roots_padic(h, ell)) == len(find_roots_padic(g, ell))
+        with pytest.raises(ValueError, match="repeated factor"):
+            find_roots_padic(h, ell)
 
 
 def test_find_roots_requires_prime_ell():
@@ -328,7 +331,7 @@ def test_v1_rule_matches_the_walk_without_it(ell, roots, pairs, cofactor, cap):
     for c, w, k in pairs:
         f = f * IntegerPolynomial([c * c - w * ell**k, -2 * c, 1])
     assume(f.degree >= 1)
-    f = f.squarefree_part().strip_prime_content(ell)
+    f = _sympy_squarefree_part(f).strip_prime_content(ell)
     expected = _integral_root_certs_reference(f, ell)
     assert padic._integral_root_certs(f, ell) == expected
     # under a lower cap the walk answers wherever the old one did, and then
@@ -480,60 +483,84 @@ def test_unit_value_at_a_simple_root_needs_one_approximation(ell, monkeypatch):
         assert calls == [1]
 
 
-def _rational_squarefree_part(f: IntegerPolynomial) -> IntegerPolynomial:
-    """Reference: squarefree_part with no certificate primes runs the
-    rational Euclid alone."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(padic, "_SQUAREFREE_PRIMES", ())
-        return f.squarefree_part()
-
-
-@pytest.fixture
-def rational_gcd_calls(monkeypatch):
-    """Counts the calls that reach the rational-Euclid fallback."""
-    calls = []
-    real = padic._rational_poly_gcd
-
-    def spy(a, b):
-        calls.append((a, b))
-        return real(a, b)
-
-    monkeypatch.setattr(padic, "_rational_poly_gcd", spy)
-    return calls
+def _sympy_squarefree_part(f: IntegerPolynomial) -> IntegerPolynomial:
+    """Reference: the primitive squarefree part of f over Q, from sympy's
+    ``sqf_part``, with the sign of lc(f)."""
+    g = Poly(list(reversed(f.coeffs)), Symbol("x")).sqf_part()
+    out = IntegerPolynomial(int(c) for c in reversed(g.all_coeffs())).primitive_part()
+    return out if out.coeffs[-1] * f.coeffs[-1] > 0 else out * -1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_squarefree_part_certifies_division_polynomials(corpus, p, rational_gcd_calls):
+def test_squarefree_part_certifies_division_polynomials(corpus, p):
     for rec in corpus[:6]:
         psi = division_polynomial(rec.curve(), p)
-        reference = _rational_squarefree_part(psi)
-        rational_gcd_calls.clear()
-        assert psi.squarefree_part() == reference == psi.primitive_part()
-        assert not rational_gcd_calls  # certified mod a prime, no Fraction Euclid
+        assert psi.squarefree_part() == _sympy_squarefree_part(psi) == psi.primitive_part()
 
 
-def test_squarefree_part_removes_repeated_factor(rational_gcd_calls):
+@settings(max_examples=200, deadline=None)
+@given(
+    ainvs=st.tuples(*[st.integers(-50, 50)] * 5),
+    ell=st.sampled_from([2, 3, 5, 7]),
+    k=st.integers(0, 2),
+    p=st.sampled_from([3, 5, 7, 11, 13]),
+)
+@example(ainvs=(0, -1, 1, -10, -20), ell=2, k=0, p=31)  # 11a1
+@example(ainvs=(1, 0, 1, 4, -6), ell=2, k=0, p=31)  # 14a1
+def test_division_polynomial_is_squarefree_by_theorem(ainvs, ell, k, p):
+    """TorsionPolynomials certifies psi_p squarefree by theorem, with no
+    check at run time; this is the check.  On random integral curves and on
+    their models with u = 1/l^k, the prime certificate of squarefree_part
+    accepts the primitive psi_p and returns TorsionPolynomials' psi; at
+    p <= 7 that is also sympy's primitive squarefree part."""
+    try:
+        E = WeierstrassCurve(*ainvs)
+    except SingularCurveError:
+        assume(False)
+    model = WeierstrassCurve(*transform(E, (Fraction(1, ell**k), 0, 0, 0)).integer_ainvs())
+    psi = division_polynomial(model, p).primitive_part()
+    certified = psi.squarefree_part()
+    assert isinstance(certified, padic.SquarefreePolynomial)
+    assert certified == psi == TorsionPolynomials.of(model, p).psi
+    if p <= 7:
+        assert psi == _sympy_squarefree_part(psi)
+
+
+def test_squarefree_part_refuses_repeated_factor():
     a, b = IntegerPolynomial([-3, 2]), IntegerPolynomial([5, 0, 1])
-    f = a**3 * b**2 * 6
-    assert f.squarefree_part() == a * b
-    assert rational_gcd_calls
+    for f in (a**3 * b**2 * 6, a * a, a * b * b):
+        with pytest.raises(ValueError, match="has a repeated factor"):
+            f.squarefree_part()
+    assert (a * b * 6).squarefree_part() == a * b
 
 
-def test_squarefree_part_falls_back_when_every_prime_collapses(rational_gcd_calls):
-    # x(x - q1 q2 q3) is squarefree over Q but x^2 modulo every certificate prime
-    q1, q2, q3 = padic._SQUAREFREE_PRIMES
-    f = IntegerPolynomial([0, -q1 * q2 * q3, 1])
-    assert f.squarefree_part() == f
-    assert rational_gcd_calls
+def _primorial_below_2_16() -> int:
+    n = 1
+    for q in padic._SMALL_PRIMES:
+        n *= q
+    return n
 
 
-def test_squarefree_part_lead_divisible_by_every_prime(rational_gcd_calls):
-    q1, q2, q3 = padic._SQUAREFREE_PRIMES
-    f = IntegerPolynomial([-1, 1, q1 * q2 * q3])
-    assert f.squarefree_part() == f
-    assert rational_gcd_calls
-    g = f * f * IntegerPolynomial([2, 1])
-    assert g.squarefree_part() == f * IntegerPolynomial([2, 1])
+def test_squarefree_part_refuses_when_every_prime_collapses():
+    # x(x - N), N the product of the primes below 2^16, is squarefree over Q
+    # but x^2 modulo every prime of the search: undecided, so refused
+    f = IntegerPolynomial([0, -_primorial_below_2_16(), 1])
+    with pytest.raises(ValueError, match="no prime below 2\\^16 decides"):
+        f.squarefree_part()
+    # x(x - 30030) collapses mod 2, 3, 5, 7, 11 and 13; 17 certifies it
+    g = IntegerPolynomial([0, -30030, 1])
+    assert padic._certificate_prime(g) == 17
+    assert g.squarefree_part() == g
+
+
+def test_squarefree_part_lead_divisible_by_every_prime():
+    # every prime below 2^16 divides the lead, so none certifies f: refused
+    f = IntegerPolynomial([-1, 1, _primorial_below_2_16()])
+    with pytest.raises(ValueError, match="no prime below 2\\^16 decides"):
+        f.squarefree_part()
+    g = IntegerPolynomial([-1, 1, 2 * 3 * 5 * 7])
+    assert padic._certificate_prime(g) == 11
+    assert g.squarefree_part() == g
 
 
 def test_certified_polynomial_is_not_certified_again(corpus, monkeypatch):
@@ -553,18 +580,23 @@ def test_certified_polynomial_is_not_certified_again(corpus, monkeypatch):
 
 
 def test_squarefree_part_matches_rational_reference():
+    """Random products of small factors, some repeated: a squarefree product
+    is certified as its primitive part, any other is refused."""
     rng = random.Random(6)
+    refused = 0
     for _ in range(300):
         f = IntegerPolynomial([rng.randint(1, 5)])
         for _ in range(rng.randint(1, 4)):
             factor = IntegerPolynomial([rng.randint(-20, 20) for _ in range(rng.randint(2, 3))] + [rng.randint(1, 4)])
             f = f * factor ** rng.randint(1, 3)
-        assert f.squarefree_part() == _rational_squarefree_part(f), f
-
-
-def test_exact_division_remainder_raises():
-    with pytest.raises(ArithmeticError, match="exact division expected"):
-        padic._rational_poly_divide_exact([1, 0, 1], [Fraction(1), Fraction(1)])
+        reference = _sympy_squarefree_part(f)
+        if reference == f.primitive_part():
+            assert f.squarefree_part() == reference, f
+        else:
+            with pytest.raises(ValueError, match="has a repeated factor"):
+                f.squarefree_part()
+            refused += 1
+    assert 0 < refused < 300
 
 
 def test_lift_rejects_singular_witness():
@@ -935,19 +967,25 @@ def test_rational_roots_of_division_polynomials_match_sympy(corpus):
 @settings(max_examples=150, deadline=None)
 @given(
     planted=st.lists(
-        st.tuples(st.integers(-10**6, 10**6), st.integers(1, 60), st.integers(1, 3)), max_size=4),
+        st.tuples(st.integers(-10**6, 10**6), st.integers(1, 60)), max_size=4, unique_by=lambda ad: Fraction(ad[0], ad[1])),
     cofactor=st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=6),
-    zero_root=st.integers(0, 2),
+    zero_root=st.integers(0, 1),
 )
 def test_rational_roots_recover_planted_roots(planted, cofactor, zero_root):
+    """Each planted root once; the product is squarefree unless the cofactor
+    has a repeated factor or shares a root, and is refused then."""
     f = IntegerPolynomial(cofactor) * IntegerPolynomial([0, 1]) ** zero_root
     assume(not f.is_zero)
-    for a, d, m in planted:
-        f = f * IntegerPolynomial([-a, d]) ** m  # the root a/d, with d | lc(f)
+    for a, d in planted:
+        f = f * IntegerPolynomial([-a, d])  # the root a/d, with d | lc(f)
     assume(f.degree >= 1)
+    if _sympy_squarefree_part(f) != f.primitive_part():
+        with pytest.raises(ValueError, match="has a repeated factor"):
+            rational_roots(f)
+        return
     roots = rational_roots(f)
     assert roots == _sympy_rational_roots(f)
-    assert {Fraction(a, d) for a, d, _ in planted} <= set(roots)
+    assert {Fraction(a, d) for a, d in planted} <= set(roots)
     assert (Fraction(0) in roots) == (zero_root > 0 or f(0) == 0)
 
 
@@ -955,7 +993,9 @@ def test_rational_roots_edge_cases():
     assert rational_roots(IntegerPolynomial([7])) == []
     assert rational_roots(IntegerPolynomial([1, 0, 1])) == []  # x^2 + 1
     assert rational_roots(IntegerPolynomial([-2, 0, 1])) == []  # x^2 - 2
-    assert rational_roots(IntegerPolynomial([6, -5, 1]) ** 3) == [2, 3]
+    assert rational_roots(IntegerPolynomial([6, -5, 1])) == [2, 3]
+    with pytest.raises(ValueError, match="has a repeated factor"):
+        rational_roots(IntegerPolynomial([6, -5, 1]) ** 3)
     assert rational_roots(IntegerPolynomial([-1, 0, 4]) * 6) == [Fraction(-1, 2), Fraction(1, 2)]
     with pytest.raises(ValueError, match="zero polynomial"):
         rational_roots(IntegerPolynomial([]))

@@ -2,8 +2,9 @@
 batch runs over curve files.  Reports are JSON by default (stable field
 order, no timestamps) with a CSV option for the order tables.
 
-Exit codes: 0 success, 2 parse/usage error (also a --label whose cached
-fixture is broken, a batch --input that is not UTF-8, and a batch --out in a
+Exit codes: 0 success, 1 a requested verdict failed (verify) or a row
+failed (batch), 2 parse/usage error (also a --label with no readable fixture
+or a broken one, a batch --input that is not UTF-8, and a batch --out in a
 directory that does not exist), 3 singular curve, 4 undecided (precision
 ceiling reached somewhere).
 """
@@ -50,10 +51,8 @@ def _resolve_curve(curve: str | None, label: str | None, fixtures: str | None) -
         record = fetch_curve(label, fixtures_dir=fixtures)
     except OracleNotFoundError as exc:
         raise click.UsageError(str(exc)) from exc
-    except OracleSchemaError as exc:
+    except (OracleSchemaError, OSError) as exc:  # OSError: a fixture that cannot be read
         raise click.UsageError(f"fixture for {label}: {exc}") from exc
-    except OSError as exc:
-        raise click.ClickException(f"label lookup failed (no fixture, network unreachable): {exc}") from exc
     return record.curve(), label
 
 
@@ -64,11 +63,11 @@ def main() -> None:
 
 @main.command("localdata")
 @click.option("--curve", "curve_spec", help='five comma-separated integers "a1,a2,a3,a4,a6"')
-@click.option("--label", help="curve label resolved through the fixture cache")
+@click.option("--label", help="curve label read from the fixture directory")
 @click.option("--prime", "prime", type=int, help="single prime to analyze")
 @click.option("--all-bad", "all_bad", is_flag=True, help="every prime of bad reduction")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--fixtures", envvar=FIXTURE_DIR_ENV, default=None, help="fixture cache directory")
+@click.option("--fixtures", envvar=FIXTURE_DIR_ENV, default=None, help="fixture directory")
 def cmd_localdata(curve_spec, label, prime, all_bad, fmt, fixtures) -> None:
     """Per-prime reduction data (Kodaira type, f, c, component groups)."""
     try:
@@ -130,11 +129,11 @@ _CHECK_VERDICTS = {
 
 @main.command("verify")
 @click.option("--curve", "curve_spec", help='five comma-separated integers "a1,a2,a3,a4,a6"')
-@click.option("--label", help="curve label resolved through the fixture cache")
+@click.option("--label", help="curve label read from the fixture directory")
 @_P_OPTION
 @click.option("--check", "check", type=click.Choice(sorted(_CHECK_VERDICTS)), default="all")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--fixtures", envvar=FIXTURE_DIR_ENV, default=None, help="fixture cache directory")
+@click.option("--fixtures", envvar=FIXTURE_DIR_ENV, default=None, help="fixture directory")
 def cmd_verify(curve_spec, label, p, check, fmt, fixtures) -> None:
     """Verify the Euler-characteristic and product identities for one curve."""
     try:

@@ -228,13 +228,13 @@ def test_criterion_8_end_to_end_determinism(corpus, tmp_path, fixtures_dir, monk
         outs.append(out.read_bytes())
     assert outs[0] == outs[1], "batch reports must be byte-identical"
 
-    # offline: cached fixture reads must succeed with the network disabled
-    import urllib.request
+    # offline: fixture reads must succeed with the network disabled
+    import socket
 
     def no_network(*args, **kwargs):
         raise AssertionError("network disabled")
 
-    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    monkeypatch.setattr(socket.socket, "connect", no_network)
     from tamagawa.lmfdb import fetch_curve
 
     rec = fetch_curve(corpus[0].label, fixtures_dir=fixtures_dir)

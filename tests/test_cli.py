@@ -157,6 +157,31 @@ def test_label_outside_the_fixture_directory_exits_2(runner, fixtures_dir):
     assert "not a curve label" in result.output
 
 
+@pytest.mark.parametrize("fixture, label, error", [
+    ("missing", "11a1", "Error: no fixture for 11a1 in fixtures"),
+    ("directory", "11a1", "Error: fixture for 11a1: "),
+    ("mismatched", "14a1", "Error: fixture for 14a1: bad oracle record: "),
+], ids=["missing", "directory", "mismatched"])
+def test_label_without_its_fixture_exits_2_and_writes_nothing(runner, fixtures_dir, fixture, label, error):
+    """--label with no fixture, a directory in its place, or a fixture of
+    another curve under its name: exit 2, one error line, and the working
+    directory (the default fixture directory's parent) is left as it was."""
+    with runner.isolated_filesystem():
+        cwd = Path.cwd()
+        if fixture == "directory":
+            (cwd / "fixtures" / "11a1.json").mkdir(parents=True)
+        elif fixture == "mismatched":
+            (cwd / "fixtures").mkdir()
+            (cwd / "fixtures" / "14a1.json").write_bytes((fixtures_dir / "11a1.json").read_bytes())
+        before = sorted(cwd.rglob("*"))
+        result = runner.invoke(main, ["verify", "--label", label, "-p", "5"], env={"TAMAGAWA_FIXTURE_DIR": None})
+        assert sorted(cwd.rglob("*")) == before
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].startswith(error), result.output
+
+
 def test_verify_csv_order_table(runner):
     result = runner.invoke(main, ["verify", "--curve", ELEVEN_A1, "-p", "5", "--format", "csv"])
     assert result.exit_code == 0

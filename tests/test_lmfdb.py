@@ -1,76 +1,23 @@
-"""Oracle client: payload normalization, cache behaviour, crosschecking."""
+"""Oracle records: reading the committed fixtures, refusing what is not one,
+crosschecking against the computed reduction data."""
 
 import dataclasses
+import shutil
+import socket
 from pathlib import Path
 
 import pytest
 
 from tamagawa.curves import WeierstrassCurve
 from tamagawa.lmfdb import (
+    FIXTURE_DIR_ENV,
     LocalRow,
     OracleNotFoundError,
     OracleRecord,
     OracleSchemaError,
     crosscheck,
-    decode_kodaira_code,
-    encode_kodaira_code,
     fetch_curve,
 )
-
-API_PAYLOADS = {
-    "ec_curvedata": {
-        "data": [
-            {
-                "ainvs": [0, -1, 1, -10, -20],
-                "conductor": 11,
-                "torsion_structure": [5],
-            }
-        ]
-    },
-    "ec_localdata": {
-        "data": [
-            {"prime": 11, "kodaira_symbol": 9, "conductor_valuation": 1, "tamagawa_number": 5}
-        ]
-    },
-}
-
-
-def fake_http_get(url: str):
-    for key, payload in API_PAYLOADS.items():
-        if key in url:
-            return payload
-    raise AssertionError(f"unexpected url {url}")
-
-
-def test_kodaira_code_roundtrip():
-    cases = {1: "I0", 2: "II", 3: "III", 4: "IV", 9: "In:5", -1: "I0*",
-             -2: "II*", -3: "III*", -4: "IV*", -7: "In*:3"}
-    for code, name in cases.items():
-        assert decode_kodaira_code(code) == name
-        assert encode_kodaira_code(name) == code
-    with pytest.raises(ValueError):
-        decode_kodaira_code(0)
-
-
-def test_fetch_live_then_cached(tmp_path):
-    rec = fetch_curve("11.a2", fixtures_dir=tmp_path, http_get=fake_http_get)
-    assert rec.ainvs == (0, -1, 1, -10, -20)
-    assert rec.conductor == 11
-    assert rec.local_data == (LocalRow(11, "In:5", 1, 5, None),)
-    assert (tmp_path / "11.a2.json").exists()
-
-    def no_network(url):
-        raise AssertionError("network must not be touched on a cache hit")
-
-    again = fetch_curve("11.a2", fixtures_dir=tmp_path, http_get=no_network)
-    assert again == rec
-
-
-def test_refresh_flag_rewrites_cache(tmp_path):
-    fetch_curve("11.a2", fixtures_dir=tmp_path, http_get=fake_http_get)
-    before = (tmp_path / "11.a2.json").read_text()
-    fetch_curve("11.a2", fixtures_dir=tmp_path, http_get=fake_http_get, refresh=True)
-    assert (tmp_path / "11.a2.json").read_text() == before  # deterministic payload
 
 
 def test_committed_fixtures_not_mutated(fixtures_dir):
@@ -80,18 +27,10 @@ def test_committed_fixtures_not_mutated(fixtures_dir):
     assert path.read_bytes() == before
 
 
-def test_not_found(tmp_path):
-    def empty(url):
-        return {"data": []}
-
-    with pytest.raises(OracleNotFoundError, match="not found"):
-        fetch_curve("999999.zz9", fixtures_dir=tmp_path, http_get=empty)
-
-
 @pytest.mark.parametrize("label", ["../outside/11a1", "cache/../../outside/11a1", "ABSOLUTE", "", "..", "11a1/", "11a1\\x", "11a1 ", ".11a1"])
 def test_bad_label_touches_no_file(tmp_path, fixtures_dir, monkeypatch, label):
     """A label outside [0-9A-Za-z]+([.-][0-9A-Za-z]+)* is refused before
-    any path is built: no file read, no fetch, no cache file written."""
+    any path is built: no file read, no file written."""
     outside = tmp_path / "outside"
     outside.mkdir()
     (outside / "11a1.json").write_bytes((fixtures_dir / "11a1.json").read_bytes())
@@ -101,28 +40,11 @@ def test_bad_label_touches_no_file(tmp_path, fixtures_dir, monkeypatch, label):
     reads = []
     monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self))
 
-    def no_fetch(url):
-        raise AssertionError(f"fetched {url}")
-
     before = sorted(tmp_path.rglob("*"))
     with pytest.raises(OracleNotFoundError, match="not a curve label"):
-        fetch_curve(label, fixtures_dir=cache, http_get=no_fetch)
+        fetch_curve(label, fixtures_dir=cache)
     assert reads == []
     assert sorted(tmp_path.rglob("*")) == before
-
-
-def test_schema_drift_keeps_payload(tmp_path):
-    def drift(url):
-        return {"rows": []}
-
-    with pytest.raises(OracleSchemaError, match="schema drift") as exc:
-        fetch_curve("11.a2", fixtures_dir=tmp_path, http_get=drift)
-    assert exc.value.payload is not None
-
-
-def test_record_roundtrip(corpus):
-    for rec in corpus[:8]:
-        assert OracleRecord.deserialize(rec.serialize()) == rec
 
 
 def test_record_validates_conductor_coverage():
@@ -161,41 +83,31 @@ def test_crosscheck_rejects_mismatched_curve(corpus):
         crosscheck(other, rec)
 
 
-def test_rate_limit_pacing(monkeypatch):
-    import urllib.request
+def test_missing_fixture_opens_no_connection_and_writes_nothing(tmp_path, monkeypatch):
+    """A label with no fixture is refused, naming the label and the
+    directory; nothing connects, and no fixture directory appears."""
+    connects = []
 
-    import tamagawa.lmfdb as mod
+    def no_connect(self, address):
+        connects.append(address)
+        raise OSError("network disabled")
 
-    sleeps = []
-    clock = [100.0]
-
-    def fake_monotonic():
-        return clock[0]
-
-    def fake_sleep(dt):
-        sleeps.append(dt)
-        clock[0] += dt
-
-    monkeypatch.setattr(mod.time, "monotonic", fake_monotonic)
-    monkeypatch.setattr(mod.time, "sleep", fake_sleep)
-    monkeypatch.setattr(urllib.request, "urlopen", _FakeResponseFactory())
-    mod._last_request[0] = 0.0
-    mod._default_http_get("http://x/one")
-    mod._default_http_get("http://x/two")
-    assert sleeps and sleeps[-1] >= 0
-    assert any(dt > 0 for dt in sleeps) or clock[0] >= 100.5
+    monkeypatch.setattr(socket.socket, "connect", no_connect)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(FIXTURE_DIR_ENV, raising=False)
+    (tmp_path / "cache").mkdir()
+    with pytest.raises(OracleNotFoundError, match="no fixture for 11a1 in cache"):
+        fetch_curve("11a1", fixtures_dir="cache")
+    with pytest.raises(OracleNotFoundError, match="no fixture for 11a1 in fixtures"):
+        fetch_curve("11a1")
+    assert connects == []
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "cache"]
 
 
-class _FakeResponseFactory:
-    def __call__(self, url, timeout=None):
-        class R:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *args):
-                return False
-
-            def read(self):
-                return b"{}"
-
-        return R()
+def test_fixture_under_another_label_is_refused(tmp_path, fixtures_dir):
+    """A record is served only under its own label, not under whatever
+    name its file has."""
+    shutil.copy(fixtures_dir / "11a1.json", tmp_path / "14a1.json")
+    with pytest.raises(OracleSchemaError, match="holds the record of 11a1") as exc:
+        fetch_curve("14a1", fixtures_dir=tmp_path)
+    assert exc.value.payload["label"] == "11a1"

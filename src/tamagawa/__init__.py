@@ -16,7 +16,6 @@ from .curves import (
 from .euler import (
     EulerLedger,
     build_S,
-    chi_selmer,
     euler_factor,
     global_torsion_order,
     verify_main_theorem,
@@ -28,7 +27,6 @@ from .localorders import (
     Place,
     assemble_local_orders,
     division_polynomial,
-    local_kummer_order,
     local_torsion_order,
 )
 from .padic import (
@@ -43,7 +41,6 @@ from .tate import (
     FiniteAbelianGroup,
     KodairaType,
     LocalData,
-    is_split_multiplicative,
     phi_p_part_order,
     tate_local,
 )
@@ -55,11 +52,11 @@ __all__ = [
     "SingularCurveError", "FiniteFieldCurve", "FiniteFieldPoint",
     "enumerate_points_mod", "count_p_torsion_mod",
     "KodairaType", "FiniteAbelianGroup", "LocalData", "tate_local",
-    "is_split_multiplicative", "phi_p_part_order",
+    "phi_p_part_order",
     "Place", "LocalSelmerOrders", "InconsistentLocalData",
-    "division_polynomial", "local_torsion_order", "local_kummer_order",
+    "division_polynomial", "local_torsion_order",
     "assemble_local_orders",
-    "EulerLedger", "build_S", "global_torsion_order", "chi_selmer",
+    "EulerLedger", "build_S", "global_torsion_order",
     "euler_factor", "verify_main_theorem",
     "OracleRecord", "fetch_curve", "crosscheck",
     "IntegerPolynomial", "PadicRoot", "PrecisionExhausted",

@@ -70,10 +70,10 @@ def main() -> None:
 @click.option("--fixtures", envvar=FIXTURE_DIR_ENV, default=None, help="fixture directory")
 def cmd_localdata(curve_spec, label, prime, all_bad, fmt, fixtures) -> None:
     """Per-prime reduction data (Kodaira type, f, c, component groups)."""
+    if (prime is not None) == all_bad:
+        raise click.UsageError("provide exactly one of --prime or --all-bad")
     try:
         curve, _ = _resolve_curve(curve_spec, label, fixtures)
-        if prime is None and not all_bad:
-            raise click.UsageError("provide --prime or --all-bad")
         if prime is not None:
             try:  # exact test only: --prime takes no value it cannot prove prime
                 if not _is_prime(prime):

@@ -2,11 +2,12 @@
 and exhaustive point arithmetic over small prime fields (the brute-force
 oracle for residue-field torsion).
 
-One model type serves the whole package.  A coefficient is stored as an
-``int`` when it is integral and as a ``Fraction`` otherwise, so integral
-models (everything the CLI, the fixtures and Tate's algorithm work on) run
-on plain integer arithmetic.  The b-invariants and the discriminant are
-computed once, when the model is built.
+One model type serves the whole package, and every model is integral: its
+coefficients are ``int``, so the CLI, the fixtures and Tate's algorithm run
+on plain integer arithmetic.  :meth:`WeierstrassCurve.from_input` is the
+one way in for rational coefficients; it rescales them to an integral
+model.  The b-invariants and the discriminant are computed once, when the
+model is built.
 """
 
 from __future__ import annotations
@@ -31,42 +32,36 @@ __all__ = [
 
 ENUMERATION_CAP = 10**5
 
-Rational = int | Fraction
-
 
 class SingularCurveError(ValueError):
     """Discriminant zero: not an elliptic curve."""
 
 
-def _normalise(x) -> Rational:
-    """``int`` when x is integral, ``Fraction`` otherwise; a float or any
-    other non-rational type raises ValueError."""
-    if type(x) is int:
-        return x
-    x = Fraction(_exact_rational(x))
-    return x.numerator if x.denominator == 1 else x
-
-
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q.
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with integer a_i.
 
-    Each coefficient is an ``int`` when integral and a ``Fraction``
-    otherwise, so coordinate changes stay exact and integral models never
-    touch Fraction arithmetic.  b2, b4, b6, b8 and the discriminant are
-    computed once in the constructor.  Curves produced by :meth:`from_input`
-    (and the CLI) are always integral.
+    A coefficient may be given as any exact rational with denominator 1
+    (``Fraction(4, 2)`` is stored as ``2``); any other rational raises
+    ``ValueError`` pointing to :meth:`from_input`, and a float or any other
+    type raises too.  b2, b4, b6, b8 and the discriminant are computed once
+    in the constructor.
     """
 
-    a1: Rational
-    a2: Rational
-    a3: Rational
-    a4: Rational
-    a6: Rational
+    a1: int
+    a2: int
+    a3: int
+    a4: int
+    a6: int
 
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, _normalise(getattr(self, name)))
+            a = getattr(self, name)
+            if type(a) is not int:
+                a = _exact_rational(a)
+                if a.denominator != 1:
+                    raise ValueError(f"{name} = {a} is not an integer; WeierstrassCurve.from_input takes rational coefficients")
+                object.__setattr__(self, name, int(a))
         a1, a2, a3, a4, a6 = self.ainvs
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
@@ -82,9 +77,9 @@ class WeierstrassCurve:
 
     @classmethod
     def from_input(cls, a1, a2, a3, a4, a6) -> "WeierstrassCurve":
-        """Accepts int or Fraction coefficients (anything else raises
-        ValueError); rescales (u = lcm of denominators, a_i -> u^i a_i) to an
-        integral model before constructing."""
+        """The way in for rational coefficients: accepts int or Fraction
+        (anything else raises ValueError) and rescales (u = lcm of
+        denominators, a_i -> u^i a_i) to an integral model."""
         from math import lcm
 
         ai = [Fraction(_exact_rational(a)) for a in (a1, a2, a3, a4, a6)]
@@ -92,53 +87,49 @@ class WeierstrassCurve:
         return cls(*(a * u**w for a, w in zip(ai, (1, 2, 3, 4, 6))))
 
     @property
-    def ainvs(self) -> tuple[Rational, Rational, Rational, Rational, Rational]:
+    def ainvs(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    @property
-    def is_integral(self) -> bool:
-        return all(type(a) is int for a in self.ainvs)
-
     def integer_ainvs(self) -> tuple[int, int, int, int, int]:
-        if not self.is_integral:
-            raise ValueError("model is not integral")
-        return self.ainvs  # type: ignore[return-value]
+        """The same as :attr:`ainvs`: every model is integral."""
+        return self.ainvs
 
     # -- invariants ----------------------------------------------------------
 
     @property
-    def b_invariants(self) -> tuple[Rational, Rational, Rational, Rational]:
+    def b_invariants(self) -> tuple[int, int, int, int]:
         return self._b
 
     @property
-    def c4(self) -> Rational:
+    def c4(self) -> int:
         b2, b4, _, _ = self._b
         return b2 * b2 - 24 * b4
 
     @property
-    def c6(self) -> Rational:
+    def c6(self) -> int:
         b2, b4, b6, _ = self._b
         return -(b2**3) + 36 * b2 * b4 - 216 * b6
 
     @property
-    def discriminant(self) -> Rational:
+    def discriminant(self) -> int:
         return self._disc
 
     @property
     def j_invariant(self) -> Fraction:
-        return Fraction(self.c4**3) / self._disc
+        return Fraction(self.c4**3, self._disc)
 
     def __str__(self) -> str:
         return "E(" + ",".join(str(a) for a in self.ainvs) + ")"
 
 
 class Transformation(NamedTuple):
-    """Coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t."""
+    """Coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t, with
+    exact rational entries (``int`` or ``Fraction``)."""
 
-    u: Rational
-    r: Rational
-    s: Rational
-    t: Rational
+    u: int | Fraction
+    r: int | Fraction
+    s: int | Fraction
+    t: int | Fraction
 
     @classmethod
     def identity(cls) -> "Transformation":
@@ -159,10 +150,12 @@ class Transformation(NamedTuple):
 def transform(curve: WeierstrassCurve, tr: Transformation | tuple) -> WeierstrassCurve:
     """The same curve in new coordinates; disc scales by u^-12, j is unchanged.
 
-    The shift by (r, s, t) is exact integer arithmetic on an integral model;
-    only a rescaling (u != 1) divides, through ``Fraction``.  The identity
-    returns ``curve`` itself."""
-    u, r, s, t = (_normalise(v) for v in tr)
+    The result must be integral: a change that takes ``curve`` to a model
+    with a non-integral coefficient raises ``ValueError``, and so does an
+    entry that is not an exact rational.  The shift by integer (r, s, t) is
+    plain integer arithmetic; only a rescaling (u != 1) divides, through
+    ``Fraction``.  The identity returns ``curve`` itself."""
+    u, r, s, t = (v if type(v) is int else _exact_rational(v) for v in tr)
     if u == 0:
         raise ValueError("degenerate transformation: u = 0")
     if u == 1 and r == s == t == 0:
@@ -176,8 +169,9 @@ def transform(curve: WeierstrassCurve, tr: Transformation | tuple) -> Weierstras
         a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
     )
     if u != 1:
-        u = Fraction(u)
-        ai = tuple(a / u**w for a, w in zip(ai, (1, 2, 3, 4, 6)))
+        ai = tuple(Fraction(a) / u**w for a, w in zip(ai, (1, 2, 3, 4, 6)))
+    if any(type(a) is not int and a.denominator != 1 for a in ai):
+        raise ValueError(f"{tuple(tr)} takes {curve} to a model that is not integral")
     return WeierstrassCurve(*ai)
 
 
@@ -215,12 +209,10 @@ INFINITY = FiniteFieldPoint(None, None)
 
 
 class FiniteFieldCurve:
-    """Reduction of an integral model mod an odd prime of good reduction,
-    with the affine group law (complete case analysis, no projective formulas)."""
+    """Reduction mod an odd prime of good reduction, with the affine group
+    law (complete case analysis, no projective formulas)."""
 
     def __init__(self, curve: WeierstrassCurve, ell: int):
-        if not curve.is_integral:
-            raise ValueError("reduction requires an integral model")
         if not _is_prime(ell) or ell == 2:
             raise ValueError("odd prime required")
         if curve.discriminant % ell == 0:
@@ -228,7 +220,7 @@ class FiniteFieldCurve:
         if ell > ENUMERATION_CAP:
             raise ValueError("prime too large for enumeration")
         self.ell = ell
-        self.a = tuple(a % ell for a in curve.integer_ainvs())
+        self.a = tuple(a % ell for a in curve.ainvs)
         self.b = tuple(b % ell for b in curve.b_invariants)
 
     def on_curve(self, pt: FiniteFieldPoint) -> bool:

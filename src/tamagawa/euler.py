@@ -6,13 +6,19 @@ orders (with the component-group structure entering through the torsor
 duality); the right side is recomputed purely from the Tamagawa numbers
 returned by the reduction-type machine.  Agreement is a test, not a
 definition.
+
+:class:`EulerLedger` stores what :func:`verify_main_theorem` computed (Tate
+data over S, the per-place orders, global torsion, undecided places and the
+verdicts) and derives S, both Euler characteristics and both sides of the
+identity from them when they are read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .curves import FiniteFieldCurve, WeierstrassCurve
 from .localorders import (
@@ -30,7 +36,6 @@ __all__ = [
     "EulerLedger",
     "build_S",
     "global_torsion_order",
-    "chi_selmer",
     "euler_factor",
     "verify_main_theorem",
 ]
@@ -39,7 +44,7 @@ __all__ = [
 def local_data_for_bad_primes(curve: WeierstrassCurve) -> dict[int, LocalData]:
     """Tate data at every prime of bad reduction (of the minimal model)."""
     out: dict[int, LocalData] = {}
-    for ell in prime_divisors(curve.discriminant.numerator):
+    for ell in prime_divisors(curve.discriminant):
         data = tate_local(curve, ell)
         if data.vdelta > 0:
             out[ell] = data
@@ -74,11 +79,11 @@ def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
     ``curve`` (:meth:`TorsionPolynomials.of`).
     """
     check_p(p)
-    disc_num = int(abs(curve.discriminant.numerator))
+    disc = curve.discriminant
     screened = 0
     q = 3
     while screened < 3 and q < 200:
-        if _is_prime(q) and q != p and disc_num % q != 0:
+        if _is_prime(q) and q != p and disc % q != 0:
             if FiniteFieldCurve(curve, q).order() % p != 0:
                 return 1
             screened += 1
@@ -88,24 +93,6 @@ def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
     if count not in (1, p):
         raise InconsistentLocalData(f"global p-torsion {count} impossible over Q")
     return count
-
-
-def chi_selmer(orders: list[LocalSelmerOrders], global_torsion: int) -> Fraction:
-    """The Euler-characteristic product with the classical local conditions:
-    (#H^0(Q)/#H^0(Q)) * prod over S of kummer/torsion.  Truncation to S is
-    exact because good-reduction factors away from p equal 1."""
-    return Fraction(
-        global_torsion * math.prod(o.kummer_order for o in orders),
-        global_torsion * math.prod(o.torsion_order for o in orders),
-    )
-
-
-def chi_relaxed(orders: list[LocalSelmerOrders], global_torsion: int) -> Fraction:
-    """Same product with the relaxed local conditions (relaxed = kummer * tt_p)."""
-    return Fraction(
-        global_torsion * math.prod(o.relaxed_order for o in orders),
-        global_torsion * math.prod(o.torsion_order for o in orders),
-    )
 
 
 def euler_factor(curve: WeierstrassCurve, ell: int, p: int) -> Fraction:
@@ -118,41 +105,72 @@ def euler_factor(curve: WeierstrassCurve, ell: int, p: int) -> Fraction:
 
 @dataclass
 class EulerLedger:
-    """Everything the global verification produced for one (curve, p)."""
+    """Everything the global verification produced for one (curve, p).
+
+    ``local_data`` holds Tate's data at every place of S but the real one;
+    ``orders`` has one entry per place of S unless a place is undecided.
+    """
 
     curve: WeierstrassCurve
     p: int
-    S: list[Place]
-    orders: list[LocalSelmerOrders]
     local_data: dict[int, LocalData]
+    orders: list[LocalSelmerOrders]
     global_torsion: int
-    chi_selmer: Fraction | None
-    chi_relaxed: Fraction | None
-    mt_lhs: Fraction | None
-    mt_rhs: int
+    undecided: list[str]
     verdicts: dict[str, object]
-    undecided: list[str] = field(default_factory=list)
-    all_phi_trivial: bool = False
     label: str | None = None
 
     @property
-    def passed(self) -> bool:
+    def S(self) -> list[Place]:
+        return [Place.real()] + [Place.finite(ell) for ell in sorted(self.local_data)]
+
+    def _euler_product(self, local_order) -> Fraction | None:
+        """(#H^0(Q)/#H^0(Q)) * prod over S of local_order/torsion, or None when
+        a place is undecided.  Truncation to S is exact because good-reduction
+        factors away from p equal 1."""
         if self.undecided:
-            return False
-        return all(v is True for k, v in self.verdicts.items() if isinstance(v, bool))
+            return None
+        g = self.global_torsion
+        return Fraction(g * math.prod(map(local_order, self.orders)), g * math.prod(o.torsion_order for o in self.orders))
+
+    chi_selmer = property(lambda self: self._euler_product(attrgetter("kummer_order")),
+                          doc="The Euler characteristic with the classical local conditions.")
+    chi_relaxed = property(lambda self: self._euler_product(attrgetter("relaxed_order")),
+                           doc="The same with the relaxed local conditions (relaxed = kummer * tt_p).")
+
+    @property
+    def mt_lhs(self) -> Fraction | None:
+        """Left side of the main identity: chi_relaxed / chi_selmer, which is
+        prod over S of relaxed/kummer."""
+        if self.undecided:
+            return None
+        return Fraction(math.prod(o.relaxed_order for o in self.orders), math.prod(o.kummer_order for o in self.orders))
+
+    @property
+    def mt_rhs(self) -> int:
+        """Right side, from the Tamagawa numbers of the reduction-type machine only."""
+        return math.prod(self.p if data.c % self.p == 0 else 1 for data in self.local_data.values())
+
+    @property
+    def all_phi_trivial(self) -> bool:
+        return self.mt_rhs == 1
+
+    @property
+    def passed(self) -> bool:
+        return not self.undecided and all(v is True for v in self.verdicts.values() if isinstance(v, bool))
 
     def to_record(self) -> dict:
         return {
-            "curve": list(self.curve.integer_ainvs()),
+            "curve": list(self.curve.ainvs),
             "label": self.label,
             "p": self.p,
             "S": [pl.serialize() for pl in self.S],
             "global_torsion": self.global_torsion,
             "local_data": [self.local_data[ell].serialize() for ell in sorted(self.local_data)],
             "places": [o.serialize() for o in self.orders],
-            "chi_selmer": None if self.chi_selmer is None else str(self.chi_selmer),
-            "chi_relaxed": None if self.chi_relaxed is None else str(self.chi_relaxed),
-            "mt_lhs": None if self.mt_lhs is None else str(self.mt_lhs),
+            "chi_selmer": None if self.undecided else str(self.chi_selmer),
+            "chi_relaxed": None if self.undecided else str(self.chi_relaxed),
+            "mt_lhs": None if self.undecided else str(self.mt_lhs),
             "mt_rhs": self.mt_rhs,
             "verdicts": dict(self.verdicts),
             "undecided": list(self.undecided),
@@ -175,39 +193,29 @@ def verify_main_theorem(
     them that verdict is reported as "not evaluated".
     """
     check_p(p)  # before factoring the discriminant, which may take long
-    bad = local_data_for_bad_primes(curve)
-    S = build_S(curve, p, bad_data=bad)
-    ldmap = dict(bad)
-    if p not in ldmap:
-        ldmap[p] = tate_local(curve, p)
+    local_data = local_data_for_bad_primes(curve)
+    if p not in local_data:
+        local_data[p] = tate_local(curve, p)
+    local_data = dict(sorted(local_data.items()))
 
-    orders: list[LocalSelmerOrders] = []
+    orders = [assemble_local_orders(curve, Place.real(), p)]
     undecided: list[str] = []
-    for place in S:
-        if place.is_real:
-            orders.append(assemble_local_orders(curve, place, p))
-            continue
+    for ell, data in local_data.items():
+        place = Place.finite(ell)
         try:
-            orders.append(assemble_local_orders(curve, place, p, local_data=ldmap[place.prime]))
+            orders.append(assemble_local_orders(curve, place, p, local_data=data))
         except PrecisionExhausted as exc:
             undecided.append(f"place {place}: {exc}")
 
-    g = global_torsion_order(curve, p)
-
-    # right side: only the Tamagawa numbers from the reduction-type machine
-    mt_rhs = math.prod(p if data.c % p == 0 else 1 for data in ldmap.values())
-
-    verdicts: dict[str, object] = {}
+    ledger = EulerLedger(curve, p, local_data, orders, global_torsion_order(curve, p), undecided, {}, label)
+    verdicts = ledger.verdicts
+    mt_rhs = ledger.mt_rhs
     if undecided:
-        chi_s = chi_r = lhs = None
         for key in ("euler_characteristic_is_one", "main_identity", "square_chain_identity", "local_identities"):
             verdicts[key] = "undecided"
     else:
-        chi_s = chi_selmer(orders, g)
-        chi_r = chi_relaxed(orders, g)
-        lhs = chi_r / chi_s
-        verdicts["euler_characteristic_is_one"] = chi_s == 1
-        verdicts["main_identity"] = lhs == mt_rhs
+        verdicts["euler_characteristic_is_one"] = ledger.chi_selmer == 1
+        verdicts["main_identity"] = ledger.mt_lhs == mt_rhs
         relaxed_total = math.prod(o.relaxed_order for o in orders)
         restricted_total = math.prod(o.restricted_order for o in orders)
         verdicts["square_chain_identity"] = relaxed_total == restricted_total * mt_rhs**2
@@ -227,20 +235,4 @@ def verify_main_theorem(
         verdicts["global_inequality"] = sel <= res * mt_rhs
     else:
         verdicts["global_inequality"] = "not evaluated"
-
-    return EulerLedger(
-        curve=curve,
-        p=p,
-        S=S,
-        orders=orders,
-        local_data=dict(sorted(ldmap.items())),
-        global_torsion=g,
-        chi_selmer=chi_s,
-        chi_relaxed=chi_r,
-        mt_lhs=lhs,
-        mt_rhs=mt_rhs,
-        verdicts=verdicts,
-        undecided=undecided,
-        all_phi_trivial=mt_rhs == 1,
-        label=label,
-    )
+    return ledger

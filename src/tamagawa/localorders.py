@@ -12,16 +12,20 @@ the same count, since #E(Q_l)[p] belongs to E over Q_l, not to a model (see
 across the places of one curve.  At a bad place the count runs in the frame
 where the singular point of the reduction sits at x = 0 mod l, where most
 roots of psi_p mod l lie, so the residue-root search sees a cofactor of
-small degree.  The remaining orders follow from the exact
-sequences tying the local conditions to the component group; the
-divisibility they force is checked and a violation reported as inconsistent
-data rather than papered over.
+small degree.
+
+:class:`LocalSelmerOrders` stores what is computed at a place, the torsion
+count and phi_p from Tate's c, and derives the other four orders where they
+are read: the Kummer order from the local Euler characteristic, the rest
+from the exact sequences tying the local conditions to the component group.
+The divisibility those force is checked and a violation reported as
+inconsistent data rather than papered over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .curves import WeierstrassCurve
 from .padic import (
@@ -47,7 +51,6 @@ __all__ = [
     "TorsionPolynomials",
     "division_polynomial",
     "local_torsion_order",
-    "local_kummer_order",
     "assemble_local_orders",
 ]
 
@@ -89,17 +92,20 @@ class Place:
 
 @dataclass(frozen=True)
 class LocalSelmerOrders:
-    """The six local orders at one place: three stored, three derived from them.
+    """The six local orders at one place: two stored, four derived from them.
 
-    The component-group p-part feeds the torsor group by duality (tt = phi_p
-    for an elliptic curve, which is self-dual), the relaxed order is the
-    Kummer order times tt, and the restricted order divides the Kummer order
-    by the mod-p component image; that division must be exact.
+    The Kummer order is #E(K_v)/pE(K_v): 1 at the real place (odd p divides
+    nothing there), the torsion order at l != p, and p times it at l = p
+    (the local Euler-characteristic factor |p|_v^{-1} over Q_p).  The
+    component-group p-part feeds the torsor group by duality (tt = phi_p for
+    an elliptic curve, which is self-dual), the relaxed order is the Kummer
+    order times tt, and the restricted order divides the Kummer order by the
+    mod-p component image; that division must be exact.
     """
 
     place: Place
+    p: int
     torsion_order: int  # #E(K_v)[p]
-    kummer_order: int  # #E(K_v)/pE(K_v) = local Selmer order
     phi_p: int  # #Phi(k_v)[p]
 
     def __post_init__(self) -> None:
@@ -108,6 +114,13 @@ class LocalSelmerOrders:
                 f"inconsistent local data at {self.place}: phi_p = {self.phi_p} does not divide "
                 f"the Kummer order {self.kummer_order}"
             )
+
+    @cached_property
+    def kummer_order(self) -> int:
+        """#E(K_v)/pE(K_v) = local Selmer order."""
+        if self.place.is_real:
+            return 1
+        return self.p * self.torsion_order if self.place.prime == self.p else self.torsion_order
 
     @property
     def tt_p(self) -> int:
@@ -154,8 +167,6 @@ def division_polynomial(curve: WeierstrassCurve, p: int) -> IntegerPolynomial:
     f_1 = f_2 = 1 are skipped.
     """
     check_p(p)
-    if not curve.is_integral:
-        raise ValueError("integral model required")
     b2, b4, b6, b8 = curve.b_invariants
     one = [1]
     F = _y_squareness_poly(curve).coeffs
@@ -271,18 +282,6 @@ def local_torsion_order(
     return count
 
 
-def local_kummer_order(curve: WeierstrassCurve, place: Place, p: int, torsion_order: int) -> int:
-    """#E(K_v)/pE(K_v).  Real place: 1 (odd p divides nothing there).
-    Finite l != p: equals the torsion order.  l = p: an extra factor p
-    (the local Euler-characteristic factor |p|_v^{-1} over Q_p)."""
-    check_p(p)
-    if place.is_real:
-        return 1
-    if place.prime == p:
-        return p * torsion_order
-    return torsion_order
-
-
 def assemble_local_orders(
     curve: WeierstrassCurve,
     place: Place,
@@ -293,8 +292,6 @@ def assemble_local_orders(
     """All six local orders at one place (see :class:`LocalSelmerOrders`);
     ``local_data`` as in :func:`local_torsion_order`."""
     if place.is_real:
-        return LocalSelmerOrders(place, local_torsion_order(curve, place, p, local_data=local_data), 1, 1)
+        return LocalSelmerOrders(place, p, local_torsion_order(curve, place, p, local_data=local_data), 1)
     data = local_data or tate_local(curve, place.prime)
-    torsion = local_torsion_order(curve, place, p, local_data=data)
-    kummer = local_kummer_order(curve, place, p, torsion)
-    return LocalSelmerOrders(place, torsion, kummer, phi_p_part_order(data, p))
+    return LocalSelmerOrders(place, p, local_torsion_order(curve, place, p, local_data=data), phi_p_part_order(data, p))

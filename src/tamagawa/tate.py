@@ -29,7 +29,6 @@ __all__ = [
     "LocalData",
     "TateInvariantError",
     "tate_local",
-    "is_split_multiplicative",
     "phi_p_part_order",
 ]
 
@@ -142,7 +141,7 @@ class LocalData:
     vdelta: int
     kodaira: KodairaType
     c: int  # Tamagawa number = #Phi(k_v)
-    split: bool | None  # meaningful only for multiplicative types
+    split: bool | None  # whether the node's tangents are rational; None off multiplicative types
 
     @property
     def m(self) -> int:
@@ -181,14 +180,6 @@ class LocalData:
         }
 
 
-def is_split_multiplicative(local: LocalData) -> bool:
-    """Split flag of a multiplicative place; error on other types."""
-    if not local.kodaira.is_multiplicative:
-        raise ValueError("not multiplicative")
-    _require(local.split is not None, "multiplicative place without a split flag")
-    return local.split
-
-
 def phi_p_part_order(local: LocalData, p: int) -> int:
     """#Phi(k_v)[p] for p as :func:`check_p` allows.  The odd part of
     Phi(k_v) is cyclic for elliptic curves, so this is p exactly when p | c."""
@@ -218,8 +209,9 @@ class _Machine:
             self._change(Transformation(1, r, s, t))
 
     def rescale(self) -> None:
-        self._change(Transformation(self.ell, 0, 0, 0))
-        _require(self.model.is_integral, "rescale requires divisible coefficients")
+        ell = self.ell
+        _require(all(a % ell**w == 0 for a, w in zip(self.model.ainvs, (1, 2, 3, 4, 6))), "rescale requires divisible coefficients")
+        self._change(Transformation(ell, 0, 0, 0))
 
     def v(self, n: int) -> int:
         return _int_valuation(n, self.ell)
@@ -399,9 +391,6 @@ class _Machine:
 def tate_local(curve: WeierstrassCurve, ell: int) -> LocalData:
     """Run Tate's algorithm for ``curve`` at the prime ``ell``."""
     _require_prime(ell)
-    if not curve.is_integral:
-        raise ValueError("integral model required")
-
     machine = _Machine(curve, ell)
     kod, vdelta, c, split = machine.run()
     data = LocalData(ell, machine.model, machine.trans, vdelta, kod, c, split)

@@ -57,6 +57,13 @@ def test_localdata_parse_error_exits_2(runner):
     assert result.exit_code == 2  # neither --prime nor --all-bad
 
 
+def test_localdata_prime_and_all_bad_together_exit_2(runner):
+    result = runner.invoke(main, ["localdata", "--curve", "0,0,0,0,1", "--prime", "5", "--all-bad"])
+    assert result.exit_code == 2
+    assert "provide exactly one of --prime or --all-bad" in result.output
+    assert "{" not in result.output  # no row printed
+
+
 @pytest.mark.parametrize("prime", [
     "12",
     "-5",

@@ -58,10 +58,10 @@ def test_integral_models_are_int_and_j_is_fraction(ai, rst):
         assert model.integer_ainvs() == model.ainvs
     assert type(E.j_invariant) is Fraction and type(shifted.j_invariant) is Fraction
     assert shifted.j_invariant == E.j_invariant
-    # a rescaling divides through Fraction, never through float
-    halved = transform(E, (2, 0, 0, 0))
-    assert all(type(a) in (int, Fraction) for a in halved.ainvs)
-    assert halved.discriminant == Fraction(E.discriminant, 2**12)
+    # a rescaling divides through Fraction, never through float, and lands on ints
+    blown = transform(E, (Fraction(1, 2), *rst))
+    assert all(type(a) is int for a in blown.ainvs)
+    assert blown.discriminant == E.discriminant * 2**12
 
 
 def test_singular_rejected():
@@ -73,11 +73,20 @@ def test_transform_identity_and_scaling():
     E = WeierstrassCurve(0, 0, 0, 0, 1)
     same = transform(E, Transformation.identity())
     assert same.ainvs == E.ainvs
-    halved = transform(E, (2, 0, 0, 0))
-    assert halved.discriminant == Fraction(-432, 4096)
-    assert halved.j_invariant == E.j_invariant
+    doubled = transform(E, (Fraction(1, 2), 0, 0, 0))
+    assert doubled.ainvs == (0, 0, 0, 0, 64)
+    assert doubled.discriminant == -432 * 4096
+    assert doubled.j_invariant == E.j_invariant
+    assert transform(doubled, (2, 0, 0, 0)) == E
     with pytest.raises(ValueError, match="degenerate"):
         transform(E, (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("tr", [(2, 0, 0, 0), (1, Fraction(1, 2), 0, 0), (1, 0, 0, Fraction(1, 3))])
+def test_transform_to_a_non_integral_model_raises(tr):
+    E = WeierstrassCurve(0, 0, 0, 0, 1)
+    with pytest.raises(ValueError, match="not integral"):
+        transform(E, tr)
 
 
 def test_identity_transform_returns_its_input():
@@ -94,34 +103,41 @@ def test_identity_transform_returns_its_input():
 
 
 def test_j_invariance_under_random_transformations():
+    """u = 1/k with integer (r, s, t): the family that always gives an
+    integral model, and whose inverse (k, -r k^2, -s k, (r s - t) k^3) does too."""
     rng = random.Random(11)
     for _ in range(100):
         try:
             E = WeierstrassCurve(*(rng.randint(-5, 5) for _ in range(5)))
         except SingularCurveError:
             continue
-        u = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-        r, s, t = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
-        E2 = transform(E, (u, r, s, t))
+        k = rng.randint(1, 6)
+        r, s, t = (rng.randint(-4, 4) for _ in range(3))
+        E2 = transform(E, (Fraction(1, k), r, s, t))
         assert E2.j_invariant == E.j_invariant
-        assert E2.discriminant == E.discriminant / u**12
+        assert E2.discriminant == E.discriminant * k**12
+        assert transform(E2, (k, -r * k * k, -s * k, (r * s - t) * k**3)) == E
 
 
 def test_transformation_composition():
     E = WeierstrassCurve(1, 0, 1, 4, -6)
     t1 = Transformation(Fraction(1), Fraction(2), Fraction(1), Fraction(-3))
-    t2 = Transformation(Fraction(2), Fraction(-1), Fraction(0), Fraction(5))
+    t2 = Transformation(Fraction(1, 2), Fraction(-1), Fraction(0), Fraction(5))
     assert transform(transform(E, t1), t2).ainvs == transform(E, t1.compose(t2)).ainvs
 
 
 def test_from_input_clears_denominators():
     E = WeierstrassCurve.from_input(Fraction(1, 2), 0, 0, Fraction(3, 4), 1)
-    assert E.is_integral
-    # same curve up to the rescaling transformation: j must agree
+    assert E.ainvs == (2, 0, 0, 192, 4096)  # u = 4
+    assert all(type(a) is int for a in E.ainvs)
+    # same curve up to the rescaling: j must agree with j of the rational model
+    a1, a4, a6 = Fraction(1, 2), Fraction(3, 4), Fraction(1)
+    b2, b4, b6, b8 = a1 * a1, 2 * a4, 4 * a6, a1 * a1 * a6 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    assert E.j_invariant == c4**3 / disc
     raw = WeierstrassCurve.from_input(1, 0, 0, 3, 1)  # sanity: integral passthrough
     assert raw.ainvs == (1, 0, 0, 3, 1)
-    direct_j = transform(E, (4, 0, 0, 0)).j_invariant
-    assert E.j_invariant == direct_j
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, "1", None])
@@ -129,6 +145,17 @@ def test_constructor_rejects_inexact_coefficients(bad):
     # Fraction(0.1) has a 2^55 denominator; a float must not be rounded into a curve
     with pytest.raises(ValueError, match="not an exact rational"):
         WeierstrassCurve(bad, 0, 0, 1, 0)
+
+
+def test_constructor_accepts_integral_fractions():
+    E = WeierstrassCurve(Fraction(4, 2), 0, 0, 1, 0)
+    assert E.ainvs == (2, 0, 0, 1, 0) and type(E.a1) is int
+    assert E == WeierstrassCurve(2, 0, 0, 1, 0)
+
+
+def test_constructor_points_rational_coefficients_to_from_input():
+    with pytest.raises(ValueError, match="from_input"):
+        WeierstrassCurve(Fraction(1, 2), 0, 0, 1, 0)
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, "3/4"])

@@ -20,7 +20,6 @@ from tamagawa.localorders import (
     assemble_local_orders,
     check_p,
     division_polynomial,
-    local_kummer_order,
     local_torsion_order,
 )
 from tamagawa.padic import IntegerPolynomial, PrecisionExhausted, SquarefreePolynomial, _is_prime
@@ -359,7 +358,6 @@ def test_invalid_p_rejected():
         lambda p: local_torsion_order(E, Place.real(), p),
         lambda p: local_torsion_order(E, Place.finite(11), p),
         lambda p: phi_p_part_order(data, p),
-        lambda p: local_kummer_order(E, Place.real(), p, 1),
         lambda p: assemble_local_orders(E, Place.real(), p),
         lambda p: assemble_local_orders(E, Place.finite(11), p),
         lambda p: build_S(E, p),

@@ -22,7 +22,6 @@ from tamagawa.localorders import (
     _y_squareness_poly,
     assemble_local_orders,
     division_polynomial,
-    local_kummer_order,
     local_torsion_order,
 )
 from tamagawa.padic import (
@@ -134,11 +133,12 @@ def test_local_torsion_finite_examples():
 
 
 def test_local_kummer_rules():
-    E = WeierstrassCurve(0, 0, 0, 1, 0)
-    assert local_kummer_order(E, Place.real(), 3, 3) == 1
-    assert local_kummer_order(E, Place.finite(7), 3, 1) == 1
-    assert local_kummer_order(E, Place.finite(3), 3, 1) == 3
-    assert local_kummer_order(E, Place.finite(5), 5, 5) == 25
+    # LocalSelmerOrders(place, p, torsion, phi_p) derives the Kummer order
+    assert LocalSelmerOrders(Place.real(), 3, 3, 1).kummer_order == 1
+    assert LocalSelmerOrders(Place.finite(7), 3, 1, 1).kummer_order == 1
+    assert LocalSelmerOrders(Place.finite(7), 3, 3, 1).kummer_order == 3
+    assert LocalSelmerOrders(Place.finite(3), 3, 1, 1).kummer_order == 3
+    assert LocalSelmerOrders(Place.finite(5), 5, 5, 1).kummer_order == 25
 
 
 def test_assemble_good_reduction_away_from_p():
@@ -269,12 +269,12 @@ def test_local_data_for_another_prime_rejected():
 
 def test_local_orders_violating_identities_rejected():
     # relaxed, restricted and tt_p are derived, so only phi_p | kummer can fail
-    o = LocalSelmerOrders(Place.finite(5), 25, 125, 5)
+    o = LocalSelmerOrders(Place.finite(5), 5, 25, 5)  # Kummer order 5 * 25 at l = p
     assert (o.relaxed_order, o.restricted_order, o.tt_p) == (625, 25, 5)
     assert list(o.serialize()) == ["place", "torsion", "kummer", "phi_p", "relaxed", "restricted", "tt_p"]
     assert list(o.serialize().values()) == [5, 25, 125, 5, 625, 25, 5]
     with pytest.raises(InconsistentLocalData, match="phi_p = 5 does not divide the Kummer order 3"):
-        LocalSelmerOrders(Place.finite(7), 3, 3, 5)
+        LocalSelmerOrders(Place.finite(7), 5, 3, 5)
 
 
 def test_torsion_count_outside_allowed_orders_rejected(monkeypatch):

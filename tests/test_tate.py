@@ -17,7 +17,6 @@ from tamagawa.tate import (
     KodairaType,
     TateInvariantError,
     _Machine,
-    is_split_multiplicative,
     phi_p_part_order,
     tate_local,
 )
@@ -61,7 +60,6 @@ def test_split_multiplicative_11a1():
     assert (data.f, data.c, data.m) == (1, 5, 5)
     assert data.split is True
     assert data.phi_arithmetic.factors == (5,)
-    assert is_split_multiplicative(data)
 
 
 def test_additive_small_prime_cases():
@@ -87,10 +85,11 @@ def test_nonsplit_multiplicative():
     assert data.phi_geometric.factors == (2,)
 
 
-def test_split_accessor_rejects_additive():
-    data = tate_local(WeierstrassCurve(0, 0, 1, 0, 0), 3)
-    with pytest.raises(ValueError, match="not multiplicative"):
-        is_split_multiplicative(data)
+def test_split_flag_is_none_off_multiplicative_places():
+    E = WeierstrassCurve(0, 0, 1, 0, 0)
+    additive, good = tate_local(E, 3), tate_local(E, 5)
+    assert additive.kodaira == KodairaType("II") and additive.split is None
+    assert good.kodaira == KodairaType("I0") and good.split is None
 
 
 def test_ogg_formula_everywhere(corpus):
@@ -143,7 +142,7 @@ def test_component_group_consistency(corpus):
 def test_nonminimal_input_is_restarted():
     E = WeierstrassCurve(0, -1, 1, -10, -20)
     blown = transform(E, (Fraction(1, 11), 0, 0, 0))  # valuations shifted up by 12
-    assert blown.is_integral
+    assert blown.ainvs == (0, -(11**2), 11**3, -10 * 11**4, -20 * 11**6)
     data = tate_local(blown, 11)
     assert data.kodaira == KodairaType("In", 5)
     assert data.vdelta == 5 and data.c == 5
@@ -216,9 +215,6 @@ def test_tate_rejects_bad_input():
     E = WeierstrassCurve(0, 0, 0, 0, 1)
     with pytest.raises(ValueError, match="prime"):
         tate_local(E, 6)
-    frac = transform(E, (2, 0, 0, 0))
-    with pytest.raises(ValueError, match="integral"):
-        tate_local(frac, 5)
 
 
 def test_rescale_requires_divisible_coefficients():
@@ -229,7 +225,6 @@ def test_rescale_requires_divisible_coefficients():
 
 def _check_survives_rescaling(curve, ell, k, r, s, t):
     model = transform(curve, (Fraction(1, ell**k), r, s, t))  # forces the rescale restart
-    assert model.is_integral
     blown = tate_local(model, ell)
     assert _reduction_data(blown) == _reduction_data(tate_local(curve, ell))
     assert transform(model, blown.transformation) == blown.minimal_model

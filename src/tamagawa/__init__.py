@@ -9,18 +9,11 @@ from .curves import (
     Transformation,
     WeierstrassCurve,
     count_p_torsion_mod,
-    enumerate_points_mod,
     parse_ainvs,
     transform,
 )
-from .euler import (
-    EulerLedger,
-    build_S,
-    euler_factor,
-    global_torsion_order,
-    verify_main_theorem,
-)
-from .lmfdb import OracleRecord, crosscheck, fetch_curve
+from .euler import EulerLedger, global_torsion_order, verify_main_theorem
+from .lmfdb import OracleRecord, fetch_curve
 from .localorders import (
     InconsistentLocalData,
     LocalSelmerOrders,
@@ -50,15 +43,14 @@ __version__ = "0.1.0"
 __all__ = [
     "WeierstrassCurve", "Transformation", "transform", "parse_ainvs",
     "SingularCurveError", "FiniteFieldCurve", "FiniteFieldPoint",
-    "enumerate_points_mod", "count_p_torsion_mod",
+    "count_p_torsion_mod",
     "KodairaType", "FiniteAbelianGroup", "LocalData", "tate_local",
     "phi_p_part_order",
     "Place", "LocalSelmerOrders", "InconsistentLocalData",
     "division_polynomial", "local_torsion_order",
     "assemble_local_orders",
-    "EulerLedger", "build_S", "global_torsion_order",
-    "euler_factor", "verify_main_theorem",
-    "OracleRecord", "fetch_curve", "crosscheck",
+    "EulerLedger", "global_torsion_order", "verify_main_theorem",
+    "OracleRecord", "fetch_curve",
     "IntegerPolynomial", "PadicRoot", "PrecisionExhausted",
     "valuation", "is_square_local", "find_roots_padic",
     "__version__",

@@ -209,7 +209,8 @@ def cmd_batch(input_path, out_path, p, jobs) -> None:
     tasks: list[tuple[int, tuple[int, int, int, int, int] | None, str | None, int]] = []
     parse_failures: dict[int, dict] = {}
     try:
-        with open(input_path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports start with
+        with open(input_path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise click.BadParameter(f"not UTF-8 text ({exc.reason})", param_hint="'--input'") from exc

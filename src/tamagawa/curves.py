@@ -1,6 +1,7 @@
-"""Weierstrass models over Q: invariants, coordinate changes, reduction mod l,
-and exhaustive point arithmetic over small prime fields (the brute-force
-oracle for residue-field torsion).
+"""Weierstrass models over Q: invariants, coordinate changes, and reduction
+mod l with exhaustive point counting over small prime fields: #E~(F_l) for
+the global torsion screen, and the group law behind
+:func:`count_p_torsion_mod`, the brute-force oracle for residue-field torsion.
 
 One model type serves the whole package, and every model is integral: its
 coefficients are ``int``, so the CLI, the fixtures and Tate's algorithm run
@@ -25,7 +26,6 @@ __all__ = [
     "transform",
     "FiniteFieldPoint",
     "FiniteFieldCurve",
-    "enumerate_points_mod",
     "count_p_torsion_mod",
     "parse_ainvs",
 ]
@@ -209,8 +209,10 @@ INFINITY = FiniteFieldPoint(None, None)
 
 
 class FiniteFieldCurve:
-    """Reduction mod an odd prime of good reduction, with the affine group
-    law (complete case analysis, no projective formulas)."""
+    """Reduction mod an odd prime of good reduction: its points, their
+    number (the global torsion screen's ``order()``), and the affine group
+    law (complete case analysis, no projective formulas) that
+    :func:`count_p_torsion_mod` runs on."""
 
     def __init__(self, curve: WeierstrassCurve, ell: int):
         if not _is_prime(ell) or ell == 2:
@@ -222,15 +224,6 @@ class FiniteFieldCurve:
         self.ell = ell
         self.a = tuple(a % ell for a in curve.ainvs)
         self.b = tuple(b % ell for b in curve.b_invariants)
-
-    def on_curve(self, pt: FiniteFieldPoint) -> bool:
-        if pt.is_infinity:
-            return True
-        a1, a2, a3, a4, a6 = self.a
-        x, y = pt
-        lhs = (y * y + a1 * x * y + a3 * y) % self.ell
-        rhs = (x**3 + a2 * x * x + a4 * x + a6) % self.ell
-        return lhs == rhs
 
     def negate(self, pt: FiniteFieldPoint) -> FiniteFieldPoint:
         if pt.is_infinity:
@@ -288,24 +281,16 @@ class FiniteFieldCurve:
                 yield FiniteFieldPoint(x, y)
 
     def order(self) -> int:
-        return _hasse_checked(sum(1 for _ in self.points()), self.ell)
+        """#E~(F_l), after checking |n - (l + 1)| <= 2 sqrt(l) (Hasse)."""
+        n = sum(1 for _ in self.points())
+        if (n - (self.ell + 1)) ** 2 > 4 * self.ell:
+            raise ArithmeticError(f"Hasse bound violated: {n} points mod {self.ell}")
+        return n
 
 
-def _hasse_checked(n: int, ell: int) -> int:
-    """n, the number of points mod l, after checking |n - (l + 1)| <= 2 sqrt(l)."""
-    if (n - (ell + 1)) ** 2 > 4 * ell:
-        raise ArithmeticError(f"Hasse bound violated: {n} points mod {ell}")
-    return n
-
-
-def enumerate_points_mod(curve: WeierstrassCurve, ell: int) -> list[FiniteFieldPoint]:
-    """Full point list of the reduction mod l (good odd l <= cap), infinity included."""
-    red = FiniteFieldCurve(curve, ell)
-    pts = list(red.points())
-    _hasse_checked(len(pts), ell)
-    return pts
-
-
+# The brute-force oracle for residue-field torsion lives here, with the group
+# law above, only because perfbench/workloads.py imports it; moving it to the
+# tests is a benchmark change.
 def count_p_torsion_mod(curve: WeierstrassCurve, ell: int, p: int) -> int:
     """#{P in E~(F_l) : [p]P = O} by scalar multiplication over the full list."""
     red = FiniteFieldCurve(curve, ell)

@@ -10,7 +10,11 @@ definition.
 :class:`EulerLedger` stores what :func:`verify_main_theorem` computed (Tate
 data over S, the per-place orders, global torsion, undecided places and the
 verdicts) and derives S, both Euler characteristics and both sides of the
-identity from them when they are read.
+identity from them when they are read.  S is :attr:`EulerLedger.S`: the
+real place, then every prime whose Tate data the ledger holds (the bad
+primes and p).  The Euler factor at a place is kummer/torsion of its
+:func:`~tamagawa.localorders.assemble_local_orders` tuple; it is 1 at good
+places away from p, which is why the products may stop at S.
 """
 
 from __future__ import annotations
@@ -34,9 +38,7 @@ from .tate import LocalData, tate_local
 
 __all__ = [
     "EulerLedger",
-    "build_S",
     "global_torsion_order",
-    "euler_factor",
     "verify_main_theorem",
 ]
 
@@ -49,15 +51,6 @@ def local_data_for_bad_primes(curve: WeierstrassCurve) -> dict[int, LocalData]:
         if data.vdelta > 0:
             out[ell] = data
     return out
-
-
-def build_S(curve: WeierstrassCurve, p: int, *, bad_data: dict[int, LocalData] | None = None) -> list[Place]:
-    """The real place, the prime p, and every prime of bad reduction,
-    deduplicated and sorted."""
-    check_p(p)
-    bad = bad_data if bad_data is not None else local_data_for_bad_primes(curve)
-    primes = sorted(set(bad) | {p})
-    return [Place.real()] + [Place.finite(ell) for ell in primes]
 
 
 def _is_rational_square(x: Fraction) -> bool:
@@ -93,14 +86,6 @@ def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
     if count not in (1, p):
         raise InconsistentLocalData(f"global p-torsion {count} impossible over Q")
     return count
-
-
-def euler_factor(curve: WeierstrassCurve, ell: int, p: int) -> Fraction:
-    """kummer/torsion at a finite place; equals 1 at good places away from p
-    (the truncation-soundness check samples this)."""
-    place = Place.finite(ell)
-    o = assemble_local_orders(curve, place, p)
-    return Fraction(o.kummer_order, o.torsion_order)
 
 
 @dataclass

@@ -3,32 +3,29 @@
 ``fetch_curve`` reads one JSON document per label from the fixture
 directory and nothing else: it opens no network connection and writes no
 file. Every fixture is written by ``scripts/make_fixtures.py`` from
-derivations independent of ``tate_local``, and ``crosscheck`` compares a
-record with what this package computes.
+derivations independent of ``tate_local``, and this module imports none of
+the code the fixtures check (Tate's algorithm, the local orders, the
+ledger), only the curve model and ``prime_divisors``.  The comparison of a
+record with what the package computes is a test oracle, ``crosscheck`` in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .curves import WeierstrassCurve
-from .euler import global_torsion_order
 from .padic import prime_divisors
-from .tate import tate_local
 
 __all__ = [
     "OracleRecord",
     "OracleNotFoundError",
     "OracleSchemaError",
     "fetch_curve",
-    "crosscheck",
-    "DiffEntry",
-    "DiffReport",
 ]
 
 FIXTURE_DIR_ENV = "TAMAGAWA_FIXTURE_DIR"
@@ -116,54 +113,3 @@ def fetch_curve(label: str, *, fixtures_dir: str | Path | None = None) -> Oracle
         raise OracleSchemaError(f"{path} holds the record of {record.label}", doc)
     return record
 
-
-# ---------------------------------------------------------------------------
-# Crosscheck
-
-
-@dataclass(frozen=True)
-class DiffEntry:
-    prime: int | None  # None for curve-level fields
-    field_name: str
-    computed: object
-    expected: object
-
-    def __str__(self) -> str:
-        at = "curve" if self.prime is None else f"prime {self.prime}"
-        return f"{at}: {self.field_name} computed={self.computed} expected={self.expected}"
-
-
-@dataclass
-class DiffReport:
-    entries: list[DiffEntry]
-
-    @property
-    def ok(self) -> bool:
-        return not self.entries
-
-    def __str__(self) -> str:
-        return "no differences" if self.ok else "\n".join(str(e) for e in self.entries)
-
-
-def crosscheck(curve: WeierstrassCurve, record: OracleRecord) -> DiffReport:
-    """Field-by-field comparison of the reduction data (kodaira, f, c) at
-    every bad prime of the record, plus the odd torsion p-parts."""
-    if curve.integer_ainvs() != record.ainvs:
-        raise ValueError("record/curve mismatch: a-invariants differ")
-    entries: list[DiffEntry] = []
-    for row in record.local_data:
-        data = tate_local(curve, row.prime)
-        if data.kodaira.serialize() != row.kodaira:
-            entries.append(DiffEntry(row.prime, "kodaira", data.kodaira.serialize(), row.kodaira))
-        if data.f != row.f:
-            entries.append(DiffEntry(row.prime, "f", data.f, row.f))
-        if data.c != row.c:
-            entries.append(DiffEntry(row.prime, "c", data.c, row.c))
-        if row.split is not None and data.split != row.split:
-            entries.append(DiffEntry(row.prime, "split", data.split, row.split))
-    for p in (3, 5, 7):
-        expected = math.prod(math.gcd(d, p) for d in record.torsion_structure)
-        computed = global_torsion_order(curve, p)
-        if computed != expected:
-            entries.append(DiffEntry(None, f"torsion_{p}_part", computed, expected))
-    return DiffReport(entries)

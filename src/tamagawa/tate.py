@@ -62,10 +62,6 @@ class KodairaType:
         elif self.n != 0:
             raise ValueError(f"{self.family} carries no index")
 
-    @property
-    def is_multiplicative(self) -> bool:
-        return self.family == "In"
-
     def serialize(self) -> str:
         # n >= 1 exactly for In and In*, the families that print their index
         return f"{self.family}:{self.n}" if self.n else self.family
@@ -102,9 +98,6 @@ class FiniteAbelianGroup:
     @property
     def exponent(self) -> int:
         return self.factors[-1] if self.factors else 1
-
-    def p_torsion_order(self, p: int) -> int:
-        return math.prod(math.gcd(d, p) for d in self.factors)
 
     def __str__(self) -> str:
         if not self.factors:

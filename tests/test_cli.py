@@ -281,6 +281,21 @@ def test_batch_input_not_utf8_exits_2(runner, tmp_path):
     assert not out.exists()
 
 
+def test_batch_input_with_a_byte_order_mark(runner, tmp_path):
+    """A spreadsheet export starts with a UTF-8 byte-order mark; the first
+    row still parses, and the report is the one of the same file without it."""
+    body = b"0,-1,1,-10,-20,11a1\n0,0,0,0,1\n"
+    reports = []
+    for name, data in (("bom.csv", b"\xef\xbb\xbf" + body), ("plain.csv", body)):
+        inp, out = tmp_path / name, tmp_path / f"{name}.json"
+        inp.write_bytes(data)
+        result = runner.invoke(main, ["batch", "--input", str(inp), "--out", str(out), "-p", "3"])
+        assert result.exit_code == 0, result.output
+        assert "2 passed, 0 failed, 0 undecided" in result.output
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_batch_out_in_a_missing_directory_exits_2_before_any_row(runner, tmp_path, monkeypatch):
     import tamagawa.cli as cli
 

@@ -8,12 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from tamagawa.curves import WeierstrassCurve, transform
-from tamagawa.euler import (
-    build_S,
-    euler_factor,
-    global_torsion_order,
-    verify_main_theorem,
-)
+from tamagawa.euler import global_torsion_order, verify_main_theorem
 from tamagawa.localorders import (
     Place,
     TorsionPolynomials,
@@ -26,17 +21,17 @@ from tamagawa.padic import IntegerPolynomial, PrecisionExhausted, SquarefreePoly
 from tamagawa.tate import phi_p_part_order, tate_local
 
 
-def test_build_S_examples():
+def test_S_examples():
     E = WeierstrassCurve(0, 0, 0, 0, 1)  # disc -432 = -2^4 3^3
-    assert [str(p) for p in build_S(E, 5)] == ["oo", "2", "3", "5"]
-    assert [str(p) for p in build_S(E, 3)] == ["oo", "2", "3"]
+    assert [str(p) for p in verify_main_theorem(E, 5).S] == ["oo", "2", "3", "5"]
+    assert [str(p) for p in verify_main_theorem(E, 3).S] == ["oo", "2", "3"]
     E11 = WeierstrassCurve(0, -1, 1, -10, -20)
-    assert [str(p) for p in build_S(E11, 5)] == ["oo", "5", "11"]
+    assert [str(p) for p in verify_main_theorem(E11, 5).S] == ["oo", "5", "11"]
 
 
-def test_build_S_contains_real_and_p(corpus):
+def test_S_contains_real_and_p(corpus):
     for rec in corpus[:10]:
-        S = build_S(rec.curve(), 7)
+        S = verify_main_theorem(rec.curve(), 7).S
         assert S[0].is_real
         assert Place.finite(7) in S
 
@@ -97,13 +92,14 @@ def test_truncation_soundness_sampled():
     for ainvs in [(0, -1, 1, -10, -20), (0, 0, 0, 0, 1), (1, 0, 1, 4, -6)]:
         E = WeierstrassCurve(*ainvs)
         for p in (3, 5):
-            in_S = {pl.prime for pl in build_S(E, p) if not pl.is_real}
+            in_S = {pl.prime for pl in verify_main_theorem(E, p).S if not pl.is_real}
             picked = 0
             while picked < 5:
                 ell = rng.randint(7, 400)
                 if not _is_prime(ell) or ell in in_S or int(E.discriminant) % ell == 0:
                     continue
-                assert euler_factor(E, ell, p) == 1
+                o = assemble_local_orders(E, Place.finite(ell), p)
+                assert Fraction(o.kummer_order, o.torsion_order) == 1
                 picked += 1
 
 
@@ -360,9 +356,8 @@ def test_invalid_p_rejected():
         lambda p: phi_p_part_order(data, p),
         lambda p: assemble_local_orders(E, Place.real(), p),
         lambda p: assemble_local_orders(E, Place.finite(11), p),
-        lambda p: build_S(E, p),
+        lambda p: assemble_local_orders(E, Place.finite(7), p),
         lambda p: global_torsion_order(E, p),
-        lambda p: euler_factor(E, 7, p),
         lambda p: verify_main_theorem(E, p),
     ]
     for p in (2, 9, 33, 37, 1, -3, "5", 5.0):

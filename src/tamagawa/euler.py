@@ -29,8 +29,9 @@ from .localorders import (
     InconsistentLocalData,
     LocalSelmerOrders,
     Place,
-    TorsionPolynomials,
+    _y_squareness_poly,
     assemble_local_orders,
+    certified_psi,
     check_p,
 )
 from .padic import PrecisionExhausted, _is_prime, prime_divisors, rational_roots
@@ -68,8 +69,8 @@ def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
     Fast path: reduction mod a good odd prime q != p is injective on
     p-torsion, so p not dividing some #E~(F_q) settles the answer.  Otherwise
     search the rational roots of the division polynomial and test whether the
-    y-quadratic has a rational solution, on the memoized polynomials of
-    ``curve`` (:meth:`TorsionPolynomials.of`).
+    y-quadratic has a rational solution, on the memoized psi_p of ``curve``
+    that its finite places count on (:func:`certified_psi`).
     """
     check_p(p)
     disc = curve.discriminant
@@ -81,8 +82,8 @@ def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
                 return 1
             screened += 1
         q += 2
-    polys = TorsionPolynomials.of(curve, p)
-    count = 1 + 2 * sum(_is_rational_square(Fraction(polys.g(x0))) for x0 in rational_roots(polys.psi))
+    g = _y_squareness_poly(curve)
+    count = 1 + 2 * sum(_is_rational_square(Fraction(g(x0))) for x0 in rational_roots(certified_psi(curve, p)))
     if count not in (1, p):
         raise InconsistentLocalData(f"global p-torsion {count} impossible over Q")
     return count

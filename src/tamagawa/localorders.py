@@ -5,14 +5,12 @@ v ranging over the real place and the finite primes.
 
 Division polynomials locate the p-torsion x-coordinates; l-adic root
 counting plus the local square test decide which of them carry points over
-Q_l.  The count runs on the input model where Tate's transformation at l
-is a translation (u = 1) and on the l-minimal model otherwise; both give
-the same count, since #E(Q_l)[p] belongs to E over Q_l, not to a model (see
-:func:`local_torsion_order`), and a small memo on (model, p) shares psi_p
-across the places of one curve.  At a bad place the count runs in the frame
-where the singular point of the reduction sits at x = 0 mod l, where most
-roots of psi_p mod l lie, so the residue-root search sees a cofactor of
-small degree.
+Q_l.  Every finite place counts in the frame of Tate's l-minimal model, on
+the input model's psi_p moved there (see :func:`local_torsion_order`); a
+small memo on (model, p) builds psi_p once per input, for its places and
+global torsion.  At a bad place that frame puts the singular point of the
+reduction at x = 0 mod l, where most roots of psi_p mod l lie, so the
+residue-root search sees a cofactor of small degree.
 
 :class:`LocalSelmerOrders` stores what is computed at a place, the torsion
 count and phi_p from Tate's c, and derives the other four orders where they
@@ -27,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .curves import WeierstrassCurve
+from .curves import WeierstrassCurve, transform
 from .padic import (
     P_MAX,
     IntegerPolynomial,
@@ -48,14 +46,14 @@ __all__ = [
     "Place",
     "LocalSelmerOrders",
     "InconsistentLocalData",
-    "TorsionPolynomials",
+    "certified_psi",
     "division_polynomial",
     "local_torsion_order",
     "assemble_local_orders",
 ]
 
-# Entries of the psi_p memo: the places of one curve use its input model and
-# a few minimal models in turn.  An entry at p = 31 holds about 64 kB for 11a1.
+# Entries of the psi_p memo: one input model per verify, whatever Tate's
+# frames at its places.  An entry at p = 31 holds about 64 kB for 11a1.
 _MEMO_SIZE = 8
 
 
@@ -206,27 +204,17 @@ def _y_squareness_poly(curve: WeierstrassCurve) -> IntegerPolynomial:
     return _poly([b6, 2 * b4, b2, 4])
 
 
-@dataclass(frozen=True)
-class TorsionPolynomials:
-    """psi_p of one integral model, made primitive and certified squarefree
-    by theorem (see :func:`division_polynomial`: its roots are distinct), with
-    g = 4x^3 + b2 x^2 + 2 b4 x + b6 of the same model."""
-
-    model: WeierstrassCurve
-    p: int
-    psi: SquarefreePolynomial
-    g: IntegerPolynomial
-
-    @classmethod
-    def of(cls, model: WeierstrassCurve, p: int) -> "TorsionPolynomials":
-        """Memoized; p is checked first, so 5.0 or "5" never finds the entry of 5."""
-        check_p(p)
-        return _build(model, p)
+def certified_psi(model: WeierstrassCurve, p: int) -> SquarefreePolynomial:
+    """The primitive psi_p of ``model``, certified squarefree by theorem (see
+    :func:`division_polynomial`: its roots are distinct).  Memoized; p is
+    checked first, so 5.0 or "5" never finds the entry of 5."""
+    check_p(p)
+    return _build_psi(model, p)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _build(model: WeierstrassCurve, p: int) -> TorsionPolynomials:
-    return TorsionPolynomials(model, p, _certified(division_polynomial(model, p).primitive_part()), _y_squareness_poly(model))
+def _build_psi(model: WeierstrassCurve, p: int) -> SquarefreePolynomial:
+    return _certified(division_polynomial(model, p).primitive_part())
 
 
 def local_torsion_order(
@@ -244,26 +232,18 @@ def local_torsion_order(
     root in Q_l; each such x carries exactly two points (odd p rules out the
     self-symmetric y).
 
-    The count runs on ``curve``'s psi_p when Tate's transformation at l has
-    u = 1: the l-minimal model is then ``curve`` moved by an integer
-    translation, an isometry of Q_l, so the root geometry is the same, and
-    the places of one curve share one memoized psi_p
-    (:meth:`TorsionPolynomials.of`).  Otherwise the count runs on the
-    l-minimal model, since a heavily non-minimal model's psi_p needs much
-    deeper Hensel recursion.  Both give the same count: a change of
-    coordinates x = u^2 x' + r maps the roots of psi_p one to one and
-    multiplies g by u^6, a square.
+    The count runs in the frame of Tate's l-minimal model, x = u^2 x' + r,
+    on ``curve``'s memoized psi_p (:func:`certified_psi`) moved there and on
+    g of the minimal model.  The moved psi_p is the minimal model's, since
+    psi_min(x') = u^-(p^2-1) psi(u^2 x' + r), so a non-minimal input costs no
+    deep Hensel recursion; the move maps the roots one to one and g picks up
+    u^6, a square, so the count is that of E.  At a bad place l != p the
+    frame puts p(p - 1)/2 of the (p^2 - 1)/2 roots of psi_p mod l at the
+    singular point x = 0 mod l, so the residue-root search sees a cofactor
+    of degree (p - 1)/2 or less.
 
-    The roots are counted in the frame where the singular point of the
-    reduction sits at x = 0 mod l.  The minimal model already has it there.
-    Where u = 1, psi_p and g of ``curve`` are translated by x0 = r mod l
-    (x -> x + x0), an integer translation again; at a good place r = 0 and
-    nothing is translated.  At a bad place l != p, p(p - 1)/2 of the
-    (p^2 - 1)/2 roots of psi_p mod l sit at the singular point, so the
-    residue-root search sees a cofactor of degree (p - 1)/2 or less.
-
-    ``local_data``, when given, is Tate's output at this place's prime; data
-    for another prime raises ``ValueError``.
+    ``local_data``, when given, is Tate's output for ``curve`` at this
+    place's prime; data for another prime or model raises ``ValueError``.
     """
     check_p(p)
     if local_data is not None and local_data.prime != place.prime:
@@ -271,11 +251,11 @@ def local_torsion_order(
     if place.is_real:
         return p
     ell = place.prime
+    if local_data is not None and transform(curve, local_data.transformation) != local_data.minimal_model:
+        raise ValueError(f"local data at {ell} belongs to another model than {curve}")
     data = local_data or tate_local(curve, ell)
-    u1 = data.transformation.u == 1
-    polys = TorsionPolynomials.of(curve if u1 else data.minimal_model, p)
-    x0 = data.transformation.r % ell if u1 else 0
-    psi, g = polys.psi.translated(x0), polys.g.translated(x0)
+    u, r = data.transformation.u, data.transformation.r
+    psi, g = certified_psi(curve, p).moved(u, r), _y_squareness_poly(data.minimal_model)
     count = 1 + 2 * sum(value_is_square_at_root(g, root) for root in find_roots_padic(psi, ell))
     if count not in (1, p, p * p):
         raise InconsistentLocalData(f"torsion count {count} outside {{1, p, p^2}}")

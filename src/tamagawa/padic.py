@@ -425,10 +425,6 @@ class IntegerPolynomial:
             c[i] *= m
         return _poly(c)
 
-    def translated(self, r: int) -> "IntegerPolynomial":
-        """f(x + r); f itself at r = 0."""
-        return self.compose_affine(1, r) if r else self
-
     def reverse_scale(self, ell: int, s: int) -> "IntegerPolynomial":
         """l^(s*deg) * f(x / l^s): coefficient a_i picks up l^(s*(deg-i))."""
         d = self.degree
@@ -461,9 +457,9 @@ class SquarefreePolynomial(IntegerPolynomial):
     psi_p of an elliptic curve has distinct roots in characteristic 0
     (Washington, *Elliptic Curves*, Sec. 3.2; Silverman, *AEC* III.6.4), by
     which ``localorders`` certifies the primitive psi_p it builds.
-    ``translated`` keeps one (x -> x + r is an automorphism of Z[x], so it
-    keeps the content and the factorisation); other arithmetic on it gives a
-    plain ``IntegerPolynomial``."""
+    ``moved`` keeps one (x -> u^2 x + r is an automorphism of Q[x], so it
+    keeps the factorisation); other arithmetic on it gives a plain
+    ``IntegerPolynomial``."""
 
     __slots__ = ()
 
@@ -473,8 +469,9 @@ class SquarefreePolynomial(IntegerPolynomial):
     def squarefree_part(self) -> "SquarefreePolynomial":
         return self
 
-    def translated(self, r: int) -> "SquarefreePolynomial":
-        return _certified(self.compose_affine(1, r)) if r else self
+    def moved(self, u: int, r: int) -> "SquarefreePolynomial":
+        """The primitive part of f(u^2 x + r); f itself at (u, r) = (1, 0)."""
+        return _certified(self.compose_affine(u * u, r).primitive_part()) if (u, r) != (1, 0) else self
 
 
 def _certified(f: IntegerPolynomial) -> SquarefreePolynomial:

@@ -28,4 +28,4 @@ def corpus(corpus_labels) -> list[OracleRecord]:
 def empty_psi_memo():
     """Each test starts with no memoized psi_p, so none depends on what an
     earlier test left there."""
-    localorders._build.cache_clear()
+    localorders._build_psi.cache_clear()

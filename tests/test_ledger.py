@@ -11,8 +11,8 @@ from tamagawa.curves import WeierstrassCurve, transform
 from tamagawa.euler import global_torsion_order, verify_main_theorem
 from tamagawa.localorders import (
     Place,
-    TorsionPolynomials,
     assemble_local_orders,
+    certified_psi,
     check_p,
     division_polynomial,
     local_torsion_order,
@@ -154,12 +154,12 @@ def test_global_torsion_rational_root_path_on_corpus(corpus, monkeypatch):
 
 def test_global_torsion_reuses_the_memoized_polynomials(monkeypatch):
     """With the screen stubbed out, global torsion searches the psi_p that
-    TorsionPolynomials.of memoized; another p or curve is another entry."""
+    certified_psi memoized; another p or curve is another entry."""
     import tamagawa.euler as euler_mod
     import tamagawa.localorders as lo
 
     E = WeierstrassCurve(0, -1, 1, -10, -20)
-    polys = TorsionPolynomials.of(E, 5)
+    psi = certified_psi(E, 5)
     searched = []
     built = []
     real_division = lo.division_polynomial
@@ -168,7 +168,7 @@ def test_global_torsion_reuses_the_memoized_polynomials(monkeypatch):
     monkeypatch.setattr(euler_mod, "rational_roots", lambda f: searched.append(f) or real_roots(f))
     monkeypatch.setattr(lo, "division_polynomial", lambda model, p: built.append((model, p)) or real_division(model, p))
     assert global_torsion_order(E, 5) == 5
-    assert len(searched) == 1 and searched[0] is polys.psi and built == []
+    assert len(searched) == 1 and searched[0] is psi and built == []
     other = WeierstrassCurve(0, 0, 1, 0, 0)
     assert global_torsion_order(E, 3) == 1
     assert global_torsion_order(other, 5) == 1
@@ -210,9 +210,9 @@ def test_verify_builds_psi_once_when_global_torsion_needs_rational_roots(corpus,
 def counted_polys(monkeypatch):
     """Spies on the polynomials whose roots the verify path counts.
 
-    ``psi`` holds each TorsionPolynomials.of(...).psi and each translation of
-    one, by id (the values keep them alive); find_roots_padic in localorders
-    and rational_roots in euler fail on any other polynomial.  ``built``
+    ``psi`` holds each certified_psi(...) and each move of one, by id (the
+    values keep them alive); find_roots_padic in localorders and
+    rational_roots in euler fail on any other polynomial.  ``built``
     lists the models division_polynomial ran on, ``searched`` the inputs of
     rational_roots and ``squarefree`` the calls to
     IntegerPolynomial.squarefree_part."""
@@ -220,20 +220,20 @@ def counted_polys(monkeypatch):
     import tamagawa.localorders as lo
 
     spy = SimpleNamespace(psi={}, built=[], searched=[], squarefree=[])
-    real_of = TorsionPolynomials.of.__func__
-    real_translated = SquarefreePolynomial.translated
+    real_certified_psi = lo.certified_psi
+    real_moved = SquarefreePolynomial.moved
     real_squarefree = IntegerPolynomial.squarefree_part
     real_find = lo.find_roots_padic
     real_division = lo.division_polynomial
     real_roots = euler_mod.rational_roots
 
-    def of(cls, model, p):
-        polys = real_of(cls, model, p)
-        spy.psi[id(polys.psi)] = polys.psi
-        return polys
+    def certified_psi(model, p):
+        psi = real_certified_psi(model, p)
+        spy.psi[id(psi)] = psi
+        return psi
 
-    def translated(self, r):
-        out = real_translated(self, r)
+    def moved(self, u, r):
+        out = real_moved(self, u, r)
         if spy.psi.get(id(self)) is self:
             spy.psi[id(out)] = out
         return out
@@ -247,8 +247,9 @@ def counted_polys(monkeypatch):
         spy.searched.append(f)
         return real_roots(f)
 
-    monkeypatch.setattr(TorsionPolynomials, "of", classmethod(of))
-    monkeypatch.setattr(SquarefreePolynomial, "translated", translated)
+    monkeypatch.setattr(lo, "certified_psi", certified_psi)
+    monkeypatch.setattr(euler_mod, "certified_psi", certified_psi)
+    monkeypatch.setattr(SquarefreePolynomial, "moved", moved)
     monkeypatch.setattr(IntegerPolynomial, "squarefree_part", lambda f: spy.squarefree.append(f) or real_squarefree(f))
     monkeypatch.setattr(lo, "find_roots_padic", find_roots_padic)
     monkeypatch.setattr(lo, "division_polynomial", lambda model, p: spy.built.append(model) or real_division(model, p))
@@ -259,12 +260,12 @@ def counted_polys(monkeypatch):
 def test_verify_runs_no_squarefree_certificate(corpus, counted_polys):
     """psi_p is squarefree by theorem, so from an empty memo a verify over the
     corpus at p up to 13 never calls squarefree_part, and every root count
-    and rational-root search runs on a TorsionPolynomials psi_p or on a
-    translation of one."""
+    and rational-root search runs on a certified_psi psi_p or on a move of
+    one."""
     import tamagawa.localorders as lo
 
     for p in (3, 5, 7, 11, 13):
-        lo._build.cache_clear()
+        lo._build_psi.cache_clear()
         for rec in corpus:
             verify_main_theorem(rec.curve(), p)
     assert counted_polys.squarefree == []
@@ -277,15 +278,12 @@ NON_MINIMAL_INVERSE_U = (2, 3, 5, 12, 10**12)
 def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, counted_polys):
     """Every corpus curve under a seeded shift-only model and under models
     scaled by u = 1/k: the same record but for "curve", and every polynomial
-    whose roots are counted is a psi_p that TorsionPolynomials certified, or
-    the translation of one (``counted_polys``).  From an empty memo, a
-    verify builds psi_p once per distinct model it counts on (the input
-    where Tate's u = 1, else that place's minimal model; two places may share
-    one), in order of first use, and once more for the input when global
-    torsion searches rational roots and no place counted on the input."""
+    whose roots are counted is a psi_p that certified_psi built, or the move
+    of one (``counted_polys``).  From an empty memo, a verify builds psi_p
+    exactly once, on its input model, whatever Tate's u at its places."""
     import tamagawa.localorders as lo
 
-    built, searched = counted_polys.built, counted_polys.searched
+    built = counted_polys.built
     rng = random.Random(7)
     rescaled_places = 0
     for rec in corpus:
@@ -298,21 +296,18 @@ def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, counted_po
             models.append(WeierstrassCurve(*transform(curve, (Fraction(1, k), r, s, t)).integer_ainvs()))
         for p in (3, 5, 7):
             built.clear()
-            lo._build.cache_clear()
+            lo._build_psi.cache_clear()
             expected = verify_main_theorem(curve, p).to_record()
             assert built == [curve]
             del expected["curve"]
             for model in models:
                 built.clear()
-                searched.clear()
-                lo._build.cache_clear()
+                lo._build_psi.cache_clear()
                 ledger = verify_main_theorem(model, p)
                 record = ledger.to_record()
                 assert record.pop("curve") == list(model.integer_ainvs())
                 assert record == expected, (rec.label, p, model)
-                used = [model if d.transformation.u == 1 else d.minimal_model for d in ledger.local_data.values()]
-                used += [model] * len(searched)
-                assert built == list(dict.fromkeys(used)), (rec.label, p, model)
+                assert built == [model], (rec.label, p, model)
                 rescaled_places += sum(d.transformation.u != 1 for d in ledger.local_data.values())
     assert rescaled_places > 0
     assert counted_polys.squarefree == []
@@ -350,7 +345,7 @@ def test_invalid_p_rejected():
     entries = [
         lambda p: check_p(p),
         lambda p: division_polynomial(E, p),
-        lambda p: TorsionPolynomials.of(E, p),
+        lambda p: certified_psi(E, p),
         lambda p: local_torsion_order(E, Place.real(), p),
         lambda p: local_torsion_order(E, Place.finite(11), p),
         lambda p: phi_p_part_order(data, p),

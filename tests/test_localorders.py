@@ -2,6 +2,7 @@
 six-order assembly and its forced identities."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,9 +21,9 @@ from tamagawa.localorders import (
     InconsistentLocalData,
     LocalSelmerOrders,
     Place,
-    TorsionPolynomials,
     _y_squareness_poly,
     assemble_local_orders,
+    certified_psi,
     division_polynomial,
     local_torsion_order,
 )
@@ -225,18 +226,18 @@ def test_good_primes_of_one_curve_build_psi_once(monkeypatch):
 
 def test_memo_checks_p_before_the_lookup():
     E = WeierstrassCurve(0, -1, 1, -10, -20)
-    assert TorsionPolynomials.of(E, 5) is TorsionPolynomials.of(E, 5)
+    assert certified_psi(E, 5) is certified_psi(E, 5)
     for p in (5.0, "5", True):
         with pytest.raises(ValueError, match="odd prime <= 31"):
-            TorsionPolynomials.of(E, p)
+            certified_psi(E, p)
 
 
 def test_memo_holds_at_most_its_bound():
     for a6 in range(1, 21):
         E = WeierstrassCurve(0, 0, 1, -1, a6)
-        TorsionPolynomials.of(E, 3)
-        assert localorders._build.cache_info().currsize <= localorders._MEMO_SIZE
-    assert localorders._build.cache_info().currsize == localorders._MEMO_SIZE
+        certified_psi(E, 3)
+        assert localorders._build_psi.cache_info().currsize <= localorders._MEMO_SIZE
+    assert localorders._build_psi.cache_info().currsize == localorders._MEMO_SIZE
 
 
 def test_inconsistent_local_data_detected():
@@ -269,6 +270,21 @@ def test_local_data_for_another_prime_rejected():
             assemble_local_orders(E, place, 3, local_data=at_7)
         with pytest.raises(ValueError, match=f"local data at 7 given for the place {place}$"):
             local_torsion_order(E, place, 3, local_data=at_7)
+
+
+def test_local_data_for_another_model_rejected():
+    # Tate's data at 11 of 11a3 scaled by u = 11, and of 11a3 itself, handed
+    # to 11a1: the first gave 11a3's count 5 (11a1's is 25) and 11a3's phi_p
+    E = WeierstrassCurve(0, -1, 1, -10, -20)
+    assert local_torsion_order(E, Place.finite(11), 5) == 25
+    a3 = WeierstrassCurve(0, -1, 1, 0, 0)
+    for other in (transform(a3, (Fraction(1, 11), 0, 0, 0)), a3):
+        data = tate_local(other, 11)
+        assert local_torsion_order(other, Place.finite(11), 5, local_data=data) == 5
+        # transform either fails to reach an integral model or reaches another one
+        for entry in (local_torsion_order, assemble_local_orders):
+            with pytest.raises(ValueError, match="not integral|local data at 11 belongs to another model"):
+                entry(E, Place.finite(11), 5, local_data=data)
 
 
 def test_local_orders_violating_identities_rejected():
@@ -371,42 +387,54 @@ def test_local_torsion_bounded_by_reduction_oracle(corpus):
     assert checked == 606
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
-def test_translated_psi_is_the_psi_of_the_translated_model(p):
-    for ainvs in ((0, -1, 1, -10, -20), (1, 0, 0, 0, 177147), (0, 0, 1, -7, 6)):
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@settings(max_examples=40, deadline=None)
+@given(
+    ainvs=st.tuples(*[st.integers(-30, 30)] * 5),
+    ell=st.sampled_from([2, 3, 5, 7]),
+    k=st.integers(0, 2),
+    rst=st.tuples(*[st.integers(-9, 9)] * 3),
+)
+def test_translated_psi_is_the_psi_of_the_translated_model(p, ainvs, ell, k, rst):
+    """On a model M of a random curve, shifted by (r, s, t) and scaled by
+    u = 1/l^k, the memoized psi_p of M moved into the frame of Tate's
+    l-minimal model is that model's own certified psi_p, and g picks up u^6."""
+    try:
         E = WeierstrassCurve(*ainvs)
-        psi = division_polynomial(E, p).squarefree_part()
-        for r in (0, 1, -2, 6, 1000):
-            moved = psi.translated(r)
-            assert isinstance(moved, SquarefreePolynomial), (ainvs, p, r)
-            assert moved == division_polynomial(transform(E, (1, r, 0, 0)), p).squarefree_part(), (ainvs, p, r)
-            assert _y_squareness_poly(E).translated(r) == _y_squareness_poly(transform(E, (1, r, 0, 0)))
-        assert psi.translated(0) is psi
+    except SingularCurveError:
+        assume(False)
+    M = transform(E, (Fraction(1, ell**k), *rst))
+    data = tate_local(M, ell)
+    u, r = data.transformation.u, data.transformation.r
+    moved = certified_psi(M, p).moved(u, r)
+    assert isinstance(moved, SquarefreePolynomial)
+    assert moved == certified_psi(data.minimal_model, p), (ainvs, ell, k, rst, p)
+    assert _y_squareness_poly(M).compose_affine(u * u, r) == u**6 * _y_squareness_poly(data.minimal_model)
+    assert certified_psi(M, p).moved(1, 0) is certified_psi(M, p)
 
 
 def test_count_in_the_singular_frame_matches_the_untranslated_psi(corpus, monkeypatch):
     """At every bad place of every corpus curve, for p in {3, 5, 7, 11}, the
-    count in the frame of the singular point equals the count on the
-    untranslated psi_p of the same model, and in that frame x^(p(p-1)/2)
-    divides psi_p mod l when l != p."""
+    count in the frame of Tate's minimal model, on the input's psi_p moved
+    there, equals the count on the minimal model's psi_p built directly, and
+    in that frame x^(p(p-1)/2) divides psi_p mod l when l != p."""
     from tamagawa.euler import local_data_for_bad_primes
 
     counted = []
     monkeypatch.setattr(localorders, "find_roots_padic", lambda f, ell: counted.append(f) or find_roots_padic(f, ell))
-    translated = 0
+    moved = 0
     for rec in corpus:
         E = rec.curve()
         for ell, data in sorted(local_data_for_bad_primes(E).items()):
-            u1 = data.transformation.u == 1
-            translated += u1 and data.transformation.r % ell != 0
+            moved += data.transformation.r % ell != 0
+            g = _y_squareness_poly(data.minimal_model)
             for p in (3, 5, 7, 11):
-                polys = TorsionPolynomials.of(E if u1 else data.minimal_model, p)
-                roots = find_roots_padic(polys.psi, ell)
-                untranslated = 1 + 2 * sum(value_is_square_at_root(polys.g, root) for root in roots)
+                roots = find_roots_padic(division_polynomial(data.minimal_model, p).squarefree_part(), ell)
+                direct = 1 + 2 * sum(value_is_square_at_root(g, root) for root in roots)
                 counted.clear()
                 count = local_torsion_order(E, Place.finite(ell), p, local_data=data)
-                assert count == untranslated, (rec.label, ell, p)
+                assert count == direct, (rec.label, ell, p)
                 if ell != p:
                     (psi,) = counted
                     assert all(c % ell == 0 for c in psi.coeffs[: p * (p - 1) // 2]), (rec.label, ell, p)
-    assert translated > 0
+    assert moved > 0

@@ -10,7 +10,7 @@ from sympy import Poly, Symbol, discriminant, factorint, isprime, nextprime
 
 from tamagawa import padic
 from tamagawa.curves import SingularCurveError, WeierstrassCurve, transform
-from tamagawa.localorders import TorsionPolynomials, division_polynomial
+from tamagawa.localorders import certified_psi, division_polynomial
 from tamagawa.padic import (
     IntegerPolynomial,
     PadicRoot,
@@ -508,10 +508,10 @@ def test_squarefree_part_certifies_division_polynomials(corpus, p):
 @example(ainvs=(0, -1, 1, -10, -20), ell=2, k=0, p=31)  # 11a1
 @example(ainvs=(1, 0, 1, 4, -6), ell=2, k=0, p=31)  # 14a1
 def test_division_polynomial_is_squarefree_by_theorem(ainvs, ell, k, p):
-    """TorsionPolynomials certifies psi_p squarefree by theorem, with no
-    check at run time; this is the check.  On random integral curves and on
-    their models with u = 1/l^k, the prime certificate of squarefree_part
-    accepts the primitive psi_p and returns TorsionPolynomials' psi; at
+    """certified_psi certifies psi_p squarefree by theorem, with no check at
+    run time; this is the check.  On random integral curves and on their
+    models with u = 1/l^k, the prime certificate of squarefree_part accepts
+    the primitive psi_p and returns certified_psi's psi; at
     p <= 7 that is also sympy's primitive squarefree part."""
     try:
         E = WeierstrassCurve(*ainvs)
@@ -521,7 +521,7 @@ def test_division_polynomial_is_squarefree_by_theorem(ainvs, ell, k, p):
     psi = division_polynomial(model, p).primitive_part()
     certified = psi.squarefree_part()
     assert isinstance(certified, padic.SquarefreePolynomial)
-    assert certified == psi == TorsionPolynomials.of(model, p).psi
+    assert certified == psi == certified_psi(model, p)
     if p <= 7:
         assert psi == _sympy_squarefree_part(psi)
 
@@ -809,7 +809,9 @@ def _compose_affine_reference(f: IntegerPolynomial, scale: int, offset: int) -> 
 def test_compose_affine_matches_horner_reference(coeffs, scale, offset):
     f = IntegerPolynomial(coeffs)
     assert f.compose_affine(scale, offset) == _compose_affine_reference(f, scale, offset)
-    assert f.translated(offset) == _compose_affine_reference(f, 1, offset)
+    if f:  # moved is arithmetic only, so any primitive f stands in for a squarefree one
+        u, g = scale or 1, padic._certified(f.primitive_part())
+        assert g.moved(u, offset) == _compose_affine_reference(g, u * u, offset).primitive_part()
 
 
 def test_valuation_int_fast_path_matches_fraction_path():

@@ -27,7 +27,6 @@ from .localorders import P_MAX, check_p
 from .padic import PrecisionExhausted, _is_prime
 from .tate import tate_local
 
-EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 EXIT_UNDECIDED = 4

@@ -179,17 +179,15 @@ def verify_main_theorem(
     them that verdict is reported as "not evaluated".
     """
     check_p(p)  # before factoring the discriminant, which may take long
-    local_data = local_data_for_bad_primes(curve)
-    if p not in local_data:
-        local_data[p] = tate_local(curve, p)
-    local_data = dict(sorted(local_data.items()))
+    # tate_local's memo answers at p when p is already a bad prime
+    local_data = dict(sorted({**local_data_for_bad_primes(curve), p: tate_local(curve, p)}.items()))
 
     orders = [assemble_local_orders(curve, Place.real(), p)]
     undecided: list[str] = []
-    for ell, data in local_data.items():
+    for ell in local_data:
         place = Place.finite(ell)
         try:
-            orders.append(assemble_local_orders(curve, place, p, local_data=data))
+            orders.append(assemble_local_orders(curve, place, p))
         except PrecisionExhausted as exc:
             undecided.append(f"place {place}: {exc}")
 

@@ -8,9 +8,11 @@ counting plus the local square test decide which of them carry points over
 Q_l.  Every finite place counts in the frame of Tate's l-minimal model, on
 the input model's psi_p moved there (see :func:`local_torsion_order`); a
 small memo on (model, p) builds psi_p once per input, for its places and
-global torsion.  At a bad place that frame puts the singular point of the
-reduction at x = 0 mod l, where most roots of psi_p mod l lie, so the
-residue-root search sees a cofactor of small degree.
+global torsion.  Tate's data is asked of :func:`~tamagawa.tate.tate_local`
+with the curve, never passed in, so it is always the curve's own.  At a bad
+place that frame puts the singular point of the reduction at x = 0 mod l,
+where most roots of psi_p mod l lie, so the residue-root search sees a
+cofactor of small degree.
 
 :class:`LocalSelmerOrders` stores what is computed at a place, the torsion
 count and phi_p from Tate's c, and derives the other four orders where they
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .curves import WeierstrassCurve, transform
+from .curves import WeierstrassCurve
 from .padic import (
     P_MAX,
     IntegerPolynomial,
@@ -38,7 +40,7 @@ from .padic import (
     find_roots_padic,
     value_is_square_at_root,
 )
-from .tate import LocalData, phi_p_part_order, tate_local
+from .tate import phi_p_part_order, tate_local
 
 __all__ = [
     "P_MAX",
@@ -217,13 +219,7 @@ def _build_psi(model: WeierstrassCurve, p: int) -> SquarefreePolynomial:
     return _certified(division_polynomial(model, p).primitive_part())
 
 
-def local_torsion_order(
-    curve: WeierstrassCurve,
-    place: Place,
-    p: int,
-    *,
-    local_data: LocalData | None = None,
-) -> int:
+def local_torsion_order(curve: WeierstrassCurve, place: Place, p: int) -> int:
     """#E(K_v)[p] for odd p, always one of 1, p, p^2.
 
     Real place: the p-torsion of the circle group contributes p and the
@@ -232,28 +228,22 @@ def local_torsion_order(
     root in Q_l; each such x carries exactly two points (odd p rules out the
     self-symmetric y).
 
-    The count runs in the frame of Tate's l-minimal model, x = u^2 x' + r,
-    on ``curve``'s memoized psi_p (:func:`certified_psi`) moved there and on
-    g of the minimal model.  The moved psi_p is the minimal model's, since
+    The count runs in the frame x = u^2 x' + r of the l-minimal model that
+    :func:`~tamagawa.tate.tate_local` gives for ``curve``, on its memoized
+    psi_p (:func:`certified_psi`) moved there and on g of the minimal model.
+    The moved psi_p is the minimal model's, since
     psi_min(x') = u^-(p^2-1) psi(u^2 x' + r), so a non-minimal input costs no
     deep Hensel recursion; the move maps the roots one to one and g picks up
     u^6, a square, so the count is that of E.  At a bad place l != p the
     frame puts p(p - 1)/2 of the (p^2 - 1)/2 roots of psi_p mod l at the
     singular point x = 0 mod l, so the residue-root search sees a cofactor
     of degree (p - 1)/2 or less.
-
-    ``local_data``, when given, is Tate's output for ``curve`` at this
-    place's prime; data for another prime or model raises ``ValueError``.
     """
     check_p(p)
-    if local_data is not None and local_data.prime != place.prime:
-        raise ValueError(f"local data at {local_data.prime} given for the place {place}")
     if place.is_real:
         return p
     ell = place.prime
-    if local_data is not None and transform(curve, local_data.transformation) != local_data.minimal_model:
-        raise ValueError(f"local data at {ell} belongs to another model than {curve}")
-    data = local_data or tate_local(curve, ell)
+    data = tate_local(curve, ell)
     u, r = data.transformation.u, data.transformation.r
     psi, g = certified_psi(curve, p).moved(u, r), _y_squareness_poly(data.minimal_model)
     count = 1 + 2 * sum(value_is_square_at_root(g, root) for root in find_roots_padic(psi, ell))
@@ -262,16 +252,9 @@ def local_torsion_order(
     return count
 
 
-def assemble_local_orders(
-    curve: WeierstrassCurve,
-    place: Place,
-    p: int,
-    *,
-    local_data: LocalData | None = None,
-) -> LocalSelmerOrders:
-    """All six local orders at one place (see :class:`LocalSelmerOrders`);
-    ``local_data`` as in :func:`local_torsion_order`."""
-    if place.is_real:
-        return LocalSelmerOrders(place, p, local_torsion_order(curve, place, p, local_data=local_data), 1)
-    data = local_data or tate_local(curve, place.prime)
-    return LocalSelmerOrders(place, p, local_torsion_order(curve, place, p, local_data=data), phi_p_part_order(data, p))
+def assemble_local_orders(curve: WeierstrassCurve, place: Place, p: int) -> LocalSelmerOrders:
+    """All six local orders at one place (see :class:`LocalSelmerOrders`),
+    phi_p from Tate's c as :func:`~tamagawa.tate.tate_local` gives it."""
+    torsion = local_torsion_order(curve, place, p)  # checks p before Tate runs
+    phi_p = 1 if place.is_real else phi_p_part_order(tate_local(curve, place.prime), p)
+    return LocalSelmerOrders(place, p, torsion, phi_p)

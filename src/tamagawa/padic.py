@@ -126,12 +126,14 @@ class PrecisionExhausted(Exception):
 
 
 def _is_prime(n: int) -> bool:
-    """Exact primality for n < psi_13; larger n raises ValueError.
+    """Exact primality for an int n < psi_13; anything else raises ValueError.
 
     Below 2^16 a table lookup; above it Miller-Rabin to the 13 prime bases
     2..41, which is deterministic below psi_13 (Sorenson-Webster 2015).  The
     first 12 bases alone stop at psi_12 ~ 3.19e23, which they call prime.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"primality is decided for integers, not {n!r}")
     if n < _SMALL_LIMIT:
         return n >= 2 and bool(_SMALL_SIEVE[n])
     if n >= _PSI_13:
@@ -167,7 +169,7 @@ def _require_prime(ell: int) -> None:
     sympy's ``isprime`` (imported only then) at or above it.  That is the
     test by which ``sympy.factorint`` returns a bad prime that large to
     ``prime_divisors``, so the pipeline can still work at it."""
-    if ell >= _PSI_13:
+    if isinstance(ell, int) and ell >= _PSI_13:
         from sympy import isprime
 
         prime = isprime(ell)

@@ -13,12 +13,16 @@ auditable.  The steps ask the residue field F_l four questions, each answered
 by one helper at every l: is a quadratic separable, does it split, what is its
 double root, and what is the multiple root of a cubic.  The rules for l = 2
 live only in those helpers and in the closed form of the singular point.
+
+:func:`tate_local` checks l, then reads a memo on (model, l), so every reader
+of Tate's data at a place shares one run of the machine and its audit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .curves import Transformation, WeierstrassCurve, transform
 from .padic import IntegerPolynomial, _int_valuation, _poly_gcd_mod_ell, _require_prime, _residue_roots, check_p, legendre_symbol
@@ -65,11 +69,6 @@ class KodairaType:
     def serialize(self) -> str:
         # n >= 1 exactly for In and In*, the families that print their index
         return f"{self.family}:{self.n}" if self.n else self.family
-
-    @classmethod
-    def deserialize(cls, text: str) -> "KodairaType":
-        family, _, n = text.partition(":")
-        return cls(family, int(n) if n else 0)
 
     def __str__(self) -> str:
         return f"I{self.n}{self.family[2:]}" if self.n else self.family
@@ -381,9 +380,20 @@ class _Machine:
         return None
 
 
+# A verify asks for Tate's data at each finite place three times (for S, phi_p
+# and the torsion count), and no corpus curve has more than 7 finite places.
+_MEMO_SIZE = 16
+
+
 def tate_local(curve: WeierstrassCurve, ell: int) -> LocalData:
-    """Run Tate's algorithm for ``curve`` at the prime ``ell``."""
+    """Tate's algorithm for ``curve`` at the prime ``ell``, memoized; ell is
+    checked first, so 5.0 or "5" never finds the entry of 5."""
     _require_prime(ell)
+    return _run_tate(curve, ell)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _run_tate(curve: WeierstrassCurve, ell: int) -> LocalData:
     machine = _Machine(curve, ell)
     kod, vdelta, c, split = machine.run()
     data = LocalData(ell, machine.model, machine.trans, vdelta, kod, c, split)

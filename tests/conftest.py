@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tamagawa import localorders
+from tamagawa import localorders, tate
 from tamagawa.lmfdb import OracleRecord, fetch_curve
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -25,7 +25,8 @@ def corpus(corpus_labels) -> list[OracleRecord]:
 
 
 @pytest.fixture(autouse=True)
-def empty_psi_memo():
-    """Each test starts with no memoized psi_p, so none depends on what an
-    earlier test left there."""
+def empty_memos():
+    """Each test starts with no memoized psi_p and no memoized Tate data, so
+    none depends on what an earlier test left there."""
     localorders._build_psi.cache_clear()
+    tate._run_tate.cache_clear()

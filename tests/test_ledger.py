@@ -17,7 +17,7 @@ from tamagawa.localorders import (
     division_polynomial,
     local_torsion_order,
 )
-from tamagawa.padic import IntegerPolynomial, PrecisionExhausted, SquarefreePolynomial, _is_prime
+from tamagawa.padic import IntegerPolynomial, PrecisionExhausted, SquarefreePolynomial, _is_prime, prime_divisors
 from tamagawa.tate import phi_p_part_order, tate_local
 
 
@@ -275,15 +275,32 @@ def test_verify_runs_no_squarefree_certificate(corpus, counted_polys):
 NON_MINIMAL_INVERSE_U = (2, 3, 5, 12, 10**12)
 
 
-def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, counted_polys):
+def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, counted_polys, monkeypatch):
     """Every corpus curve under a seeded shift-only model and under models
     scaled by u = 1/k: the same record but for "curve", and every polynomial
     whose roots are counted is a psi_p that certified_psi built, or the move
-    of one (``counted_polys``).  From an empty memo, a verify builds psi_p
-    exactly once, on its input model, whatever Tate's u at its places."""
+    of one (``counted_polys``).  From empty memos, a verify builds psi_p
+    exactly once, on its input model, whatever Tate's u at its places, and
+    runs Tate's machine once at each prime of Delta and at p, also where p
+    divides Delta of a non-minimal model that is good at p."""
     import tamagawa.localorders as lo
+    import tamagawa.tate as tate_mod
 
-    built = counted_polys.built
+    built, ran = counted_polys.built, []
+    real_run = tate_mod._Machine.run
+    monkeypatch.setattr(tate_mod._Machine, "run", lambda self: ran.append((self.model, self.ell)) or real_run(self))
+
+    def verify(model, p):
+        built.clear()
+        ran.clear()
+        lo._build_psi.cache_clear()
+        tate_mod._run_tate.cache_clear()
+        ledger = verify_main_theorem(model, p)
+        assert built == [model], (model, p)
+        assert all(run_on == model for run_on, _ in ran), (model, p)
+        assert sorted(ell for _, ell in ran) == sorted(set(prime_divisors(model.discriminant)) | {p}), (model, p)
+        return ledger
+
     rng = random.Random(7)
     rescaled_places = 0
     for rec in corpus:
@@ -295,19 +312,13 @@ def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, counted_po
                 r = 1
             models.append(WeierstrassCurve(*transform(curve, (Fraction(1, k), r, s, t)).integer_ainvs()))
         for p in (3, 5, 7):
-            built.clear()
-            lo._build_psi.cache_clear()
-            expected = verify_main_theorem(curve, p).to_record()
-            assert built == [curve]
+            expected = verify(curve, p).to_record()
             del expected["curve"]
             for model in models:
-                built.clear()
-                lo._build_psi.cache_clear()
-                ledger = verify_main_theorem(model, p)
+                ledger = verify(model, p)
                 record = ledger.to_record()
                 assert record.pop("curve") == list(model.integer_ainvs())
                 assert record == expected, (rec.label, p, model)
-                assert built == [model], (rec.label, p, model)
                 rescaled_places += sum(d.transformation.u != 1 for d in ledger.local_data.values())
     assert rescaled_places > 0
     assert counted_polys.squarefree == []

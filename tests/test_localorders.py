@@ -183,10 +183,7 @@ def test_local_identity_chain(corpus):
         for p in (3, 5):
             ledger = verify_main_theorem(E, p)
             for place in ledger.S:
-                o = assemble_local_orders(
-                    E, place, p,
-                    local_data=None if place.is_real else ledger.local_data[place.prime],
-                )
+                o = assemble_local_orders(E, place, p)
                 assert o.relaxed_order == o.kummer_order * o.phi_p
                 assert o.kummer_order == o.restricted_order * o.phi_p
                 assert o.relaxed_order * o.restricted_order == o.kummer_order**2
@@ -201,7 +198,7 @@ def test_phi_p_via_independent_route(corpus):
         for row in rec.local_data:
             data = tate_local(E, row.prime)
             for p in (3, 5, 7):
-                o = assemble_local_orders(E, Place.finite(row.prime), p, local_data=data)
+                o = assemble_local_orders(E, Place.finite(row.prime), p)
                 c_route = p if data.c % p == 0 else 1
                 assert o.relaxed_order // o.kummer_order == c_route
 
@@ -240,7 +237,7 @@ def test_memo_holds_at_most_its_bound():
     assert localorders._build_psi.cache_info().currsize == localorders._MEMO_SIZE
 
 
-def test_inconsistent_local_data_detected():
+def test_inconsistent_local_data_detected(monkeypatch):
     # torsion at a good prime is 1, so a fabricated nontrivial Phi[p] cannot
     # divide the Kummer order and must be flagged
     E = WeierstrassCurve(0, 0, 0, 1, 0)
@@ -254,37 +251,27 @@ def test_inconsistent_local_data_detected():
         c=3,
         split=None,
     )
+    monkeypatch.setattr(localorders, "tate_local", lambda curve, ell: fake)
     with pytest.raises(InconsistentLocalData, match="inconsistent local data"):
-        assemble_local_orders(E, Place.finite(7), 3, local_data=fake)
+        assemble_local_orders(E, Place.finite(7), 3)
 
 
-def test_local_data_for_another_prime_rejected():
-    # 14a1 at p = 3: Tate's data at 7 handed to the place 2 gave phi_p 3,
+def test_orders_at_a_place_read_tate_at_that_prime():
+    # 14a1 at p = 3: Tate's data at 7 read at the place 2 would give phi_p 3,
     # relaxed 9 and restricted 1; at 2 they are 1, 3 and 3
     E = WeierstrassCurve(1, 0, 1, 4, -6)
-    o = assemble_local_orders(E, Place.finite(2), 3, local_data=tate_local(E, 2))
+    o = assemble_local_orders(E, Place.finite(2), 3)
     assert (o.phi_p, o.relaxed_order, o.restricted_order) == (1, 3, 3)
-    at_7 = tate_local(E, 7)
-    for place in (Place.finite(2), Place.real()):
-        with pytest.raises(ValueError, match=f"local data at 7 given for the place {place}$"):
-            assemble_local_orders(E, place, 3, local_data=at_7)
-        with pytest.raises(ValueError, match=f"local data at 7 given for the place {place}$"):
-            local_torsion_order(E, place, 3, local_data=at_7)
 
 
-def test_local_data_for_another_model_rejected():
-    # Tate's data at 11 of 11a3 scaled by u = 11, and of 11a3 itself, handed
-    # to 11a1: the first gave 11a3's count 5 (11a1's is 25) and 11a3's phi_p
+def test_torsion_reads_tate_of_its_own_model():
+    # 11a1 counts 25 at 11 for p = 5; 11a3, and 11a3 scaled by u = 11, count
+    # 5 there, so Tate's data of either model read for 11a1 would show
     E = WeierstrassCurve(0, -1, 1, -10, -20)
     assert local_torsion_order(E, Place.finite(11), 5) == 25
     a3 = WeierstrassCurve(0, -1, 1, 0, 0)
     for other in (transform(a3, (Fraction(1, 11), 0, 0, 0)), a3):
-        data = tate_local(other, 11)
-        assert local_torsion_order(other, Place.finite(11), 5, local_data=data) == 5
-        # transform either fails to reach an integral model or reaches another one
-        for entry in (local_torsion_order, assemble_local_orders):
-            with pytest.raises(ValueError, match="not integral|local data at 11 belongs to another model"):
-                entry(E, Place.finite(11), 5, local_data=data)
+        assert local_torsion_order(other, Place.finite(11), 5) == 5
 
 
 def test_local_orders_violating_identities_rejected():
@@ -377,7 +364,7 @@ def test_local_torsion_bounded_by_reduction_oracle(corpus):
                     continue
                 ell = place.prime
                 data = ledger.local_data[ell]
-                torsion = local_torsion_order(E, place, p, local_data=data)
+                torsion = local_torsion_order(E, place, p)
                 e0 = _nonsingular_p_torsion(data, p)
                 bound = e0 * math.prod(math.gcd(d, p) for d in data.phi_arithmetic.factors)
                 assert bound % torsion == 0, (rec.label, p, ell, torsion, e0, bound)
@@ -432,7 +419,7 @@ def test_count_in_the_singular_frame_matches_the_untranslated_psi(corpus, monkey
                 roots = find_roots_padic(division_polynomial(data.minimal_model, p).squarefree_part(), ell)
                 direct = 1 + 2 * sum(value_is_square_at_root(g, root) for root in roots)
                 counted.clear()
-                count = local_torsion_order(E, Place.finite(ell), p, local_data=data)
+                count = local_torsion_order(E, Place.finite(ell), p)
                 assert count == direct, (rec.label, ell, p)
                 if ell != p:
                     (psi,) = counted

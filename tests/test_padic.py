@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol, discriminant, factorint, isprime, nextprime
 
-from tamagawa import padic
-from tamagawa.curves import SingularCurveError, WeierstrassCurve, transform
+from tamagawa import padic, tate
+from tamagawa.curves import FiniteFieldCurve, SingularCurveError, WeierstrassCurve, transform
 from tamagawa.localorders import certified_psi, division_polynomial
 from tamagawa.padic import (
     IntegerPolynomial,
@@ -866,6 +866,26 @@ def test_is_prime_rejects_psi_12_and_raises_from_psi_13():
     assert len(find_roots_padic(x2_minus_1, nextprime(PSI_13))) == 2
     with pytest.raises(ValueError, match="must be prime"):
         find_roots_padic(x2_minus_1, PSI_13)
+
+
+_E11 = WeierstrassCurve(0, -1, 1, -10, -20)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: tate.tate_local(_E11, 5.0),
+    lambda: tate.tate_local(_E11, "5"),
+    lambda: find_roots_padic(IntegerPolynomial([-1, 0, 1]), 3.0),
+    lambda: is_square_local(4, 5.0),
+    lambda: valuation(25, 5.0),
+    lambda: FiniteFieldCurve(_E11, 7.0),
+], ids=["tate_local-float", "tate_local-str", "find_roots_padic", "is_square_local", "valuation", "FiniteFieldCurve"])
+def test_a_non_int_prime_raises_value_error(entry):
+    # 5.0 == 5 and hash(5.0) == hash(5): the prime check runs before the
+    # Tate memo is read, so the entry of 5 is never returned for 5.0
+    tate.tate_local(_E11, 5)
+    with pytest.raises(ValueError, match="integers"):
+        entry()
+    assert tate._run_tate.cache_info().hits == 0
 
 
 @pytest.fixture

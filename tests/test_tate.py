@@ -166,11 +166,9 @@ def test_phi_p_part_order():
 
 
 def test_kodaira_serialization_roundtrip():
-    for kod in [KodairaType("I0"), KodairaType("In", 5), KodairaType("II*"),
-                KodairaType("In*", 3), KodairaType("IV")]:
-        assert KodairaType.deserialize(kod.serialize()) == kod
-    assert KodairaType("In", 5).serialize() == "In:5"
-    assert KodairaType("In*", 3).serialize() == "In*:3"
+    for kod, text in [(KodairaType("I0"), "I0"), (KodairaType("In", 5), "In:5"), (KodairaType("II*"), "II*"),
+                      (KodairaType("In*", 3), "In*:3"), (KodairaType("IV"), "IV")]:
+        assert kod.serialize() == text
     assert str(KodairaType("In", 5)) == "I5"
     assert str(KodairaType("In*", 3)) == "I3*"
     with pytest.raises(ValueError):

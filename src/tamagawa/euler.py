@@ -35,7 +35,7 @@ from .localorders import (
     check_p,
 )
 from .padic import PrecisionExhausted, _is_prime, prime_divisors, rational_roots
-from .tate import LocalData, tate_local
+from .tate import LocalData, phi_p_part_order, tate_local
 
 __all__ = [
     "EulerLedger",
@@ -135,7 +135,7 @@ class EulerLedger:
     @property
     def mt_rhs(self) -> int:
         """Right side, from the Tamagawa numbers of the reduction-type machine only."""
-        return math.prod(self.p if data.c % self.p == 0 else 1 for data in self.local_data.values())
+        return math.prod(phi_p_part_order(data, self.p) for data in self.local_data.values())
 
     @property
     def all_phi_trivial(self) -> bool:

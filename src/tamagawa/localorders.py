@@ -238,6 +238,13 @@ def local_torsion_order(curve: WeierstrassCurve, place: Place, p: int) -> int:
     frame puts p(p - 1)/2 of the (p^2 - 1)/2 roots of psi_p mod l at the
     singular point x = 0 mod l, so the residue-root search sees a cofactor
     of degree (p - 1)/2 or less.
+
+    Only the roots in Z_l are counted (:func:`~tamagawa.padic.find_roots_padic`).
+    The minimal model is integral, so a point of it with v(x) < 0 lies in
+    E_1(Q_l), and E_1(Q_l) has no p-torsion: it is pro-l for l != p, and for
+    l = p >= 3 the formal group of E over Z_p is torsion-free (Silverman,
+    *AEC*, VII.3.1 and IV.6.1).  A root of psi_p outside Z_l therefore
+    carries no point of E(Q_l)[p].
     """
     check_p(p)
     if place.is_real:

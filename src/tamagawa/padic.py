@@ -1,14 +1,17 @@
 """Exact l-adic arithmetic: valuations, local square tests, and root counting.
 
 Everything here is integer/Fraction arithmetic; no floating point.  Root
-counting over Q_l works on integer polynomials via the Newton polygon
-(for negative-valuation roots) plus lift-and-split with Hensel's lemma (for
-integral roots).  Results are certified: an answer is returned only when
-every residue-class decision is Hensel-stable.  Lift-and-split runs in one
-pass over a work list under one fixed depth cap, ``PRECISION_HARD_CAP``;
-a root set that needs deeper splitting raises ``PrecisionExhausted``.  Only
-the square test at a root escalates its digits, doubling them up to the
-same cap.  A wrong count is never returned.
+counting finds the roots in Z_l of an integer polynomial by lift-and-split
+with Hensel's lemma.  Roots in Q_l outside Z_l are not searched for: in
+the frame where ``localorders`` counts, the l-minimal model, a point over
+Q_l whose x has negative valuation lies in E_1(Q_l), which has no
+p-torsion (see ``localorders.local_torsion_order``).  Results are
+certified: an answer is returned only when every residue-class decision is
+Hensel-stable.  Lift-and-split runs in one pass over a work list under one
+fixed depth cap, ``PRECISION_HARD_CAP``; a root set that needs deeper
+splitting raises ``PrecisionExhausted``.  Only the square test at a root
+escalates its digits, doubling them up to the same cap.  A wrong count is
+never returned.
 
 Residue roots mod l are found by scanning all l residues for
 l <= ``_RESIDUE_SCAN_LIMIT`` (131) and by splitting gcd(f, x^l - x) above
@@ -19,9 +22,8 @@ roots at l = 2.  The split takes a quadratic factor apart by a square root
 of its discriminant (Tonelli-Shanks, with the least non-residue), a larger
 one by gcds with (x + c)^((l-1)/2) - 1 (Cantor-Zassenhaus); see Cohen, A
 Course in Computational Algebraic Number Theory, 1.5.1 and 1.6.  A simple
-residue root then costs a fixed amount of work: no Newton-polygon hull when
-l does not divide the lead, no Newton step when one digit decides the
-square test, and integer arithmetic in that test at an integral root.
+residue root then costs a fixed amount of work: no Newton step when one
+digit decides the square test, and integer arithmetic in that test.
 
 The powers (x + c)^e mod f over F_l behind that split, x^l mod f above all,
 run on packed integers: a residue mod f of degree n is one int whose W-bit
@@ -427,11 +429,6 @@ class IntegerPolynomial:
             c[i] *= m
         return _poly(c)
 
-    def reverse_scale(self, ell: int, s: int) -> "IntegerPolynomial":
-        """l^(s*deg) * f(x / l^s): coefficient a_i picks up l^(s*(deg-i))."""
-        d = self.degree
-        return _poly([c * ell ** (s * (d - i)) for i, c in enumerate(self.coeffs)])
-
     def squarefree_part(self) -> "SquarefreePolynomial":
         """The primitive part f of the nonzero input, certified squarefree
         over Q: the one way a plain polynomial becomes a
@@ -570,12 +567,12 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 @dataclass
 class PadicRoot:
-    """A certified root of f in Q_l.
+    """A certified root of f in Z_l.
 
-    The root is x = (offset + scale * t) / l^shift where t is the unique
-    zero of ``witness`` in the residue class t0 + l*Z_l, certified simple
+    The root is x = offset + scale * t where t is the unique zero of
+    ``witness`` in the residue class t0 + l*Z_l, certified simple
     (witness'(t0) is an l-adic unit).  ``approx(A)`` refines by Hensel
-    lifting and returns an x_hat with v(x - x_hat) >= A.
+    lifting and returns an int x_hat with v(x - x_hat) >= A.
     """
 
     ell: int
@@ -583,21 +580,15 @@ class PadicRoot:
     t0: int
     scale: int  # power of l accumulated by lift-and-split
     offset: int
-    shift: int  # s >= 0: the root is (integral root)/l^s
 
     # the deepest lift so far, (digits, t mod l^digits): a later, deeper
     # lift starts from it, so each doubling of the square test is one step
     _last: tuple[int, int] | None = field(default=None, init=False, compare=False, repr=False)
 
-    def approx(self, digits: int) -> int | Fraction:
-        """x_hat with v(x - x_hat) >= digits: an int when the root is
-        integral (shift 0), else a Fraction with denominator l^shift."""
-        need = digits + self.shift
-        if need < 1:
-            need = 1
-        t = self._lift(need)
-        x_int = (self.offset + self.scale * t) % self.ell**need
-        return x_int if self.shift == 0 else Fraction(x_int, self.ell**self.shift)
+    def approx(self, digits: int) -> int:
+        """x_hat in [0, l^digits) with v(x - x_hat) >= digits (one digit at least)."""
+        need = max(digits, 1)
+        return (self.offset + self.scale * self._lift(need)) % self.ell**need
 
     def _lift(self, k: int) -> int:
         """The zero of ``witness`` in t0 + l Z_l, mod l^k, in [0, l^k)."""
@@ -866,11 +857,7 @@ def _poly_divide_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
     return q
 
 
-def _integral_root_certs(
-    f: IntegerPolynomial,
-    ell: int,
-    skip_zero_residue: bool = False,
-) -> list[tuple[IntegerPolynomial, int, int, int]]:
+def _integral_root_certs(f: IntegerPolynomial, ell: int) -> list[tuple[IntegerPolynomial, int, int, int]]:
     """Certificates (witness, t0, scale, offset) for the distinct roots of f
     in Z_l, depth first in residue order.  f must be squarefree and
     l-primitive.
@@ -883,7 +870,7 @@ def _integral_root_certs(
     into g, one level deeper, on the l-primitive part.  An item at depth
     ``PRECISION_HARD_CAP`` raises ``PrecisionExhausted``; being a work list
     rather than a recursion, the walk reaches that cap whatever Python's
-    recursion limit.  ``skip_zero_residue`` drops t0 = 0 at depth 0.
+    recursion limit.
     """
     cap = PRECISION_HARD_CAP
     ell2 = ell * ell
@@ -899,8 +886,6 @@ def _integral_root_certs(
         gp = g.derivative()
         children = []
         for r in _residue_roots(g, ell):
-            if skip_zero_residue and depth == 0 and r == 0:
-                continue
             if gp(r) % ell != 0:
                 children.append((g, r, scale, offset, depth))
             elif g(r) % ell2 == 0:
@@ -910,50 +895,21 @@ def _integral_root_certs(
     return certs
 
 
-def _newton_polygon_positive_slopes(f: IntegerPolynomial, ell: int) -> list[int]:
-    """Positive integer slopes of the Newton polygon of f; a slope s means
-    candidate roots of valuation -s.  With l not dividing lc(f) the last
-    point of the hull is its lowest, so no slope is positive."""
-    if f.coeffs[-1] % ell:
-        return []
-    pts = [(i, _int_valuation(c, ell)) for i, c in enumerate(f.coeffs) if c != 0]
-    # lower convex hull, left to right
-    hull: list[tuple[int, int]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    slopes = set()
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        num, den = y2 - y1, x2 - x1  # roots on this segment have valuation -num/den
-        if num > 0 and num % den == 0:
-            slopes.add(num // den)
-    return sorted(slopes)
-
-
 def find_roots_padic(f: IntegerPolynomial, ell: int) -> list[PadicRoot]:
-    """All roots of f in Q_l (not just Z_l), as certified PadicRoots, for the
-    prime l.  f is a ``SquarefreePolynomial``, so its roots are simple; a
-    plain ``IntegerPolynomial`` is certified first by ``squarefree_part``,
-    which raises ``ValueError`` on a repeated factor.  Raises
-    ``PrecisionExhausted`` when lift-and-split reaches depth
+    """The roots of f in Z_l, as certified PadicRoots, for the prime l.
+
+    Roots in Q_l outside Z_l are not searched for: at the one caller,
+    ``localorders.local_torsion_order``, such a root carries no point of
+    E(Q_l)[p] (see there).  f is a ``SquarefreePolynomial``, so its roots
+    are simple; a plain ``IntegerPolynomial`` is certified first by
+    ``squarefree_part``, which raises ``ValueError`` on a repeated factor.
+    Raises ``PrecisionExhausted`` when lift-and-split reaches depth
     ``PRECISION_HARD_CAP``."""
     _require_prime(ell)
     if f.is_zero or f.degree == 0:
         raise ValueError("zero or constant polynomial has no well-defined root count")
     f0 = f.squarefree_part().strip_prime_content(ell)
-    roots: list[PadicRoot] = []
-    for witness, t0, scale, offset in _integral_root_certs(f0, ell):
-        roots.append(PadicRoot(ell, witness, t0, scale, offset, 0))
-    for s in _newton_polygon_positive_slopes(f0, ell):
-        g = f0.reverse_scale(ell, s).strip_prime_content(ell)
-        for witness, t0, scale, offset in _integral_root_certs(g, ell, skip_zero_residue=True):
-            roots.append(PadicRoot(ell, witness, t0, scale, offset, s))
-    return roots
+    return [PadicRoot(ell, *cert) for cert in _integral_root_certs(f0, ell)]
 
 
 def rational_roots(f: IntegerPolynomial) -> list[Fraction]:
@@ -981,7 +937,7 @@ def rational_roots(f: IntegerPolynomial) -> list[Fraction]:
         k, modulus = k + 1, modulus * q
     roots = []
     for r0 in _residue_roots(g, q):
-        t = PadicRoot(q, g, r0, 1, 0, 0)._lift(k)
+        t = PadicRoot(q, g, r0, 1, 0)._lift(k)
         m = lc * t % modulus
         if 2 * m > modulus:
             m -= modulus
@@ -996,26 +952,24 @@ def value_is_square_at_root(h: IntegerPolynomial, root: PadicRoot) -> bool:
 
     Requires h(x) != 0 (guaranteed by callers: the torsion-x polynomial and
     the y-quadratic discriminant share no root for odd torsion orders).
-    Evaluates h at rational approximations of x and stops as soon as the
+    Evaluates h at integer approximations of x and stops as soon as the
     valuation and unit part of h(x) are certified stable; doubles the
     approximation digits otherwise, up to ``PRECISION_HARD_CAP``.  The start,
-    4s + margin digits, is at s = 0 the fewest at which a unit value passes
-    the stop rule without slack; at odd l that needs no Newton step.  At an
-    integral root (s = 0) ``root.approx`` is an int, so h is evaluated on
-    ints; the root keeps its last lift, so a doubling costs one Newton step.
+    ``margin`` digits, is the fewest at which a unit value passes the stop
+    rule without slack; at odd l that needs no Newton step.  The root keeps
+    its last lift, so a doubling costs one Newton step.
     """
     ell = root.ell
-    s = root.shift
-    # v(h(x) - h(x_hat)) >= A + min_i (v(c_i) - (i-1)*s) when v(x - x_hat) >= A
-    slack = min(_int_valuation(c, ell) - (i - 1) * s for i, c in enumerate(h.coeffs) if i >= 1)
+    # x and x_hat are in Z_l, so v(h(x) - h(x_hat)) >= A + min_(i>=1) v(c_i)
+    # when v(x - x_hat) >= A
+    slack = min(_int_valuation(c, ell) for c in h.coeffs[1:])
     margin = 3 if ell == 2 else 1
     cap = PRECISION_HARD_CAP
-    digits = 4 * s + margin
+    digits = margin
     while digits <= cap:
-        x_hat = root.approx(digits)
-        val = h(x_hat)
+        val = h(root.approx(digits))
         if val != 0:
-            v = _int_valuation(val.numerator, ell) - _int_valuation(val.denominator, ell)
+            v = _int_valuation(val, ell)
             if v + margin <= digits + slack:
                 return _square_class(val, v, ell)
         digits = cap if digits < cap < 2 * digits else 2 * digits  # the last try is at the cap

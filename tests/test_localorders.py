@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tamagawa import localorders
@@ -398,6 +398,39 @@ def test_translated_psi_is_the_psi_of_the_translated_model(p, ainvs, ell, k, rst
     assert moved == certified_psi(data.minimal_model, p), (ainvs, ell, k, rst, p)
     assert _y_squareness_poly(M).compose_affine(u * u, r) == u**6 * _y_squareness_poly(data.minimal_model)
     assert certified_psi(M, p).moved(1, 0) is certified_psi(M, p)
+
+
+@settings(max_examples=200, deadline=None)
+@example(ainvs=(0, -1, 1, -10, -20), p=3, ell=None, k=0, rst=(0, 0, 0))  # 11a1: one such root
+@given(
+    ainvs=st.tuples(*[st.integers(-30, 30)] * 5),
+    p=st.sampled_from([3, 5, 7]),
+    ell=st.sampled_from([2, 3, 5, 7, None]),  # None: l = p
+    k=st.integers(0, 2),
+    rst=st.tuples(*[st.integers(-9, 9)] * 3),
+)
+def test_no_root_of_psi_outside_z_ell_carries_a_point(ainvs, p, ell, k, rst):
+    """Why counting on Z_l is enough: in the frame of Tate's l-minimal model
+    a root x of psi_p with v(x) < 0 would give a point of E_1(Q_l)[p], which
+    is trivial.  Such an x is 1/y for a root y = 0 mod l of the reversed
+    psi_p, y^n psi_p(1/y), and g(x) is a square iff y^4 g(1/y) is; at none
+    of those roots is it one.  At l != p the lead of psi_p is a unit, so
+    such roots occur at l = p only.  The model is a random curve shifted by
+    (r, s, t) and scaled by u = 1/l^k, as in the frame test above."""
+    ell = p if ell is None else ell
+    try:
+        E = WeierstrassCurve(*ainvs)
+    except SingularCurveError:
+        assume(False)
+    M = transform(E, (Fraction(1, ell**k), *rst))
+    data = tate_local(M, ell)
+    psi = certified_psi(M, p).moved(data.transformation.u, data.transformation.r)
+    g = _y_squareness_poly(data.minimal_model)
+    reversed_psi = IntegerPolynomial(psi.coeffs[::-1])
+    reversed_g = IntegerPolynomial([0, *g.coeffs[::-1]])  # y^4 g(1/y)
+    for root in find_roots_padic(reversed_psi, ell):
+        if root.approx(1) % ell == 0:
+            assert not value_is_square_at_root(reversed_g, root), (ainvs, p, ell, k, rst)
 
 
 def test_count_in_the_singular_frame_matches_the_untranslated_psi(corpus, monkeypatch):

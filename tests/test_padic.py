@@ -95,74 +95,24 @@ def test_count_roots_rejects_degenerate():
         len(find_roots_padic(IntegerPolynomial([3]), 5))
 
 
-def test_negative_valuation_roots():
-    # 25x^2 - 1 has the two roots +-1/5 in Q_5, neither integral
-    f = IntegerPolynomial([-1, 0, 25])
-    roots = find_roots_padic(f, 5)
-    assert len(roots) == 2
-    assert [r.shift for r in roots] == [1, 1]
-    assert [valuation(r.approx(4), 5) for r in roots] == [-1, -1]
-    for r in roots:
-        val = f(r.approx(6))
-        assert val == 0 or valuation(val, 5) >= 5  # f(x_hat) ~ 0 to the certified depth
-
-
 def test_mixed_valuation_root_set():
-    # (5x - 1)(x - 5)(x - 1): roots 1/5, 5, 1 all lie in Q_5
+    # (5x - 1)(x - 5)(x - 1): of the roots 1/5, 5, 1 in Q_5 only 5 and 1 lie in Z_5
     f = IntegerPolynomial([-1, 5]) * IntegerPolynomial([-5, 1]) * IntegerPolynomial([-1, 1])
     roots = find_roots_padic(f, 5)
-    assert sorted(valuation(r.approx(4), 5) for r in roots) == [-1, 0, 1]
-
-
-def _newton_polygon_positive_slopes(f: IntegerPolynomial, ell: int) -> list[int]:
-    """Reference: the hull walk without the early exit at a unit lead."""
-    pts = [(i, padic._int_valuation(c, ell)) for i, c in enumerate(f.coeffs) if c != 0]
-    hull: list[tuple[int, int]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    slopes = set()
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        num, den = y2 - y1, x2 - x1
-        if num > 0 and num % den == 0:
-            slopes.add(num // den)
-    return sorted(slopes)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    ell=st.sampled_from([2, 3, 5, 7, 1009]),
-    coeffs=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=12),
-    lead=st.integers(1, 10**4),
-    lead_power=st.integers(0, 6),
-    scales=st.lists(st.integers(0, 8), min_size=12, max_size=12),
-)
-def test_newton_polygon_exit_matches_the_hull(ell, coeffs, lead, lead_power, scales):
-    """Coefficients scaled by random powers of l give polygons of every
-    shape; the lead is a unit or l^lead_power times one."""
-    cs = [c * ell**k for c, k in zip(coeffs, scales)] + [lead * ell**lead_power]
-    f = IntegerPolynomial(cs)
-    assert padic._newton_polygon_positive_slopes(f, ell) == _newton_polygon_positive_slopes(f, ell)
+    assert sorted(r.approx(4) for r in roots) == [1, 5]
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 1009])
-def test_root_of_shift_one_survives_the_newton_polygon_exit(ell):
-    # (l x - 1)(x - 2): the root 1/l has shift 1, the root 2 is integral
+def test_only_the_root_in_z_ell_is_found(ell):
+    # (l x - 1)(x - 2): the root 1/l lies outside Z_l, the root 2 inside
     f = IntegerPolynomial([-1, ell]) * IntegerPolynomial([-2, 1])
-    roots = find_roots_padic(f, ell)
-    assert sorted(r.shift for r in roots) == [0, 1]
-    assert sorted(r.approx(6) for r in roots) == sorted([Fraction(1, ell), 2])
+    assert [r.approx(6) for r in find_roots_padic(f, ell)] == [2]
 
 
 def _random_constructed_poly(rng: random.Random, ell: int):
     """Product of linear factors with known Q_l roots times a mod-l
     irreducible quadratic (hence without Q_l roots); squarefree, since a
-    root drawn twice gets one factor."""
+    root drawn twice gets one factor.  Returns f and its roots in Q_l."""
     roots = set()
     f = IntegerPolynomial([1])
     for _ in range(rng.randint(0, 3)):
@@ -187,7 +137,7 @@ def test_count_roots_constructed_oracle():
     for _ in range(200):
         ell = rng.choice([3, 5, 7])
         f, roots = _random_constructed_poly(rng, ell)
-        assert len(find_roots_padic(f, ell)) == len(roots)
+        assert len(find_roots_padic(f, ell)) == sum(1 for x in roots if x.denominator == 1)
 
 
 def _brute_integral_root_count(coeffs, ell, M):
@@ -228,7 +178,7 @@ def test_count_roots_vs_brute_oracle():
         if disc == 0 or (int(disc) != 0 and valuation(int(disc), ell) > dmax):
             continue
         f = IntegerPolynomial(coeffs)
-        mine = sum(1 for r in find_roots_padic(f, ell) if r.shift == 0)
+        mine = len(find_roots_padic(f, ell))
         brute = _brute_integral_root_count(coeffs, ell, M)
         assert mine == brute, (coeffs, ell, mine, brute)
         checked += 1
@@ -385,7 +335,7 @@ def test_padic_root_refinement_is_consistent():
 
 
 def _fresh(root: PadicRoot) -> PadicRoot:
-    return PadicRoot(root.ell, root.witness, root.t0, root.scale, root.offset, root.shift)
+    return PadicRoot(root.ell, root.witness, root.t0, root.scale, root.offset)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 7, 1009])
@@ -393,10 +343,10 @@ def test_doubling_the_digits_continues_the_last_lift(ell, monkeypatch):
     """After approx(A), approx(2A) is what a fresh root gives, and that
     doubling costs one Newton step: one evaluation of the witness and one of
     its derivative.  A shallower approx then needs no evaluation at all."""
-    # 1/l has shift 1; 1 + 8 l^3 is a unit square in Z_l, also at l = 2
+    # 1/l is not in Z_l; 1 + 8 l^3 is a unit square in Z_l, also at l = 2
     f = IntegerPolynomial([-1, ell]) * IntegerPolynomial([-(1 + 8 * ell**3), 0, 1])
     roots = find_roots_padic(f, ell)
-    assert sorted(r.shift for r in roots) == [0, 0, 1]
+    assert len(roots) == 2
     evaluations = []
     real_call = IntegerPolynomial.__call__
     for root in roots:
@@ -415,12 +365,12 @@ def test_doubling_the_digits_continues_the_last_lift(ell, monkeypatch):
 
 
 def _square_at_root_from_the_old_start(h: IntegerPolynomial, root: PadicRoot) -> bool:
-    """Reference: value_is_square_at_root as it was, starting at max(8, 4s + 8)
-    digits under the same stop rule."""
-    ell, s = root.ell, root.shift
-    slack = min(padic._int_valuation(c, ell) - (i - 1) * s for i, c in enumerate(h.coeffs) if i >= 1)
+    """Reference: value_is_square_at_root as it was at an integral root,
+    starting at 8 digits under the same stop rule."""
+    ell = root.ell
+    slack = min(padic._int_valuation(c, ell) for c in h.coeffs[1:])
     margin = 3 if ell == 2 else 1
-    digits = max(8, 4 * s + 8)
+    digits = 8
     while digits <= padic.PRECISION_HARD_CAP:
         val = h(root.approx(digits))
         if val != 0:
@@ -443,11 +393,11 @@ def _square_at_root_from_the_old_start(h: IntegerPolynomial, root: PadicRoot) ->
     q=st.lists(st.integers(-50, 50), min_size=1, max_size=3),
 )
 def test_square_test_start_agrees_with_the_old_start(ell, s, unit, a, b, e, w, q):
-    """f = (d x - a)(x - b) with d = l^s * unit has the roots a/d (shift s when
-    l does not divide a, found through reverse_scale) and b.  On
-    h = (d x - a) q(x) + l^e w, h(a/d) = l^e w has valuation e, and h(b) is
-    whatever it is.  At each root the square test answers as it did from
-    8 + 4s digits, and as is_square_local on the exact value."""
+    """f = (d x - a)(x - b) with d = l^s * unit has the roots a/d and b; a/d
+    is in Z_l, and found, iff l^s divides a.  On h = (d x - a) q(x) + l^e w,
+    h(a/d) = l^e w has valuation e, and h(b) is whatever it is.  At each
+    root found the square test answers as it did from 8 digits, and as
+    is_square_local on the exact value."""
     assume(unit % ell and w % ell and a != b * unit * ell**s and any(q))
     lin = IntegerPolynomial([-a, unit * ell**s])
     h = lin * IntegerPolynomial(q) + IntegerPolynomial([ell**e * w])
@@ -455,7 +405,10 @@ def test_square_test_start_agrees_with_the_old_start(ell, s, unit, a, b, e, w, q
     roots = find_roots_padic(lin * IntegerPolynomial([-b, 1]), ell)
     answers = [value_is_square_at_root(h, root) for root in roots]
     assert answers == [_square_at_root_from_the_old_start(h, root) for root in roots]
-    assert sorted(answers) == sorted([is_square_local(ell**e * w, ell), is_square_local(h(b), ell)])
+    expected = [is_square_local(h(b), ell)]
+    if a % ell**s == 0:
+        expected.append(is_square_local(ell**e * w, ell))
+    assert sorted(answers) == sorted(expected)
 
 
 def test_square_test_tries_the_cap_whatever_its_start():
@@ -600,7 +553,7 @@ def test_squarefree_part_matches_rational_reference():
 
 
 def test_lift_rejects_singular_witness():
-    root = PadicRoot(5, IntegerPolynomial([0, 0, 1]), 0, 1, 0, 0)  # x^2 at t0 = 0
+    root = PadicRoot(5, IntegerPolynomial([0, 0, 1]), 0, 1, 0)  # x^2 at t0 = 0
     with pytest.raises(ArithmeticError, match="witness root must be simple"):
         root.approx(4)
 

@@ -31,7 +31,6 @@ from .padic import (
     valuation,
 )
 from .tate import (
-    FiniteAbelianGroup,
     KodairaType,
     LocalData,
     phi_p_part_order,
@@ -44,7 +43,7 @@ __all__ = [
     "WeierstrassCurve", "Transformation", "transform", "parse_ainvs",
     "SingularCurveError", "FiniteFieldCurve", "FiniteFieldPoint",
     "count_p_torsion_mod",
-    "KodairaType", "FiniteAbelianGroup", "LocalData", "tate_local",
+    "KodairaType", "LocalData", "tate_local",
     "phi_p_part_order",
     "Place", "LocalSelmerOrders", "InconsistentLocalData",
     "division_polynomial", "local_torsion_order",

@@ -111,13 +111,13 @@ class EulerLedger:
         return [Place.real()] + [Place.finite(ell) for ell in sorted(self.local_data)]
 
     def _euler_product(self, local_order) -> Fraction | None:
-        """(#H^0(Q)/#H^0(Q)) * prod over S of local_order/torsion, or None when
-        a place is undecided.  Truncation to S is exact because good-reduction
-        factors away from p equal 1."""
+        """prod over S of local_order/torsion, or None when a place is
+        undecided.  The factor #H^0(Q, E[p]) / #H^0(Q, E^v[p]) is 1, as E is
+        self-dual.  Truncation to S is exact because good-reduction factors
+        away from p equal 1."""
         if self.undecided:
             return None
-        g = self.global_torsion
-        return Fraction(g * math.prod(map(local_order, self.orders)), g * math.prod(o.torsion_order for o in self.orders))
+        return Fraction(math.prod(map(local_order, self.orders)), math.prod(o.torsion_order for o in self.orders))
 
     chi_selmer = property(lambda self: self._euler_product(attrgetter("kummer_order")),
                           doc="The Euler characteristic with the classical local conditions.")

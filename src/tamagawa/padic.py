@@ -458,9 +458,13 @@ class SquarefreePolynomial(IntegerPolynomial):
     which ``localorders`` certifies the primitive psi_p it builds.
     ``moved`` keeps one (x -> u^2 x + r is an automorphism of Q[x], so it
     keeps the factorisation); other arithmetic on it gives a plain
-    ``IntegerPolynomial``."""
+    ``IntegerPolynomial``.  It has no public constructor: coefficients from
+    outside become one only through ``IntegerPolynomial.squarefree_part``."""
 
     __slots__ = ()
+
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        raise TypeError("SquarefreePolynomial has no public constructor: certify with IntegerPolynomial.squarefree_part")
 
     def primitive_part(self) -> "SquarefreePolynomial":
         return self
@@ -908,8 +912,7 @@ def find_roots_padic(f: IntegerPolynomial, ell: int) -> list[PadicRoot]:
     _require_prime(ell)
     if f.is_zero or f.degree == 0:
         raise ValueError("zero or constant polynomial has no well-defined root count")
-    f0 = f.squarefree_part().strip_prime_content(ell)
-    return [PadicRoot(ell, *cert) for cert in _integral_root_certs(f0, ell)]
+    return [PadicRoot(ell, *cert) for cert in _integral_root_certs(f.squarefree_part(), ell)]
 
 
 def rational_roots(f: IntegerPolynomial) -> list[Fraction]:

@@ -4,7 +4,8 @@ exponent, Tamagawa number, and component-group structure.
 :class:`LocalData` stores what the algorithm decides (the minimal model and
 the transformation to it, v(Delta), the Kodaira type, c and the split flag)
 and derives the component count m, the conductor exponent f (Ogg's formula)
-and the component groups from them.
+and the component groups from them, each group as the tuple of its invariant
+factors, read with m from one table of the special fibre, ``_FIBRES``.
 
 The algorithm runs as an explicit step machine (steps 1-11 with the
 non-minimal restart), recording every coordinate change so the composite
@@ -29,7 +30,6 @@ from .padic import IntegerPolynomial, _int_valuation, _poly_gcd_mod_ell, _requir
 
 __all__ = [
     "KodairaType",
-    "FiniteAbelianGroup",
     "LocalData",
     "TateInvariantError",
     "tate_local",
@@ -47,6 +47,24 @@ def _require(holds: bool, what: str) -> None:
         raise TateInvariantError(f"algorithm invariant violated: {what}")
 
 
+# Per Kodaira family, as a function of the index n (0 where the family has
+# none): the number m of components of the special fibre, which enters Ogg's
+# formula, and the invariant factors d1 | d2 | ... of the geometric component
+# group (Silverman, *Advanced Topics*, IV.9, Table 4.1).
+_FIBRES = {
+    "I0": lambda n: (1, ()),
+    "In": lambda n: (n, (n,) if n > 1 else ()),
+    "II": lambda n: (1, ()),
+    "III": lambda n: (2, (2,)),
+    "IV": lambda n: (3, (3,)),
+    "I0*": lambda n: (5, (2, 2)),
+    "In*": lambda n: (5 + n, (4,) if n % 2 else (2, 2)),
+    "IV*": lambda n: (7, (3,)),
+    "III*": lambda n: (8, (2,)),
+    "II*": lambda n: (9, ()),
+}
+
+
 @dataclass(frozen=True)
 class KodairaType:
     """Reduction type: one of I0, In (n>=1), II, III, IV, I0*, In* (n>=1),
@@ -55,10 +73,8 @@ class KodairaType:
     family: str
     n: int = 0
 
-    _FAMILIES = ("I0", "In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*")
-
     def __post_init__(self) -> None:
-        if self.family not in self._FAMILIES:
+        if self.family not in _FIBRES:
             raise ValueError(f"unknown Kodaira family {self.family!r}")
         if self.family in ("In", "In*"):
             if self.n < 1:
@@ -72,53 +88,6 @@ class KodairaType:
 
     def __str__(self) -> str:
         return f"I{self.n}{self.family[2:]}" if self.n else self.family
-
-
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    """Finite abelian group as an invariant-factor list d1 | d2 | ... | dk."""
-
-    factors: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        fs = tuple(int(d) for d in self.factors)
-        object.__setattr__(self, "factors", fs)
-        for d in fs:
-            if d <= 1:
-                raise ValueError("invariant factors must exceed 1")
-        for a, b in zip(fs, fs[1:]):
-            if b % a != 0:
-                raise ValueError(f"divisibility chain violated: {fs}")
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.factors)
-
-    @property
-    def exponent(self) -> int:
-        return self.factors[-1] if self.factors else 1
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "trivial"
-        return "Z/" + " x Z/".join(str(d) for d in self.factors)
-
-
-# Per Kodaira family, as a function of the index n (0 where the family has
-# none): the number m of components of the special fibre, which enters Ogg's
-# formula, and the invariant factors of the geometric component group.
-_FIBRES = {
-    "I0": lambda n: (1, ()),
-    "In": lambda n: (n, (n,) if n > 1 else ()),
-    "II": lambda n: (1, ()),
-    "III": lambda n: (2, (2,)),
-    "IV": lambda n: (3, (3,)),
-    "I0*": lambda n: (5, (2, 2)),
-    "In*": lambda n: (5 + n, (4,) if n % 2 else (2, 2)),
-    "IV*": lambda n: (7, (3,)),
-    "III*": lambda n: (8, (2,)),
-    "II*": lambda n: (9, ()),
-}
 
 
 @dataclass(frozen=True)
@@ -146,17 +115,17 @@ class LocalData:
         return self.vdelta - self.m + 1
 
     @property
-    def phi_geometric(self) -> FiniteAbelianGroup:
-        return FiniteAbelianGroup(_FIBRES[self.kodaira.family](self.kodaira.n)[1])
+    def phi_geometric(self) -> tuple[int, ...]:
+        return _FIBRES[self.kodaira.family](self.kodaira.n)[1]
 
     @property
-    def phi_arithmetic(self) -> FiniteAbelianGroup:
+    def phi_arithmetic(self) -> tuple[int, ...]:
         """The Frobenius-fixed subgroup Phi(k_v), of order c: all of the
         geometric group, or else its cyclic subgroup of order c."""
         geom = self.phi_geometric
-        if self.c == geom.order:
+        if self.c == math.prod(geom):
             return geom
-        return FiniteAbelianGroup((self.c,) if self.c > 1 else ())
+        return (self.c,) if self.c > 1 else ()
 
     def serialize(self) -> dict:
         return {
@@ -165,8 +134,8 @@ class LocalData:
             "vdelta": self.vdelta,
             "f": self.f,
             "c": self.c,
-            "phi_geom": list(self.phi_geometric.factors),
-            "phi_arith": list(self.phi_arithmetic.factors),
+            "phi_geom": list(self.phi_geometric),
+            "phi_arith": list(self.phi_arithmetic),
             "split": self.split,
             "m": self.m,
         }
@@ -400,7 +369,7 @@ def _run_tate(curve: WeierstrassCurve, ell: int) -> LocalData:
     if kod.family not in ("I0", "In"):
         _require(data.f >= 2, f"additive type with f = {data.f}")
         _require(ell < 5 or data.f == 2, f"tame additive reduction must have f = 2, got {data.f}")
-    _require(data.phi_geometric.order % c == 0, f"c = {c} does not divide the component group order of {kod}")
+    _require(math.prod(data.phi_geometric) % c == 0, f"c = {c} does not divide the component group order of {kod}")
     # the recorded transformation must reproduce the minimal model exactly
     _require(transform(curve, machine.trans) == machine.model, "recorded transformation does not reach the minimal model")
     return data

@@ -366,7 +366,7 @@ def test_local_torsion_bounded_by_reduction_oracle(corpus):
                 data = ledger.local_data[ell]
                 torsion = local_torsion_order(E, place, p)
                 e0 = _nonsingular_p_torsion(data, p)
-                bound = e0 * math.prod(math.gcd(d, p) for d in data.phi_arithmetic.factors)
+                bound = e0 * math.prod(math.gcd(d, p) for d in data.phi_arithmetic)
                 assert bound % torsion == 0, (rec.label, p, ell, torsion, e0, bound)
                 if ell != p:
                     assert torsion % e0 == 0, (rec.label, p, ell, torsion, e0)

@@ -1,5 +1,7 @@
 """Arithmetic substrate: valuations, local square tests, l-adic root counting."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -485,6 +487,21 @@ def test_squarefree_part_refuses_repeated_factor():
         with pytest.raises(ValueError, match="has a repeated factor"):
             f.squarefree_part()
     assert (a * b * 6).squarefree_part() == a * b
+
+
+def test_squarefree_polynomial_has_no_public_constructor():
+    # (x - 2)^2 must not pass as squarefree by naming the subclass: the root
+    # walk would split its double root to the depth cap, and rational_roots
+    # would find no certificate prime
+    with pytest.raises(TypeError, match="IntegerPolynomial.squarefree_part"):
+        padic.SquarefreePolynomial([4, -4, 1])
+    f = IntegerPolynomial([4, -4, 1])
+    for count in (lambda: find_roots_padic(f, 5), lambda: padic.rational_roots(f), f.squarefree_part):
+        with pytest.raises(ValueError, match="has a repeated factor"):
+            count()
+    sf = IntegerPolynomial([-2, 0, 1]).squarefree_part()
+    assert type(sf) is padic.SquarefreePolynomial and sf.coeffs == (-2, 0, 1)
+    assert pickle.loads(pickle.dumps(sf)) == sf and type(copy.copy(sf)) is padic.SquarefreePolynomial
 
 
 def _primorial_below_2_16() -> int:

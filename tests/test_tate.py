@@ -14,8 +14,9 @@ from sympy import factorint
 
 from tamagawa.curves import SingularCurveError, Transformation, WeierstrassCurve, transform
 from tamagawa.tate import (
-    FiniteAbelianGroup,
+    _FIBRES,
     KodairaType,
+    LocalData,
     TateInvariantError,
     _Machine,
     phi_p_part_order,
@@ -51,7 +52,7 @@ def test_good_reduction():
     data = tate_local(E, 5)
     assert data.kodaira == KodairaType("I0")
     assert (data.f, data.c, data.m) == (0, 1, 1)
-    assert data.phi_geometric.order == 1 and data.phi_arithmetic.order == 1
+    assert math.prod(data.phi_geometric) == 1 and math.prod(data.phi_arithmetic) == 1
 
 
 def test_split_multiplicative_11a1():
@@ -60,7 +61,7 @@ def test_split_multiplicative_11a1():
     assert data.kodaira == KodairaType("In", 5)
     assert (data.f, data.c, data.m) == (1, 5, 5)
     assert data.split is True
-    assert data.phi_arithmetic.factors == (5,)
+    assert data.phi_arithmetic == (5,)
 
 
 def test_additive_small_prime_cases():
@@ -73,7 +74,7 @@ def test_additive_small_prime_cases():
     d2, d3 = tate_local(E, 2), tate_local(E, 3)
     assert d2.kodaira == KodairaType("IV") and (d2.f, d2.c) == (2, 3)
     assert d3.kodaira == KodairaType("III") and (d3.f, d3.c) == (2, 2)
-    assert d2.phi_arithmetic.factors == (3,)
+    assert d2.phi_arithmetic == (3,)
 
 
 def test_nonsplit_multiplicative():
@@ -82,8 +83,8 @@ def test_nonsplit_multiplicative():
     data = tate_local(E, 5)
     assert data.kodaira == KodairaType("In", 2)
     assert data.split is False
-    assert data.c == 2 and data.phi_arithmetic.factors == (2,)
-    assert data.phi_geometric.factors == (2,)
+    assert data.c == 2 and data.phi_arithmetic == (2,)
+    assert data.phi_geometric == (2,)
 
 
 def test_split_flag_is_none_off_multiplicative_places():
@@ -134,10 +135,10 @@ def test_component_group_consistency(corpus):
         for row in rec.local_data:
             data = tate_local(E, row.prime)
             geom, arith = data.phi_geometric, data.phi_arithmetic
-            assert arith.order == row.c and geom.order % row.c == 0, (rec.label, row.prime)
-            assert geom.exponent % arith.exponent == 0
+            assert math.prod(arith) == row.c and math.prod(geom) % row.c == 0, (rec.label, row.prime)
+            assert _exponent(geom) % _exponent(arith) == 0
             for p in (3, 5, 7):
-                assert phi_p_part_order(data, p) == math.prod(math.gcd(d, p) for d in arith.factors)
+                assert phi_p_part_order(data, p) == math.prod(math.gcd(d, p) for d in arith)
 
 
 def test_nonminimal_input_is_restarted():
@@ -186,16 +187,44 @@ def test_localdata_serialization():
     }
 
 
-def test_finite_abelian_group():
-    g = FiniteAbelianGroup((2, 4))
-    assert g.order == 8 and g.exponent == 4
-    assert math.prod(math.gcd(d, 2) for d in g.factors) == 4
-    assert math.prod(math.gcd(d, 3) for d in g.factors) == 1
-    with pytest.raises(ValueError):
-        FiniteAbelianGroup((3, 2))
-    with pytest.raises(ValueError):
-        FiniteAbelianGroup((1,))
-    assert FiniteAbelianGroup(()).order == 1
+def _is_invariant_chain(factors) -> bool:
+    """Whether factors are invariant factors d1 | d2 | ... with every d > 1."""
+    return all(d > 1 for d in factors) and all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+def _exponent(factors) -> int:
+    return factors[-1] if factors else 1
+
+
+# Every c that _Machine returns for a family of index n: In is split (c = n) or
+# not (2 or 1 by the parity of n); I0* has 1 plus the 0, 1 or 3 roots in F_l of
+# a separable cubic; IV and IV* have 3 or 1; In* has 4 or 2.
+_MACHINE_C = {
+    "I0": lambda n: {1},
+    "In": lambda n: {n, 2 if n % 2 == 0 else 1},
+    "II": lambda n: {1},
+    "III": lambda n: {2},
+    "IV": lambda n: {3, 1},
+    "I0*": lambda n: {1, 2, 4},
+    "In*": lambda n: {4, 2},
+    "IV*": lambda n: {3, 1},
+    "III*": lambda n: {2},
+    "II*": lambda n: {1},
+}
+
+
+def test_fibre_table_component_groups():
+    assert set(_MACHINE_C) == set(_FIBRES)
+    E = WeierstrassCurve(0, -1, 1, -10, -20)
+    for family in _FIBRES:
+        for n in range(1, 21) if family in ("In", "In*") else (0,):
+            kod = KodairaType(family, n)
+            for c in _MACHINE_C[family](n):
+                data = LocalData(11, E, Transformation.identity(), 0, kod, c, None)
+                geom, arith = data.phi_geometric, data.phi_arithmetic
+                assert type(geom) is tuple and _is_invariant_chain(geom), (kod, geom)
+                assert type(arith) is tuple and _is_invariant_chain(arith), (kod, c, arith)
+                assert math.prod(arith) == c and math.prod(geom) % c == 0, (kod, c)
 
 
 @pytest.mark.parametrize("kodaira, c", [

@@ -27,7 +27,6 @@ from .padic import (
     PadicRoot,
     PrecisionExhausted,
     find_roots_padic,
-    is_square_local,
     valuation,
 )
 from .tate import (
@@ -51,6 +50,6 @@ __all__ = [
     "EulerLedger", "global_torsion_order", "verify_main_theorem",
     "OracleRecord", "fetch_curve",
     "IntegerPolynomial", "PadicRoot", "PrecisionExhausted",
-    "valuation", "is_square_local", "find_roots_padic",
+    "valuation", "find_roots_padic",
     "__version__",
 ]

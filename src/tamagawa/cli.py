@@ -221,7 +221,7 @@ def cmd_batch(input_path, out_path, p, jobs) -> None:
         parts = [s.strip() for s in line.split(",")]
         label = None
         if len(parts) == 6:
-            label = parts[5]
+            label = parts[5] or None
             parts = parts[:5]
         if len(parts) != 5:
             parse_failures[index] = {"index": index, "label": label, "line": line,

@@ -201,9 +201,6 @@ class FiniteFieldPoint(NamedTuple):
     def is_infinity(self) -> bool:
         return self.x is None
 
-    def __str__(self) -> str:
-        return "O" if self.is_infinity else f"({self.x},{self.y})"
-
 
 INFINITY = FiniteFieldPoint(None, None)
 
@@ -211,8 +208,8 @@ INFINITY = FiniteFieldPoint(None, None)
 class FiniteFieldCurve:
     """Reduction mod an odd prime of good reduction: its points, their
     number (the global torsion screen's ``order()``), and the affine group
-    law (complete case analysis, no projective formulas) that
-    :func:`count_p_torsion_mod` runs on."""
+    law (complete case analysis, no projective formulas): ``add`` and
+    ``multiply`` by n >= 0, which :func:`count_p_torsion_mod` runs on."""
 
     def __init__(self, curve: WeierstrassCurve, ell: int):
         if not _is_prime(ell) or ell == 2:
@@ -224,13 +221,6 @@ class FiniteFieldCurve:
         self.ell = ell
         self.a = tuple(a % ell for a in curve.ainvs)
         self.b = tuple(b % ell for b in curve.b_invariants)
-
-    def negate(self, pt: FiniteFieldPoint) -> FiniteFieldPoint:
-        if pt.is_infinity:
-            return pt
-        a1, _, a3, _, _ = self.a
-        x, y = pt
-        return FiniteFieldPoint(x, (-y - a1 * x - a3) % self.ell)
 
     def add(self, p: FiniteFieldPoint, q: FiniteFieldPoint) -> FiniteFieldPoint:
         ell = self.ell
@@ -252,10 +242,9 @@ class FiniteFieldCurve:
         return FiniteFieldPoint(x3, y3)
 
     def multiply(self, n: int, pt: FiniteFieldPoint) -> FiniteFieldPoint:
-        if n < 0:
-            return self.multiply(-n, self.negate(pt))
+        """[n]P for n >= 0, by double-and-add."""
         acc = INFINITY
-        while n:
+        while n > 0:
             if n & 1:
                 acc = self.add(acc, pt)
             pt = self.add(pt, pt)

@@ -1,4 +1,5 @@
-"""Exact l-adic arithmetic: valuations, local square tests, and root counting.
+"""Exact l-adic arithmetic: valuations, root counting, and the square class
+of a value at a root.
 
 Everything here is integer/Fraction arithmetic; no floating point.  Root
 counting finds the roots in Z_l of an integer polynomial by lift-and-split
@@ -79,7 +80,6 @@ __all__ = [
     "SquarefreePolynomial",
     "PadicRoot",
     "valuation",
-    "is_square_local",
     "legendre_symbol",
     "find_roots_padic",
     "prime_divisors",
@@ -290,37 +290,16 @@ def legendre_symbol(a: int, ell: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _unit_residue(x: int | Fraction, ell: int, modulus: int) -> int:
-    """The l-adic unit part of the nonzero x reduced mod ``modulus`` (a power
-    of the prime l; callers have checked primality)."""
-    num, den = x.numerator, x.denominator
-    num //= ell ** _int_valuation(num, ell)
-    den //= ell ** _int_valuation(den, ell)
-    return num * pow(den, -1, modulus) % modulus
-
-
-def is_square_local(x: int | Fraction, ell: int) -> bool:
-    """True iff the nonzero rational x is a square in Q_l.
-
-    Odd l: even valuation and the unit part a quadratic residue mod l.
-    l = 2: even valuation and the unit part congruent to 1 mod 8.
-    """
-    x = Fraction(_exact_rational(x))
-    if x == 0:
-        raise ValueError("x must be nonzero")
-    _require_prime(ell)
-    v = _int_valuation(x.numerator, ell) - _int_valuation(x.denominator, ell)
-    return _square_class(x, v, ell)
-
-
-def _square_class(x: int | Fraction, v: int, ell: int) -> bool:
-    """Whether the nonzero x, of valuation v at the prime l, is a square in
-    Q_l: v even, and the unit part 1 mod 8 at l = 2, a residue mod l above."""
+def _square_class(x: int, v: int, ell: int) -> bool:
+    """Whether the nonzero integer x, of valuation v at the prime l, is a
+    square in Q_l: v even, and the unit part x / l^v 1 mod 8 at l = 2, a
+    residue mod l above."""
     if v % 2 != 0:
         return False
+    unit = x // ell**v
     if ell == 2:
-        return _unit_residue(x, 2, 8) == 1
-    return legendre_symbol(_unit_residue(x, ell, ell), ell) == 1
+        return unit % 8 == 1
+    return legendre_symbol(unit, ell) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +307,9 @@ def _square_class(x: int | Fraction, v: int, ell: int) -> bool:
 
 
 class IntegerPolynomial:
-    """Dense univariate polynomial with arbitrary-precision integer coefficients."""
+    """Dense univariate polynomial with arbitrary-precision integer
+    coefficients.  It has no arithmetic operators: ``division_polynomial``
+    builds psi_p with ``_mul`` and ``_sub`` on coefficient lists."""
 
     __slots__ = ("coeffs",)
 
@@ -346,9 +327,6 @@ class IntegerPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntegerPolynomial) and self.coeffs == other.coeffs
 
@@ -363,31 +341,6 @@ class IntegerPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __add__(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
-        return _poly(_add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
-        return _poly(_sub(self.coeffs, other.coeffs))
-
-    def __mul__(self, other: "IntegerPolynomial | int") -> "IntegerPolynomial":
-        if isinstance(other, int):
-            return _poly([c * other for c in self.coeffs])
-        return _poly(_mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "IntegerPolynomial":
-        if n < 0:
-            raise ValueError(f"negative exponent {n}")
-        result = IntegerPolynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def derivative(self) -> "IntegerPolynomial":
         return _poly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -457,17 +410,14 @@ class SquarefreePolynomial(IntegerPolynomial):
     (Washington, *Elliptic Curves*, Sec. 3.2; Silverman, *AEC* III.6.4), by
     which ``localorders`` certifies the primitive psi_p it builds.
     ``moved`` keeps one (x -> u^2 x + r is an automorphism of Q[x], so it
-    keeps the factorisation); other arithmetic on it gives a plain
-    ``IntegerPolynomial``.  It has no public constructor: coefficients from
+    keeps the factorisation); ``compose_affine`` and ``derivative`` give a
+    plain ``IntegerPolynomial``.  It has no public constructor: coefficients from
     outside become one only through ``IntegerPolynomial.squarefree_part``."""
 
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable[int]) -> None:
         raise TypeError("SquarefreePolynomial has no public constructor: certify with IntegerPolynomial.squarefree_part")
-
-    def primitive_part(self) -> "SquarefreePolynomial":
-        return self
 
     def squarefree_part(self) -> "SquarefreePolynomial":
         return self
@@ -540,17 +490,11 @@ def _poly(cs: list[int]) -> IntegerPolynomial:
     return out
 
 
-def _add(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] += y
-    return out
-
-
 def _sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    return _add(a, [-c for c in b])
+    out = [*a, *[0] * (len(b) - len(a))]
+    for i, y in enumerate(b):
+        out[i] -= y
+    return out
 
 
 def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -4,17 +4,27 @@ never runs.
 ``crosscheck`` compares what the package computes with a committed fixture
 record, which ``scripts/make_fixtures.py`` derives independently of
 ``tate_local``; at 2 and 3 it is the only oracle for Tate's algorithm.
-``on_curve`` tests a point of a reduction against its Weierstrass equation.
+``on_curve`` tests a point of a reduction against its Weierstrass equation,
+and ``negate`` gives the inverse of a point there.  ``expand`` turns a sympy
+polynomial in ``X`` into an ``IntegerPolynomial``, so that products and sums
+in the tests do not run the package's own kernels, and
+``is_square_local`` decides squares in Q_l from a table of unit squares.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+
+from sympy import Poly, Symbol
 
 from tamagawa.curves import FiniteFieldCurve, FiniteFieldPoint, WeierstrassCurve
 from tamagawa.euler import global_torsion_order
 from tamagawa.lmfdb import OracleRecord
+from tamagawa.padic import IntegerPolynomial
 from tamagawa.tate import tate_local
+
+X = Poly(Symbol("x"))
 
 
 def crosscheck(curve: WeierstrassCurve, record: OracleRecord) -> list[tuple]:
@@ -45,3 +55,40 @@ def on_curve(red: FiniteFieldCurve, pt: FiniteFieldPoint) -> bool:
     a1, a2, a3, a4, a6 = red.a
     x, y = pt
     return (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % red.ell == 0
+
+
+def negate(red: FiniteFieldCurve, pt: FiniteFieldPoint) -> FiniteFieldPoint:
+    """-P = (x, -y - a1 x - a3) on the reduction ``red``; -O = O."""
+    if pt.is_infinity:
+        return pt
+    a1, _, a3, _, _ = red.a
+    x, y = pt
+    return FiniteFieldPoint(x, (-y - a1 * x - a3) % red.ell)
+
+
+def as_poly(f: IntegerPolynomial) -> Poly:
+    """f as a sympy polynomial in ``X``."""
+    return Poly(list(reversed(f.coeffs)) or [0], X.gen)
+
+
+def expand(f: Poly | int) -> IntegerPolynomial:
+    """The ``IntegerPolynomial`` of a sympy polynomial in ``X`` (or an int):
+    products, sums and powers for the tests, computed by sympy."""
+    return IntegerPolynomial(int(c) for c in reversed(Poly(f, X.gen).all_coeffs()))
+
+
+def is_square_local(x: int | Fraction, ell: int) -> bool:
+    """Whether the nonzero rational x is a square in Q_l, for a prime l.
+
+    x = l^v a / b with a, b prime to l has the square class of l^v a b.  It
+    is a square iff v is even and a b is in the table of squares of the
+    units mod l (mod 8 at l = 2)."""
+    x = Fraction(x)
+    num, den, v = x.numerator, x.denominator, 0
+    while num % ell == 0:
+        num, v = num // ell, v + 1
+    while den % ell == 0:
+        den, v = den // ell, v - 1
+    modulus = 8 if ell == 2 else ell
+    squares = {u * u % modulus for u in range(modulus) if u % ell}
+    return v % 2 == 0 and num * den % modulus in squares

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from tamagawa import padic
 from tamagawa.cli import main as cli_main
 from tamagawa.curves import count_p_torsion_mod
 from tamagawa.euler import verify_main_theorem
@@ -18,12 +19,11 @@ from tamagawa.padic import (
     IntegerPolynomial,
     _is_prime,
     find_roots_padic,
-    is_square_local,
     valuation,
 )
 from tamagawa.tate import tate_local
 
-from oracles import crosscheck
+from oracles import crosscheck, is_square_local
 
 PRIMES_P = (3, 5, 7)
 
@@ -195,7 +195,11 @@ def test_criterion_7_randomized_arithmetic_suites():
         ell = rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                           53, 59, 61, 67, 71, 73, 79, 83, 89, 97])
         x = Fraction(rng.randint(1, 10**5), rng.randint(1, 10**5)) * rng.choice([1, -1])
-        assert is_square_local(x * x, ell)
+        # n = num * den = x den^2 has the square class of x, and n^2 that of x^2
+        n = x.numerator * x.denominator
+        v = valuation(n, ell)
+        assert padic._square_class(n * n, 2 * v, ell) and is_square_local(n * n, ell)
+        assert padic._square_class(n, v, ell) == is_square_local(x, ell), (x, ell)
     from sympy import Poly, Symbol, discriminant as sym_disc
 
     xsym = Symbol("x")

@@ -296,6 +296,21 @@ def test_batch_input_with_a_byte_order_mark(runner, tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_batch_empty_label_column_is_no_label(runner, tmp_path):
+    """A spreadsheet writes an empty label column as a trailing comma; that
+    row has no label, as the row without the comma has none, and the two
+    reports are the same bytes."""
+    reports = []
+    for name, row in (("comma.csv", "0,-1,1,-10,-20,"), ("plain.csv", "0,-1,1,-10,-20")):
+        inp, out = tmp_path / name, tmp_path / f"{name}.json"
+        _write_batch_input(inp, [row, "0,0,0,0,1, "])
+        result = runner.invoke(main, ["batch", "--input", str(inp), "--out", str(out), "-p", "3"])
+        assert result.exit_code == 0, result.output
+        assert [r["label"] for r in json.loads(out.read_text())["rows"]] == [None, None]
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_batch_out_in_a_missing_directory_exits_2_before_any_row(runner, tmp_path, monkeypatch):
     import tamagawa.cli as cli
 

@@ -6,13 +6,14 @@ v ranging over the real place and the finite primes.
 Division polynomials locate the p-torsion x-coordinates; l-adic root
 counting plus the local square test decide which of them carry points over
 Q_l.  Every finite place counts in the frame of Tate's l-minimal model, on
-the input model's psi_p moved there (see :func:`local_torsion_order`); a
-small memo on (model, p) builds psi_p once per input, for its places and
-global torsion.  Tate's data is asked of :func:`~tamagawa.tate.tate_local`
-with the curve, never passed in, so it is always the curve's own.  At a bad
-place that frame puts the singular point of the reduction at x = 0 mod l,
-where most roots of psi_p mod l lie, so the residue-root search sees a
-cofactor of small degree.
+the input model's psi_p moved there (see :func:`local_torsion_order`);
+:func:`certified_psi`, a small memo on (model, p) with typed keys, checked
+on a miss, builds psi_p once per input, for its places and global torsion.
+Tate's data is asked of :func:`~tamagawa.tate.tate_local` with the curve,
+never passed in, so it is always the curve's own.  At a bad place that
+frame puts the singular point of the reduction at x = 0 mod l, where most
+roots of psi_p mod l lie, so the residue-root search sees a cofactor of
+small degree.
 
 :class:`LocalSelmerOrders` stores what is computed at a place, the torsion
 count and phi_p from Tate's c, and derives the other four orders where they
@@ -206,16 +207,13 @@ def _y_squareness_poly(curve: WeierstrassCurve) -> IntegerPolynomial:
     return _poly([b6, 2 * b4, b2, 4])
 
 
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def certified_psi(model: WeierstrassCurve, p: int) -> SquarefreePolynomial:
     """The primitive psi_p of ``model``, certified squarefree by theorem (see
-    :func:`division_polynomial`: its roots are distinct).  Memoized; p is
-    checked first, so 5.0 or "5" never finds the entry of 5."""
+    :func:`division_polynomial`: its roots are distinct).  Memoized on typed
+    keys, checked on a miss: 5.0, "5" or True never finds the entry of 5 and
+    raises, and a raise caches nothing."""
     check_p(p)
-    return _build_psi(model, p)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _build_psi(model: WeierstrassCurve, p: int) -> SquarefreePolynomial:
     return _certified(division_polynomial(model, p).primitive_part())
 
 

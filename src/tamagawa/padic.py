@@ -70,6 +70,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -224,8 +225,6 @@ def _pollard_brent(n: int) -> int | None:
     """A proper divisor of the odd composite n, or None when ``_RHO_STEPS``
     iterations of x -> x^2 + c (Brent's cycle search, gcds batched over 128
     steps) find none for any c tried."""
-    from math import gcd
-
     steps = 0
     c = 1
     while steps < _RHO_STEPS:
@@ -346,12 +345,7 @@ class IntegerPolynomial:
         return _poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def content(self) -> int:
-        from math import gcd
-
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive_part(self) -> "IntegerPolynomial":
         g = self.content()
@@ -363,9 +357,10 @@ class IntegerPolynomial:
         """Divide out the largest power of l dividing every coefficient."""
         if self.is_zero:
             raise ValueError("the zero polynomial has no prime content")
-        if any(c % ell for c in self.coeffs):
+        g = self.content()
+        if g % ell:
             return self
-        q = ell ** _int_valuation(self.content(), ell)  # v_l(gcd c_i) = min v_l(c_i)
+        q = ell ** _int_valuation(g, ell)  # v_l(gcd c_i) = min v_l(c_i)
         return _poly([c // q for c in self.coeffs])
 
     def compose_affine(self, scale: int, offset: int) -> "IntegerPolynomial":

@@ -15,8 +15,9 @@ by one helper at every l: is a quadratic separable, does it split, what is its
 double root, and what is the multiple root of a cubic.  The rules for l = 2
 live only in those helpers and in the closed form of the singular point.
 
-:func:`tate_local` checks l, then reads a memo on (model, l), so every reader
-of Tate's data at a place shares one run of the machine and its audit.
+:func:`tate_local` is a memo on (model, l) with typed keys, checked on a
+miss, so every reader of Tate's data at a place shares one run of the
+machine and its audit, and l is proved prime once per entry.
 """
 
 from __future__ import annotations
@@ -354,15 +355,12 @@ class _Machine:
 _MEMO_SIZE = 16
 
 
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def tate_local(curve: WeierstrassCurve, ell: int) -> LocalData:
-    """Tate's algorithm for ``curve`` at the prime ``ell``, memoized; ell is
-    checked first, so 5.0 or "5" never finds the entry of 5."""
+    """Tate's algorithm for ``curve`` at the prime ``ell``, memoized on typed
+    keys, checked on a miss: 5.0, "5" or True never finds the entry of 5 and
+    raises, and a raise caches nothing."""
     _require_prime(ell)
-    return _run_tate(curve, ell)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _run_tate(curve: WeierstrassCurve, ell: int) -> LocalData:
     machine = _Machine(curve, ell)
     kod, vdelta, c, split = machine.run()
     data = LocalData(ell, machine.model, machine.trans, vdelta, kod, c, split)

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from tamagawa import localorders, tate
 from tamagawa.lmfdb import OracleRecord, fetch_curve
+from tamagawa.localorders import certified_psi
+from tamagawa.tate import tate_local
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,6 +28,8 @@ def corpus(corpus_labels) -> list[OracleRecord]:
 @pytest.fixture(autouse=True)
 def empty_memos():
     """Each test starts with no memoized psi_p and no memoized Tate data, so
-    none depends on what an earlier test left there."""
-    localorders._build_psi.cache_clear()
-    tate._run_tate.cache_clear()
+    none depends on what an earlier test left there.  The memos are the
+    functions imported here, so a test that monkeypatches either name in its
+    module still has the real memo cleared."""
+    certified_psi.cache_clear()
+    tate_local.cache_clear()

@@ -5,10 +5,12 @@ never runs.
 record, which ``scripts/make_fixtures.py`` derives independently of
 ``tate_local``; at 2 and 3 it is the only oracle for Tate's algorithm.
 ``on_curve`` tests a point of a reduction against its Weierstrass equation,
-and ``negate`` gives the inverse of a point there.  ``expand`` turns a sympy
-polynomial in ``X`` into an ``IntegerPolynomial``, so that products and sums
-in the tests do not run the package's own kernels, and
-``is_square_local`` decides squares in Q_l from a table of unit squares.
+and ``negate`` gives the inverse of a point there.  ``count_points_mod``
+counts the points of a model mod l, singular or not, by brute force.
+``expand`` turns a sympy polynomial in ``X`` into an ``IntegerPolynomial``,
+so that products and sums in the tests do not run the package's own
+kernels, and ``is_square_local`` decides squares in Q_l from a table of
+unit squares.
 """
 
 from __future__ import annotations
@@ -64,6 +66,19 @@ def negate(red: FiniteFieldCurve, pt: FiniteFieldPoint) -> FiniteFieldPoint:
     a1, _, a3, _, _ = red.a
     x, y = pt
     return FiniteFieldPoint(x, (-y - a1 * x - a3) % red.ell)
+
+
+def count_points_mod(ainvs: tuple[int, ...], ell: int) -> int:
+    """#E(F_l) of the reduction of the model ``ainvs`` mod l, the point at
+    infinity and any singular point included: every (x, y) in F_l^2 on the
+    Weierstrass equation, plus one."""
+    a1, a2, a3, a4, a6 = ainvs
+    affine = sum(
+        (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % ell == 0
+        for x in range(ell)
+        for y in range(ell)
+    )
+    return affine + 1
 
 
 def as_poly(f: IntegerPolynomial) -> Poly:

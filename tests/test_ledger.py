@@ -2,6 +2,7 @@
 product identity, truncation soundness."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import pytest
 
 from tamagawa.curves import WeierstrassCurve, transform
 from tamagawa.euler import global_torsion_order, verify_main_theorem
+from tamagawa.lmfdb import fetch_curve
 from tamagawa.localorders import (
     Place,
     assemble_local_orders,
@@ -19,6 +21,19 @@ from tamagawa.localorders import (
 )
 from tamagawa.padic import IntegerPolynomial, PrecisionExhausted, SquarefreePolynomial, _is_prime, prime_divisors
 from tamagawa.tate import phi_p_part_order, tate_local
+
+
+def test_verify_proves_each_prime_of_S_once(fixtures_dir, monkeypatch):
+    """Tate's memo checks l on a miss only: from empty memos, a verify of
+    syn-11-i7s at p = 7 asks for Tate's data at each prime of S three times
+    (S, phi_p, the torsion count) and proves each prime once."""
+    import tamagawa.tate as tate_mod
+
+    proved = Counter()
+    real_require_prime = tate_mod._require_prime
+    monkeypatch.setattr(tate_mod, "_require_prime", lambda ell: proved.update([ell]) or real_require_prime(ell))
+    verify_main_theorem(fetch_curve("syn-11-i7s", fixtures_dir=fixtures_dir).curve(), 7)
+    assert proved == {2: 1, 7: 1, 11: 1, 1642886909: 1}
 
 
 def test_S_examples():
@@ -262,10 +277,8 @@ def test_verify_runs_no_squarefree_certificate(corpus, counted_polys):
     corpus at p up to 13 never calls squarefree_part, and every root count
     and rational-root search runs on a certified_psi psi_p or on a move of
     one."""
-    import tamagawa.localorders as lo
-
     for p in (3, 5, 7, 11, 13):
-        lo._build_psi.cache_clear()
+        certified_psi.cache_clear()  # the real memo: counted_polys patches localorders.certified_psi
         for rec in corpus:
             verify_main_theorem(rec.curve(), p)
     assert counted_polys.squarefree == []
@@ -283,7 +296,6 @@ def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, counted_po
     exactly once, on its input model, whatever Tate's u at its places, and
     runs Tate's machine once at each prime of Delta and at p, also where p
     divides Delta of a non-minimal model that is good at p."""
-    import tamagawa.localorders as lo
     import tamagawa.tate as tate_mod
 
     built, ran = counted_polys.built, []
@@ -293,8 +305,8 @@ def test_verify_is_the_same_on_shifted_and_non_minimal_models(corpus, counted_po
     def verify(model, p):
         built.clear()
         ran.clear()
-        lo._build_psi.cache_clear()
-        tate_mod._run_tate.cache_clear()
+        certified_psi.cache_clear()  # the real memo: counted_polys patches localorders.certified_psi
+        tate_local.cache_clear()
         ledger = verify_main_theorem(model, p)
         assert built == [model], (model, p)
         assert all(run_on == model for run_on, _ in ran), (model, p)

@@ -222,19 +222,23 @@ def test_good_primes_of_one_curve_build_psi_once(monkeypatch):
 
 
 def test_memo_checks_p_before_the_lookup():
+    """The memo keys on the type of p, so 5.0, "5" and True miss the entry
+    of 5, reach check_p and raise; a raise caches nothing."""
     E = WeierstrassCurve(0, -1, 1, -10, -20)
-    assert certified_psi(E, 5) is certified_psi(E, 5)
+    psi = certified_psi(E, 5)
     for p in (5.0, "5", True):
         with pytest.raises(ValueError, match="odd prime <= 31"):
             certified_psi(E, p)
+    assert certified_psi.cache_info().hits == 0 and certified_psi.cache_info().currsize == 1
+    assert certified_psi(E, 5) is psi
 
 
 def test_memo_holds_at_most_its_bound():
     for a6 in range(1, 21):
         E = WeierstrassCurve(0, 0, 1, -1, a6)
         certified_psi(E, 3)
-        assert localorders._build_psi.cache_info().currsize <= localorders._MEMO_SIZE
-    assert localorders._build_psi.cache_info().currsize == localorders._MEMO_SIZE
+        assert certified_psi.cache_info().currsize <= localorders._MEMO_SIZE
+    assert certified_psi.cache_info().currsize == localorders._MEMO_SIZE
 
 
 def test_inconsistent_local_data_detected(monkeypatch):

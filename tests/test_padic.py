@@ -584,6 +584,28 @@ def test_certified_psi_is_its_own_primitive_part(corpus, p):
             assert f.content() == 1 and f.primitive_part() is f and f.squarefree_part() is f, (rec.label, p)
 
 
+@pytest.mark.parametrize("coeffs, content", [
+    ([], 0), ([0], 0), ([7], 7), ([-6], 6), ([-4, -6, -10], 2), ([3, -9, 12], 3), ([2, 3], 1),
+], ids=["zero", "zero-constant", "constant", "negative-constant", "all-negative", "mixed-signs", "primitive"])
+def test_content_is_the_gcd_of_the_coefficients(coeffs, content):
+    """0 for the zero polynomial, |c| for a constant c, positive whatever
+    the signs; the primitive part keeps the signs."""
+    f = IntegerPolynomial(coeffs)
+    assert f.content() == content
+    if content in (0, 1):
+        assert f.primitive_part() is f
+    else:
+        assert f.primitive_part() == IntegerPolynomial([c // content for c in coeffs])
+
+
+def test_strip_prime_content_reads_the_content():
+    # l divides every coefficient but one, so not the content: f is returned
+    f = IntegerPolynomial([3, 9, 27, 4])
+    assert f.content() == 1 and f.strip_prime_content(3) is f
+    assert IntegerPolynomial([-18, 27, 9]).strip_prime_content(3) == IntegerPolynomial([-2, 3, 1])
+    assert IntegerPolynomial([-8, -24, 40]).strip_prime_content(2) == IntegerPolynomial([-1, -3, 5])
+
+
 def test_squarefree_part_matches_rational_reference():
     """Random products of small factors, some repeated: a squarefree product
     is certified as its primitive part, any other is refused."""
@@ -872,20 +894,23 @@ def test_is_prime_rejects_psi_12_and_raises_from_psi_13():
 _E11 = WeierstrassCurve(0, -1, 1, -10, -20)
 
 
-@pytest.mark.parametrize("entry", [
-    lambda: tate.tate_local(_E11, 5.0),
-    lambda: tate.tate_local(_E11, "5"),
-    lambda: find_roots_padic(IntegerPolynomial([-1, 0, 1]), 3.0),
-    lambda: valuation(25, 5.0),
-    lambda: FiniteFieldCurve(_E11, 7.0),
-], ids=["tate_local-float", "tate_local-str", "find_roots_padic", "valuation", "FiniteFieldCurve"])
-def test_a_non_int_prime_raises_value_error(entry):
-    # 5.0 == 5 and hash(5.0) == hash(5): the prime check runs before the
-    # Tate memo is read, so the entry of 5 is never returned for 5.0
-    tate.tate_local(_E11, 5)
-    with pytest.raises(ValueError, match="integers"):
+@pytest.mark.parametrize("entry, message", [
+    (lambda: tate.tate_local(_E11, 5.0), "integers"),
+    (lambda: tate.tate_local(_E11, "5"), "integers"),
+    (lambda: tate.tate_local(_E11, True), "must be prime, got True"),
+    (lambda: find_roots_padic(IntegerPolynomial([-1, 0, 1]), 3.0), "integers"),
+    (lambda: valuation(25, 5.0), "integers"),
+    (lambda: FiniteFieldCurve(_E11, 7.0), "integers"),
+], ids=["tate_local-float", "tate_local-str", "tate_local-bool", "find_roots_padic", "valuation", "FiniteFieldCurve"])
+def test_a_non_int_prime_raises_value_error(entry, message):
+    # 5.0 == 5 and hash(5.0) == hash(5): the Tate memo keys on the type
+    # too, so 5.0 misses the entry of 5 and reaches the prime check, as
+    # True misses that of 1; a raise caches nothing
+    data = tate.tate_local(_E11, 5)
+    with pytest.raises(ValueError, match=message):
         entry()
-    assert tate._run_tate.cache_info().hits == 0
+    assert tate.tate_local.cache_info().hits == 0 and tate.tate_local.cache_info().currsize == 1
+    assert tate.tate_local(_E11, 5) is data
 
 
 @pytest.fixture

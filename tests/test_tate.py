@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 from tamagawa.curves import SingularCurveError, Transformation, WeierstrassCurve, transform
+from tamagawa.padic import prime_divisors
 from tamagawa.tate import (
     _FIBRES,
     KodairaType,
@@ -22,6 +23,8 @@ from tamagawa.tate import (
     phi_p_part_order,
     tate_local,
 )
+
+from oracles import count_points_mod
 
 
 def _load_fixture_builder():
@@ -92,6 +95,38 @@ def test_split_flag_is_none_off_multiplicative_places():
     additive, good = tate_local(E, 3), tate_local(E, 5)
     assert additive.kodaira == KodairaType("II") and additive.split is None
     assert good.kodaira == KodairaType("I0") and good.split is None
+
+
+def _split_flags_by_point_count(curve: WeierstrassCurve) -> list[tuple[int, bool]]:
+    """(l, split) at each multiplicative place l <= 50 of ``curve``, after
+    checking the flag against a count of the reduction of the minimal model:
+    l - 1 (split) or l + 1 (non-split) nonsingular points, the node and O
+    make l or l + 2 points."""
+    flags = []
+    for ell in prime_divisors(curve.discriminant):
+        if ell > 50:
+            break
+        data = tate_local(curve, ell)
+        if data.kodaira.family != "In":
+            continue
+        count = count_points_mod(data.minimal_model.integer_ainvs(), ell)
+        assert count == (ell if data.split else ell + 2), (curve, ell, data.split, count)
+        flags.append((ell, data.split))
+    return flags
+
+
+def test_split_flag_matches_the_point_count(corpus):
+    """Brute force decides split at 2 and 3 too, where the valuation
+    classifier of the fixtures stops (``classify_ge5``); the corpus has both
+    outcomes at each."""
+    flags = {flag for rec in corpus for flag in _split_flags_by_point_count(rec.curve())}
+    assert {(2, True), (2, False), (3, True), (3, False)} <= flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(ai=st.tuples(*[st.integers(-30, 30)] * 5))
+def test_split_flag_matches_the_point_count_on_random_curves(ai):
+    _split_flags_by_point_count(_curve_or_reject(ai))
 
 
 def test_ogg_formula_everywhere(corpus):

@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import click
 
 from .curves import SingularCurveError, WeierstrassCurve, parse_ainvs
-from .euler import local_data_for_bad_primes, verify_main_theorem
+from .euler import IDENTITY_VERDICTS, local_data_for_bad_primes, verify_main_theorem
 from .lmfdb import FIXTURE_DIR_ENV, OracleNotFoundError, OracleSchemaError, fetch_curve
 from .localorders import P_MAX, check_p
 from .padic import PrecisionExhausted, _is_prime
@@ -122,7 +122,7 @@ _P_OPTION = click.option("-p", "p", type=int, required=True, callback=_checked_p
 _CHECK_VERDICTS = {
     "euler": ("euler_characteristic_is_one",),
     "main-theorem": ("main_identity", "square_chain_identity"),
-    "all": ("euler_characteristic_is_one", "main_identity", "square_chain_identity", "local_identities"),
+    "all": IDENTITY_VERDICTS,
 }
 
 
@@ -151,8 +151,7 @@ def cmd_verify(curve_spec, label, p, check, fmt, fixtures) -> None:
         click.echo(_orders_csv(record["places"]), nl=False)
     if ledger.undecided:
         sys.exit(EXIT_UNDECIDED)
-    requested = _CHECK_VERDICTS[check]
-    if not all(ledger.verdicts.get(k) is True for k in requested):
+    if not all(ledger.verdicts[k] is True for k in _CHECK_VERDICTS[check]):
         sys.exit(1)
 
 
@@ -165,24 +164,16 @@ def _orders_csv(places: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _batch_worker(args: tuple[int, tuple[int, int, int, int, int], str | None, int]) -> tuple[int, dict]:
+def _batch_worker(args: tuple[int, tuple[int, int, int, int, int], str | None, int]) -> dict:
     index, ainvs, label, p = args
+    error_row = {"index": index, "label": label, "curve": list(ainvs)}
     try:
-        curve = WeierstrassCurve(*ainvs)
-        ledger = verify_main_theorem(curve, p, label=label)
+        ledger = verify_main_theorem(WeierstrassCurve(*ainvs), p, label=label)
     except SingularCurveError as exc:
-        return index, {"index": index, "label": label, "curve": list(ainvs), "status": "failed-parse", "error": str(exc)}
+        return {**error_row, "status": "failed-parse", "error": str(exc)}
     except PrecisionExhausted as exc:
-        return index, {"index": index, "label": label, "curve": list(ainvs), "status": "undecided", "error": str(exc)}
-    record = ledger.to_record()
-    record["index"] = index
-    if ledger.undecided:
-        record["status"] = "undecided"
-    elif ledger.passed:
-        record["status"] = "passed"
-    else:
-        record["status"] = "failed"
-    return index, record
+        return {**error_row, "status": "undecided", "error": str(exc)}
+    return {**ledger.to_record(), "index": index, "status": ledger.status}
 
 
 def _usable_cpus() -> int:
@@ -205,15 +196,14 @@ def cmd_batch(input_path, out_path, p, jobs) -> None:
     if not os.path.isdir(out_dir):  # checked before any row runs, not after all of them
         click.echo(f"error: --out: directory {out_dir} does not exist", err=True)
         sys.exit(EXIT_USAGE)
-    tasks: list[tuple[int, tuple[int, int, int, int, int] | None, str | None, int]] = []
-    parse_failures: dict[int, dict] = {}
+    rows: list[dict | None] = []  # in input order; None while the row's worker runs
+    tasks: list[tuple[int, tuple[int, int, int, int, int], str | None, int]] = []
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports start with
         with open(input_path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise click.BadParameter(f"not UTF-8 text ({exc.reason})", param_hint="'--input'") from exc
-    index = 0
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -223,35 +213,29 @@ def cmd_batch(input_path, out_path, p, jobs) -> None:
         if len(parts) == 6:
             label = parts[5] or None
             parts = parts[:5]
+        error_row = {"index": len(rows), "label": label, "line": line, "status": "failed-parse"}
         if len(parts) != 5:
-            parse_failures[index] = {"index": index, "label": label, "line": line,
-                                     "status": "failed-parse", "error": "expected 5 integers"}
-            index += 1
+            rows.append({**error_row, "error": "expected 5 integers"})
             continue
         try:
             ainvs = tuple(int(s) for s in parts)
         except ValueError:
-            parse_failures[index] = {"index": index, "label": label, "line": line,
-                                     "status": "failed-parse", "error": "non-integer coefficient"}
-            index += 1
+            rows.append({**error_row, "error": "non-integer coefficient"})
             continue
-        tasks.append((index, ainvs, label, p))
-        index += 1
+        tasks.append((len(rows), ainvs, label, p))
+        rows.append(None)
 
-    results: dict[int, dict] = dict(parse_failures)
     # a forked pool starts all its workers at once, so more than one per
     # row or per usable CPU would only cost process starts
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, record in pool.map(_batch_worker, tasks):
-                results[idx] = record
+            records = list(pool.map(_batch_worker, tasks))
     else:
-        for task in tasks:
-            idx, record = _batch_worker(task)
-            results[idx] = record
+        records = map(_batch_worker, tasks)
+    for record in records:
+        rows[record["index"]] = record
 
-    rows = [results[i] for i in sorted(results)]
     counts = {"passed": 0, "failed": 0, "undecided": 0}
     for row in rows:  # "failed-parse" counts as failed
         counts["failed" if row["status"].startswith("failed") else row["status"]] += 1

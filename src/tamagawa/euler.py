@@ -7,22 +7,22 @@ duality); the right side is recomputed purely from the Tamagawa numbers
 returned by the reduction-type machine.  Agreement is a test, not a
 definition.
 
-:class:`EulerLedger` stores what :func:`verify_main_theorem` computed (Tate
-data over S, the per-place orders, global torsion, undecided places and the
-verdicts) and derives S, both Euler characteristics and both sides of the
-identity from them when they are read.  S is :attr:`EulerLedger.S`: the
-real place, then every prime whose Tate data the ledger holds (the bad
-primes and p).  The Euler factor at a place is kummer/torsion of its
-:func:`~tamagawa.localorders.assemble_local_orders` tuple; it is 1 at good
-places away from p, which is why the products may stop at S.
+:class:`EulerLedger` is a frozen record of what :func:`verify_main_theorem`
+gathered; S, both Euler characteristics, both sides of the identity, every
+verdict and the status are derived from it when read.  S is
+:attr:`EulerLedger.S`: the real place, then every prime whose Tate data the
+ledger holds (the bad primes and p).  The Euler factor at a place is
+kummer/torsion of its :func:`~tamagawa.localorders.assemble_local_orders`
+tuple; it is 1 at good places away from p, which is why the products may
+stop at S.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from operator import attrgetter
 
 from .curves import FiniteFieldCurve, WeierstrassCurve
 from .localorders import (
@@ -34,7 +34,7 @@ from .localorders import (
     certified_psi,
     check_p,
 )
-from .padic import PrecisionExhausted, _is_prime, prime_divisors, rational_roots
+from .padic import PrecisionExhausted, _exact_int, _is_prime, prime_divisors, rational_roots
 from .tate import LocalData, phi_p_part_order, tate_local
 
 __all__ = [
@@ -89,12 +89,17 @@ def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
     return count
 
 
-@dataclass
-class EulerLedger:
-    """Everything the global verification produced for one (curve, p).
+IDENTITY_VERDICTS = ("euler_characteristic_is_one", "main_identity", "square_chain_identity", "local_identities")
+EXTERNAL_ORDERS = ("selmer_order", "restricted_order")
 
-    ``local_data`` holds Tate's data at every place of S but the real one;
-    ``orders`` has one entry per place of S unless a place is undecided.
+
+@dataclass(frozen=True)
+class EulerLedger:
+    """Everything the global verification computed for one (curve, p).
+
+    ``local_data`` holds Tate's data at every place of S but the real one,
+    sorted by prime; ``orders`` has one entry per place of S unless a place
+    is undecided; ``external`` holds the checked global orders, if any.
     """
 
     curve: WeierstrassCurve
@@ -103,34 +108,27 @@ class EulerLedger:
     orders: list[LocalSelmerOrders]
     global_torsion: int
     undecided: list[str]
-    verdicts: dict[str, object]
+    external: dict[str, int] | None = None
     label: str | None = None
 
     @property
     def S(self) -> list[Place]:
-        return [Place.real()] + [Place.finite(ell) for ell in sorted(self.local_data)]
+        return [Place.real()] + [Place.finite(ell) for ell in self.local_data]
 
-    def _euler_product(self, local_order) -> Fraction | None:
-        """prod over S of local_order/torsion, or None when a place is
-        undecided.  The factor #H^0(Q, E[p]) / #H^0(Q, E^v[p]) is 1, as E is
-        self-dual.  Truncation to S is exact because good-reduction factors
-        away from p equal 1."""
+    def _ratio(self, num: str, den: str) -> Fraction | None:
+        """prod over S of order ``num`` / order ``den``; None when a place is undecided."""
         if self.undecided:
             return None
-        return Fraction(math.prod(map(local_order, self.orders)), math.prod(o.torsion_order for o in self.orders))
+        return Fraction(math.prod(getattr(o, num) for o in self.orders), math.prod(getattr(o, den) for o in self.orders))
 
-    chi_selmer = property(lambda self: self._euler_product(attrgetter("kummer_order")),
+    # The factor #H^0(Q, E[p]) / #H^0(Q, E^v[p]) is 1, as E is self-dual, and
+    # truncation to S is exact because good-reduction factors away from p equal 1.
+    chi_selmer = property(lambda self: self._ratio("kummer_order", "torsion_order"),
                           doc="The Euler characteristic with the classical local conditions.")
-    chi_relaxed = property(lambda self: self._euler_product(attrgetter("relaxed_order")),
+    chi_relaxed = property(lambda self: self._ratio("relaxed_order", "torsion_order"),
                            doc="The same with the relaxed local conditions (relaxed = kummer * tt_p).")
-
-    @property
-    def mt_lhs(self) -> Fraction | None:
-        """Left side of the main identity: chi_relaxed / chi_selmer, which is
-        prod over S of relaxed/kummer."""
-        if self.undecided:
-            return None
-        return Fraction(math.prod(o.relaxed_order for o in self.orders), math.prod(o.kummer_order for o in self.orders))
+    mt_lhs = property(lambda self: self._ratio("relaxed_order", "kummer_order"),
+                      doc="Left side of the main identity: chi_relaxed / chi_selmer = prod over S of relaxed/kummer.")
 
     @property
     def mt_rhs(self) -> int:
@@ -141,9 +139,42 @@ class EulerLedger:
     def all_phi_trivial(self) -> bool:
         return self.mt_rhs == 1
 
+    @cached_property
+    def verdicts(self) -> dict[str, bool | str]:
+        """The IDENTITY_VERDICTS, each "undecided" when a place is, then
+        global_inequality ("not evaluated" without both external orders)."""
+        mt_rhs = self.mt_rhs
+        if self.undecided:
+            identities: dict[str, bool | str] = dict.fromkeys(IDENTITY_VERDICTS, "undecided")
+        else:
+            identities = {
+                "euler_characteristic_is_one": self.chi_selmer == 1,
+                "main_identity": self.mt_lhs == mt_rhs,
+                "square_chain_identity": self._ratio("relaxed_order", "restricted_order") == mt_rhs**2,
+                "local_identities": all(
+                    o.relaxed_order == o.kummer_order * o.phi_p
+                    and o.kummer_order == o.restricted_order * o.phi_p
+                    and o.relaxed_order * o.restricted_order == o.kummer_order**2
+                    and o.restricted_order <= o.kummer_order <= o.relaxed_order
+                    for o in self.orders
+                ),
+            }
+        external = self.external or {}
+        if all(key in external for key in EXTERNAL_ORDERS):
+            # non-strict on purpose: when every Phi[p] is trivial the three
+            # global groups can coincide, so strictness cannot hold universally
+            inequality: bool | str = external["selmer_order"] <= external["restricted_order"] * mt_rhs
+        else:
+            inequality = "not evaluated"
+        return {**identities, "global_inequality": inequality}
+
     @property
     def passed(self) -> bool:
         return not self.undecided and all(v is True for v in self.verdicts.values() if isinstance(v, bool))
+
+    @property
+    def status(self) -> str:
+        return "undecided" if self.undecided else "passed" if self.passed else "failed"
 
     def to_record(self) -> dict:
         return {
@@ -152,7 +183,7 @@ class EulerLedger:
             "p": self.p,
             "S": [pl.serialize() for pl in self.S],
             "global_torsion": self.global_torsion,
-            "local_data": [self.local_data[ell].serialize() for ell in sorted(self.local_data)],
+            "local_data": [data.serialize() for data in self.local_data.values()],
             "places": [o.serialize() for o in self.orders],
             "chi_selmer": None if self.undecided else str(self.chi_selmer),
             "chi_relaxed": None if self.undecided else str(self.chi_relaxed),
@@ -164,6 +195,16 @@ class EulerLedger:
         }
 
 
+def _checked_order(external: dict, key: str) -> int:
+    try:
+        order = _exact_int(external[key])
+    except ValueError:
+        order = 0
+    if order < 1:
+        raise ValueError(f"external {key} must be an integer >= 1, got {external[key]!r}")
+    return order
+
+
 def verify_main_theorem(
     curve: WeierstrassCurve,
     p: int,
@@ -171,14 +212,17 @@ def verify_main_theorem(
     external: dict | None = None,
     label: str | None = None,
 ) -> EulerLedger:
-    """Build the full ledger for (curve, p): S, per-place orders, both Euler
-    characteristics, and the two-sided product identity.
+    """Gather the ledger for (curve, p): Tate's data over S, the per-place
+    orders, the undecided places and global torsion.  The ledger derives the
+    rest, every verdict included.
 
     ``external`` may supply globally computed orders (keys ``selmer_order``
-    and ``restricted_order``) to evaluate the global inequality; without
-    them that verdict is reported as "not evaluated".
+    and ``restricted_order``, each an exact integer >= 1, else ValueError)
+    to evaluate the global inequality; without both it is "not evaluated".
     """
     check_p(p)  # before factoring the discriminant, which may take long
+    if external is not None:
+        external = {key: _checked_order(external, key) for key in EXTERNAL_ORDERS if key in external}
     # tate_local's memo answers at p when p is already a bad prime
     local_data = dict(sorted({**local_data_for_bad_primes(curve), p: tate_local(curve, p)}.items()))
 
@@ -190,33 +234,4 @@ def verify_main_theorem(
             orders.append(assemble_local_orders(curve, place, p))
         except PrecisionExhausted as exc:
             undecided.append(f"place {place}: {exc}")
-
-    ledger = EulerLedger(curve, p, local_data, orders, global_torsion_order(curve, p), undecided, {}, label)
-    verdicts = ledger.verdicts
-    mt_rhs = ledger.mt_rhs
-    if undecided:
-        for key in ("euler_characteristic_is_one", "main_identity", "square_chain_identity", "local_identities"):
-            verdicts[key] = "undecided"
-    else:
-        verdicts["euler_characteristic_is_one"] = ledger.chi_selmer == 1
-        verdicts["main_identity"] = ledger.mt_lhs == mt_rhs
-        relaxed_total = math.prod(o.relaxed_order for o in orders)
-        restricted_total = math.prod(o.restricted_order for o in orders)
-        verdicts["square_chain_identity"] = relaxed_total == restricted_total * mt_rhs**2
-        verdicts["local_identities"] = all(
-            o.relaxed_order == o.kummer_order * o.phi_p
-            and o.kummer_order == o.restricted_order * o.phi_p
-            and o.relaxed_order * o.restricted_order == o.kummer_order**2
-            and o.restricted_order <= o.kummer_order <= o.relaxed_order
-            for o in orders
-        )
-
-    if external and "selmer_order" in external and "restricted_order" in external:
-        sel = int(external["selmer_order"])
-        res = int(external["restricted_order"])
-        # non-strict on purpose: when every Phi[p] is trivial the three
-        # global groups can coincide, so strictness cannot hold universally
-        verdicts["global_inequality"] = sel <= res * mt_rhs
-    else:
-        verdicts["global_inequality"] = "not evaluated"
-    return ledger
+    return EulerLedger(curve, p, local_data, orders, global_torsion_order(curve, p), undecided, external, label)

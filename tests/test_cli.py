@@ -350,6 +350,36 @@ def test_batch_jobs_parallel_same_bytes(runner, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_batch_rows_keep_input_order_with_failed_rows_between(runner, tmp_path):
+    """Comment and blank lines take no index; rows that fail to parse, a
+    singular curve and good curves keep their input order under one job and
+    under a pool, and both write the same bytes."""
+    inp = tmp_path / "curves.csv"
+    _write_batch_input(inp, [
+        "# a1,a2,a3,a4,a6,label",
+        "0,-1,1,-10,-20,11a1",
+        "0,0,0,1",
+        "",
+        "0,0,0,0,0,singular",
+        "1,x,0,0,0",
+        "0,0,1,0,0,27a3",
+    ])
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.json"
+        result = runner.invoke(main, ["batch", "--input", str(inp), "--out", str(out), "-p", "3", "--jobs", jobs])
+        assert result.exit_code == 1, result.output
+        assert "2 passed, 3 failed, 0 undecided" in result.output
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    rows = json.loads(reports[0])["rows"]
+    assert [r["index"] for r in rows] == [0, 1, 2, 3, 4]
+    assert [r["status"] for r in rows] == ["passed", "failed-parse", "failed-parse", "failed-parse", "passed"]
+    assert [r["label"] for r in rows] == ["11a1", None, "singular", None, "27a3"]
+    assert [r.get("error") for r in rows[1:4]] == [
+        "expected 5 integers", "singular curve: discriminant is zero", "non-integer coefficient"]
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, starts no
     process and maps in this one."""

@@ -1,7 +1,9 @@
 """Global bookkeeping: S, global torsion, Euler products, the two-sided
 product identity, truncation soundness."""
 
+import dataclasses
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -140,6 +142,46 @@ def test_external_inequality_branch():
     assert led.verdicts["global_inequality"] is True  # boundary: non-strict on purpose
     led = verify_main_theorem(E, 5, external={"selmer_order": 26, "restricted_order": 5})
     assert led.verdicts["global_inequality"] is False
+
+
+@pytest.mark.parametrize("value", [25.9, "25", 0, -3], ids=["float", "str", "zero", "negative"])
+@pytest.mark.parametrize("key", ["selmer_order", "restricted_order"])
+def test_external_orders_are_checked_not_truncated(monkeypatch, key, value):
+    """An external order that is not an exact integer >= 1 raises, naming its
+    key, before the discriminant is factored; a checked order is stored as an int."""
+    import tamagawa.euler as euler_mod
+
+    E = WeierstrassCurve(0, -1, 1, -10, -20)
+    external = {"selmer_order": 25, "restricted_order": 5, key: value}
+
+    def no_factoring(curve):
+        raise AssertionError("the discriminant was factored before the external orders were checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(euler_mod, "local_data_for_bad_primes", no_factoring)
+        with pytest.raises(ValueError, match=re.escape(f"external {key} must be an integer >= 1, got {value!r}")):
+            verify_main_theorem(E, 5, external=external)
+    led = verify_main_theorem(E, 5, external={"selmer_order": Fraction(25), "restricted_order": 5, "rank": 0.5})
+    assert led.external == {"selmer_order": 25, "restricted_order": 5}
+    assert type(led.external["selmer_order"]) is int
+    assert verify_main_theorem(E, 5, external={key: 5}).verdicts["global_inequality"] == "not evaluated"
+
+
+def test_a_ledger_verdict_can_read_false():
+    """Dropping the real place (#E(R)[5] = 5, kummer 1) from a real ledger
+    leaves chi_selmer = 5: the ledger derives a failed verdict and status from
+    what it holds, and no field of it can be reassigned."""
+    led = verify_main_theorem(WeierstrassCurve(0, -1, 1, -10, -20), 5)
+    assert led.status == "passed" and led.chi_selmer == 1
+    broken = dataclasses.replace(led, orders=led.orders[1:])
+    assert broken.chi_selmer == 5
+    assert broken.verdicts["euler_characteristic_is_one"] is False
+    assert broken.passed is False
+    assert broken.status == "failed"
+    assert broken.to_record()["verdicts"] == broken.verdicts
+    for field in dataclasses.fields(led):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(led, field.name, getattr(led, field.name))
 
 
 class _NoScreen:
@@ -345,8 +387,17 @@ def test_undecided_propagation(monkeypatch):
     monkeypatch.setattr(euler_mod, "assemble_local_orders", _raise_for_finite(boom))
     led = verify_main_theorem(WeierstrassCurve(0, -1, 1, -10, -20), 5)
     assert led.undecided
-    assert led.verdicts["main_identity"] == "undecided"
+    assert led.verdicts == {
+        "euler_characteristic_is_one": "undecided",
+        "main_identity": "undecided",
+        "square_chain_identity": "undecided",
+        "local_identities": "undecided",
+        "global_inequality": "not evaluated",
+    }
+    record = led.to_record()
+    assert record["chi_selmer"] is record["chi_relaxed"] is record["mt_lhs"] is None
     assert not led.passed
+    assert led.status == "undecided"
 
 
 def _raise_for_finite(fn):

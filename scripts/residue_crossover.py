@@ -9,6 +9,16 @@ ratio: above 1 the Frobenius path is faster.  ``_RESIDUE_SCAN_LIMIT`` sits
 where the ratios cross 1.  Both paths must return the same roots for every
 polynomial, or the script exits with code 1.
 
+Then, for psi_3, psi_5 and psi_7 of every corpus curve at each bad prime l,
+take psi_p moved into the frame of Tate's l-minimal model, as
+``localorders.local_torsion_order`` counts it, and split off the largest
+power of x dividing it mod l.  Where the cofactor has degree 1 or 2,
+``_residue_roots`` answers in closed form; its roots must equal those of the
+Frobenius path on that cofactor and, for l below ``SCAN_CHECK_LIMIT``
+(2^20; the corpus has bad primes up to about 1.6e9), those of the scan, or
+the script exits with code 1.  Prints how many cofactors of each degree
+were checked against each path.
+
 Usage: PYTHONPATH=src python3 scripts/residue_crossover.py
 """
 
@@ -21,11 +31,13 @@ from pathlib import Path
 
 from tamagawa import padic
 from tamagawa.lmfdb import fetch_curve
-from tamagawa.localorders import division_polynomial
+from tamagawa.localorders import certified_psi, division_polynomial
+from tamagawa.tate import tate_local
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 CURVES = 8
 REPEATS = 7
+SCAN_CHECK_LIMIT = 1 << 20  # a scan of every residue above it takes too long
 ELLS = (31, 61, 89, 101, 113, 127, 137, 149, 173, 199, 229, 251, 281, 307, 401)
 
 
@@ -50,9 +62,41 @@ def _best(fn, polys: list[list[int]], ell: int) -> float:
     return best
 
 
+def _check_frame_cofactors(curves: list) -> bool:
+    """Closed-form residue roots against both paths on the frame cofactors
+    of degree <= 2 at the bad places of ``curves``."""
+    checked = {(d, name): 0 for d in (1, 2) for name in ("scan", "Frobenius")}
+    ok = True
+    for E in curves:
+        for ell in padic.prime_divisors(E.discriminant):
+            tr = tate_local(E, ell).transformation
+            for p in (3, 5, 7):
+                psi = certified_psi(E, p).moved(tr.u, tr.r)
+                cs = _reduced(psi, ell)
+                k = next(i for i, c in enumerate(cs) if c)
+                cofactor = cs[k:]
+                if not 2 <= len(cofactor) <= 3:
+                    continue
+                closed = padic._residue_roots(psi, ell)
+                paths = [("Frobenius", _frobenius_roots)]
+                if ell < SCAN_CHECK_LIMIT:
+                    paths.append(("scan", padic._scan_roots))
+                for name, path in paths:
+                    checked[len(cofactor) - 1, name] += 1
+                    roots = path(cofactor, ell)
+                    if closed != [0] * (k > 0) + roots:
+                        print(f"closed form and {name} path disagree: psi_{p} of {E.ainvs} at {ell}: {closed} != {roots}")
+                        ok = False
+    for name in ("Frobenius", "scan"):
+        print(f"closed-form residue roots against the {name} path: {checked[1, name]} frame cofactors "
+              f"of degree 1 and {checked[2, name]} of degree 2 at the corpus's bad places")
+    return ok
+
+
 def main() -> int:
-    labels = json.loads((FIXTURES / "corpus.json").read_text())["labels"][:CURVES]
-    curves = [fetch_curve(label, fixtures_dir=FIXTURES).curve() for label in labels]
+    corpus = [fetch_curve(label, fixtures_dir=FIXTURES).curve()
+              for label in json.loads((FIXTURES / "corpus.json").read_text())["labels"]]
+    curves = corpus[:CURVES]
     print(f"scan/Frobenius time ratio, {CURVES} corpus curves, min of {REPEATS}; "
           f"_RESIDUE_SCAN_LIMIT = {padic._RESIDUE_SCAN_LIMIT}")
     print("l     " + "".join(f"  psi_{p}" for p in (3, 5, 7)))
@@ -68,6 +112,7 @@ def main() -> int:
                     ok = False
             row.append(_best(padic._scan_roots, polys, ell) / _best(_frobenius_roots, polys, ell))
         print(f"{ell:<6}" + "".join(f"{r:7.2f}" for r in row))
+    ok = _check_frame_cofactors(corpus) and ok
     return 0 if ok else 1
 
 

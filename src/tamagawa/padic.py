@@ -22,9 +22,11 @@ l = 2 and 3 must be scanned, because the root splitting cannot separate
 roots at l = 2.  The split takes a quadratic factor apart by a square root
 of its discriminant (Tonelli-Shanks, with the least non-residue), a larger
 one by gcds with (x + c)^((l-1)/2) - 1 (Cantor-Zassenhaus); see Cohen, A
-Course in Computational Algebraic Number Theory, 1.5.1 and 1.6.  A simple
-residue root then costs a fixed amount of work: no Newton step when one
-digit decides the square test, and integer arithmetic in that test.
+Course in Computational Algebraic Number Theory, 1.5.1 and 1.6.  Before
+either path runs, one modular inverse gives the root of a cofactor of
+degree 1, and the same square root those of one of degree 2 at odd l.  A
+simple residue root then costs a fixed amount of work: no Newton step when
+one digit decides the square test, and integer arithmetic in that test.
 
 The powers (x + c)^e mod f over F_l behind that split, x^l mod f above all,
 run on packed integers: a residue mod f of degree n is one int whose W-bit
@@ -43,7 +45,10 @@ sit at 0 (``localorders`` puts the singular point of the reduction there at
 a bad place) thereby hands them a cofactor of small degree.  In
 lift-and-split, a singular residue r with v_l(f(r)) = 1 gets no child:
 l | f'(r) gives f(r + l t) = f(r) mod l^2 for every t in Z_l, so its class
-holds no root.
+holds no root.  Nor does the singular residue 0 when f(0) != 0 and
+l^(v - k + 1) divides the coefficient f_k of x^k for 1 <= k <= v, where
+v = v_l(f(0)): f(l t) / l^v is then a unit constant mod l.  Both rules
+only prove a residue class of Z_l empty; neither looks outside Z_l.
 
 Root counting needs simple roots, so ``find_roots_padic`` and
 ``rational_roots`` count on a ``SquarefreePolynomial``.  The psi_p of the
@@ -418,8 +423,13 @@ class SquarefreePolynomial(IntegerPolynomial):
         return self
 
     def moved(self, u: int, r: int) -> "SquarefreePolynomial":
-        """The primitive part of f(u^2 x + r); f itself at (u, r) = (1, 0)."""
-        return _certified(self.compose_affine(u * u, r).primitive_part()) if (u, r) != (1, 0) else self
+        """The primitive part of f(u^2 x + r); f itself at (u, r) = (1, 0).
+        At u^2 = 1 the move x -> x + r is an automorphism of Z[x], which keeps
+        the content 1 of f, so no primitive part is taken."""
+        if (u, r) == (1, 0):
+            return self
+        g = self.compose_affine(u * u, r)
+        return _certified(g if u * u == 1 else g.primitive_part())
 
 
 def _certified(f: IntegerPolynomial) -> SquarefreePolynomial:
@@ -561,11 +571,13 @@ def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
     f is reduced mod l first, and zero raises ``ValueError``.  The largest
     power x^k dividing the reduction is split off: 0 is a root iff k >= 1,
     and the other roots are those of the cofactor f/x^k mod l, which a
-    nonzero constant does not have.  The cofactor's roots come from a scan
-    of every residue for l <= ``_RESIDUE_SCAN_LIMIT`` and from the split
-    part of gcd(f/x^k, x^l - x) above it.  The limit is the measured
-    crossover of the two paths for degrees 4-24 (psi_3 to psi_7): the
-    Frobenius path is faster for all three from l = 137 on
+    nonzero constant does not have.  A cofactor of degree 1 gives its root
+    by one modular inverse, and one of degree 2 at odd l by the square root
+    of its discriminant (``_small_roots_mod``).  A larger cofactor's
+    roots come from a scan of every residue for l <= ``_RESIDUE_SCAN_LIMIT``
+    and from the split part of gcd(f/x^k, x^l - x) above it.  The limit is
+    the measured crossover of the two paths for degrees 4-24 (psi_3 to
+    psi_7): the Frobenius path is faster for all three from l = 137 on
     (``scripts/residue_crossover.py``).  l = 2 and 3 must stay on the scan
     whatever the limit: ``_linear_roots_mod`` splits with
     (x + c)^((l-1)/2) - 1, which cannot separate roots at l = 2.
@@ -582,6 +594,8 @@ def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
         return [0] + _residue_roots(_poly(cs[k:]), ell)
     if len(cs) == 1:
         return []
+    if len(cs) == 2 or len(cs) == 3 and ell != 2:
+        return _small_roots_mod(cs, ell)
     if ell <= _RESIDUE_SCAN_LIMIT:
         return _scan_roots(cs, ell)
     return _linear_roots_mod(_gcd_with_frobenius(cs, ell), ell)
@@ -742,6 +756,25 @@ def _sqrt_mod(a: int, ell: int) -> int:
     return x
 
 
+def _small_roots_mod(h: Sequence[int], ell: int) -> list[int]:
+    """Roots over F_l, sorted, of h0 + h1 x with h1 a unit, or of
+    h0 + h1 x + h2 x^2 with l odd and h2 a unit: -h0 / h1, or
+    (-h1 +- sqrt(D)) / (2 h2) with D = h1^2 - 4 h0 h2, none when D is a
+    non-residue, and the double root once when D = 0 mod l."""
+    if len(h) == 2:
+        return [-h[0] * pow(h[1], -1, ell) % ell]
+    h0, h1, h2 = h
+    disc = h1 * h1 - 4 * h0 * h2
+    symbol = legendre_symbol(disc, ell)
+    if symbol == -1:
+        return []
+    inv = pow(2 * h2, -1, ell)
+    if symbol == 0:
+        return [-h1 * inv % ell]
+    r = _sqrt_mod(disc, ell)
+    return sorted([(-h1 + r) * inv % ell, (-h1 - r) * inv % ell])
+
+
 def _linear_roots_mod(g: list[int], ell: int) -> list[int]:
     """Roots of a product of distinct linear factors over F_l, sorted.
 
@@ -758,16 +791,11 @@ def _linear_roots_mod(g: list[int], ell: int) -> list[int]:
         d = len(h) - 1
         if d <= 0:
             continue
-        if d == 1:
-            roots.append((-h[0] * pow(h[1], -1, ell)) % ell)
-            continue
-        if d == 2 and ell != 2:
-            h0, h1, h2 = h
-            disc = h1 * h1 - 4 * h0 * h2
-            if legendre_symbol(disc, ell) != 1:
+        if d == 1 or d == 2 and ell != 2:
+            found = _small_roots_mod(h, ell)
+            if len(found) != d:
                 raise ArithmeticError("root splitting failed to converge")
-            r, inv = _sqrt_mod(disc, ell), pow(2 * h2, -1, ell)
-            roots += [(-h1 + r) * inv % ell, (-h1 - r) * inv % ell]
+            roots += found
             continue
         # split h using gcd with (x + shift)^((l-1)/2) - 1
         acc = _linear_powmod_ell(shift % ell, (ell - 1) // 2, h, ell)
@@ -800,6 +828,23 @@ def _poly_divide_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
     return q
 
 
+def _unit_at_zero(cs: Sequence[int], ell: int) -> bool:
+    """Whether g(l t) / l^v0, with v0 = v_l(g(0)), is a unit constant mod l
+    for g = sum cs_k x^k, so that 0 + l Z_l holds no root of g: g(0) != 0
+    and l^(v0 - k + 1) | g_k for 1 <= k <= min(v0, deg g).  Then every
+    coefficient l^k g_k with k >= 1 has valuation above v0, the valuation
+    of the constant term."""
+    if cs[0] == 0:
+        return False  # 0 is a root, and _int_valuation(0) is a sentinel
+    v0 = _int_valuation(cs[0], ell)
+    q = ell**v0
+    for c in cs[1 : v0 + 1]:
+        if c % q:
+            return False
+        q //= ell
+    return True
+
+
 def _integral_root_certs(f: IntegerPolynomial, ell: int) -> list[tuple[IntegerPolynomial, int, int, int]]:
     """Certificates (witness, t0, scale, offset) for the distinct roots of f
     in Z_l, depth first in residue order.  f must be squarefree and
@@ -809,7 +854,11 @@ def _integral_root_certs(f: IntegerPolynomial, ell: int) -> list[tuple[IntegerPo
     x = offset + scale * t of f with g(t) = 0.  A residue t0 with a simple
     reduction is Hensel-certified.  A singular residue r with v_l(g(r)) = 1
     holds no root: l | g'(r) gives g(r + l*u) = g(r) mod l^2 for every u in
-    Z_l.  Any other singular residue is refined by substituting t = r + l*u
+    Z_l.  Nor does the singular residue 0 when g(0) != 0 and the child
+    g(l u) / l^v(g(0)) is a unit constant mod l (``_unit_at_zero``, read off
+    the valuations of the coefficients of g): that class is proved empty
+    before any Taylor shift, and opens no item that could reach the cap.
+    Any other singular residue is refined by substituting t = r + l*u
     into g, one level deeper, on the l-primitive part.  An item at depth
     ``PRECISION_HARD_CAP`` raises ``PrecisionExhausted``; being a work list
     rather than a recursion, the walk reaches that cap whatever Python's
@@ -831,7 +880,7 @@ def _integral_root_certs(f: IntegerPolynomial, ell: int) -> list[tuple[IntegerPo
         for r in _residue_roots(g, ell):
             if gp(r) % ell != 0:
                 children.append((g, r, scale, offset, depth))
-            elif g(r) % ell2 == 0:
+            elif g(r) % ell2 == 0 and not (r == 0 and _unit_at_zero(g.coeffs, ell)):
                 h = g.compose_affine(ell, r).strip_prime_content(ell)
                 children.append((h, None, scale * ell, offset + scale * r, depth + 1))
         stack.extend(reversed(children))

@@ -14,6 +14,8 @@ auditable.  The steps ask the residue field F_l four questions, each answered
 by one helper at every l: is a quadratic separable, does it split, what is its
 double root, and what is the multiple root of a cubic.  The rules for l = 2
 live only in those helpers and in the closed form of the singular point.
+The cubic's multiple root has a closed form at l >= 5; at l = 2 and 3 it is
+read off the gcd of the cubic and its derivative.
 
 :func:`tate_local` is a memo on (model, l) with typed keys, checked on a
 miss, so every reader of Tate's data at a place shares one run of the
@@ -201,11 +203,27 @@ class _Machine:
         return -B * pow(2 * A, -1, self.ell) % self.ell
 
     def _multiple_root(self, cubic: list[int]) -> int | None:
-        """The multiple root alpha over F_l of a cubic with a unit lead
-        (coefficients from the constant up), or None.  gcd(P, P') = (T - alpha)^k
-        has T^(k-1) coefficient -k alpha; for a cubic l | k only when k = l, and
-        then the gcd is T^l - alpha^l = T^l - alpha."""
+        """The multiple root alpha over F_l of a cubic a T^3 + b T^2 + c T + d
+        with a unit lead (coefficients from the constant up), or None.
+
+        At l >= 5, in closed form: None when the discriminant
+        18abcd - 4b^3 d + b^2 c^2 - 4ac^3 - 27a^2 d^2 is a unit; else
+        a (T - alpha)^2 (T - beta) gives b^2 - 3ac = a^2 (alpha - beta)^2
+        and 9ad - bc = 2a^2 alpha (alpha - beta)^2, so alpha is
+        -b / (3a) when b^2 - 3ac = 0 (a triple root) and
+        (9ad - bc) / (2 (b^2 - 3ac)) otherwise.  At l = 2 and 3 by the gcd
+        with the derivative: gcd(P, P') = (T - alpha)^k has T^(k-1)
+        coefficient -k alpha; for a cubic l | k only when k = l, and then
+        the gcd is T^l - alpha^l = T^l - alpha."""
         ell = self.ell
+        if ell >= 5:
+            d, c, b, a = (x % ell for x in cubic)
+            if (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d) % ell:
+                return None
+            delta0 = (b * b - 3 * a * c) % ell
+            if delta0 == 0:
+                return -b * pow(3 * a, -1, ell) % ell
+            return (9 * a * d - b * c) * pow(2 * delta0, -1, ell) % ell
         g = _poly_gcd_mod_ell(cubic, [i * c for i, c in enumerate(cubic)][1:], ell)
         k = len(g) - 1
         if k == 0:

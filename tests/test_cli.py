@@ -214,14 +214,28 @@ def test_verify_undecided_exits_4(runner, monkeypatch):
 
 
 def test_verify_exits_4_when_lift_and_split_reaches_the_cap(runner, monkeypatch):
-    # a real exhaustion, not a stubbed raise: psi_5 of 14a1 needs more than
-    # three levels of lift-and-split at some place of S
+    # a real exhaustion, not a stubbed raise: psi_3 of 14a1 needs more than
+    # three levels of lift-and-split at place 2
     from tamagawa import padic
 
     monkeypatch.setattr(padic, "PRECISION_HARD_CAP", 3)
-    result = runner.invoke(main, ["verify", "--curve", "1,0,1,4,-6", "-p", "5"])
+    result = runner.invoke(main, ["verify", "--curve", "1,0,1,4,-6", "-p", "3"])
     assert result.exit_code == 4, result.output
     assert "undecided at precision 3" in result.output
+
+
+def test_verify_answers_under_the_cap_where_the_deep_branch_is_proved_empty(runner, monkeypatch):
+    # at place 2, psi_5 of 14a1 has a branch deeper than three levels that
+    # holds no root; its constant term's valuation proves so before the
+    # walk descends into it, so a cap of three levels changes nothing
+    from tamagawa import padic
+
+    args = ["verify", "--curve", "1,0,1,4,-6", "-p", "5"]
+    uncapped = runner.invoke(main, args)
+    monkeypatch.setattr(padic, "PRECISION_HARD_CAP", 3)
+    capped = runner.invoke(main, args)
+    assert capped.exit_code == uncapped.exit_code == 0, capped.output
+    assert json.loads(capped.output) == json.loads(uncapped.output)
 
 
 def _write_batch_input(path, rows):

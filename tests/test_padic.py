@@ -252,9 +252,11 @@ def test_lift_and_split_reaches_the_depth_cap(monkeypatch):
             find_roots_padic(IntegerPolynomial([0, -(2**k), 1]), 2)
 
 
-def _integral_root_certs_reference(f, ell):
+def _integral_root_certs_reference(f, ell, v1_rule=False):
     """The lift-and-split walk before singular residues with v_l(g(r)) = 1
-    were dropped: every singular residue gets a child."""
+    were dropped: every singular residue gets a child.  With ``v1_rule``,
+    the walk before the class at 0 was proved empty from valuations: only
+    the singular residues with v_l(g(r)) = 1 get none."""
     cap = padic.PRECISION_HARD_CAP
     certs = []
     stack = [(f, None, 1, 0, 0)]
@@ -270,7 +272,7 @@ def _integral_root_certs_reference(f, ell):
         for r in padic._residue_roots(g, ell):
             if gp(r) % ell != 0:
                 children.append((g, r, scale, offset, depth))
-            else:
+            elif not v1_rule or g(r) % (ell * ell) == 0:
                 h = g.compose_affine(ell, r).strip_prime_content(ell)
                 children.append((h, None, scale * ell, offset + scale * r, depth + 1))
         stack.extend(reversed(children))
@@ -341,6 +343,87 @@ def test_v1_rule_runs_no_taylor_shift_and_answers_under_the_cap(monkeypatch):
     monkeypatch.setattr(padic, "PRECISION_HARD_CAP", 3)
     with pytest.raises(PrecisionExhausted, match="^undecided at precision 3$"):
         find_roots_padic(f, 3)
+
+
+def _v1_walk(f, ell):
+    return _integral_root_certs_reference(f, ell, v1_rule=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ell=st.sampled_from([2, 3, 5, 7]),
+    roots=st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4), st.integers(0, 5)), max_size=3),
+    pairs=st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 6), st.integers(0, 7)), max_size=2),
+    # clusters (x - c)^k - w l^j with 1 <= j < k and l not dividing w: k
+    # roots of valuation j/k < 1 around c, so the class of c mod l is empty
+    # in Z_l, and at c = 0 with j >= 2 the valuations prove it so
+    clusters=st.lists(
+        st.tuples(st.sampled_from([0, 0, 0, 1, -2, 3]), st.integers(2, 5), st.integers(1, 4), st.integers(1, 40)),
+        min_size=1,
+        max_size=2,
+    ),
+    cofactor=st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+    cap=st.integers(1, 6),
+)
+def test_empty_class_at_zero_matches_the_walk_without_it(ell, roots, pairs, clusters, cofactor, cap):
+    f = as_poly(IntegerPolynomial(cofactor))
+    for c, u, e in roots:
+        f *= X - (c + u * ell**e)
+    for c, w, k in pairs:
+        f *= X**2 - 2 * c * X + c * c - w * ell**k
+    for c, k, j, w in clusters:
+        assume(w % ell)
+        f *= (X - c) ** k - w * ell ** min(j, k - 1)
+    f = expand(f)
+    assume(f.degree >= 1)
+    f = _sympy_squarefree_part(f).strip_prime_content(ell)
+    expected = _v1_walk(f, ell)
+    assert padic._integral_root_certs(f, ell) == expected
+    # under a lower cap the pruned walk answers wherever the unpruned one
+    # did, and then the same; it may also answer where that one reached the cap
+    reference, certs = (_certs_at_cap(w, f, ell, cap) for w in (_v1_walk, padic._integral_root_certs))
+    if reference is not None:
+        assert certs == reference
+    if certs is not None:
+        assert certs == expected
+
+
+def test_empty_class_at_zero_builds_no_child(monkeypatch):
+    shifts = []
+    real_compose = IntegerPolynomial.compose_affine
+    monkeypatch.setattr(IntegerPolynomial, "compose_affine", lambda self, *a: shifts.append(a) or real_compose(self, *a))
+    # x^3 - 18 at 3 and x^4 - 2 * 5^3 at 5: g(l t) / l^v(g(0)) is a unit
+    # constant mod l, so the class at 0 opens no child and shifts nothing
+    for f, ell in ((IntegerPolynomial([-18, 0, 0, 1]), 3), (IntegerPolynomial([-250, 0, 0, 0, 1]), 5)):
+        assert _v1_walk(f, ell) == []
+        assert shifts == [(ell, 0)]
+        shifts.clear()
+        assert padic._integral_root_certs(f, ell) == []
+        assert shifts == []
+    # x^2 - 2 * 5^3: the roots have valuation 3/2, the coefficient of x^2
+    # fails the test, and the class at 0 is refined as before
+    assert padic._integral_root_certs(IntegerPolynomial([-250, 0, 1]), 5) == []
+    assert shifts == [(5, 0)]
+    # the unpruned walk opens its child at depth 1 and reaches a cap of 1;
+    # the pruned one answers
+    monkeypatch.setattr(padic, "PRECISION_HARD_CAP", 1)
+    with pytest.raises(PrecisionExhausted, match="^undecided at precision 1$"):
+        _v1_walk(IntegerPolynomial([-18, 0, 0, 1]), 3)
+    assert find_roots_padic(IntegerPolynomial([-18, 0, 0, 1]), 3) == []
+
+
+def test_an_exact_root_at_zero_is_never_pruned(monkeypatch):
+    # 0 is a root of x (x - 3^5) and of every child on its way down: the
+    # constant term is 0, whose valuation is the 10**9 sentinel, so the
+    # test returns at once and the class is refined
+    calls = []
+    real_test = padic._unit_at_zero
+    monkeypatch.setattr(padic, "_unit_at_zero", lambda cs, ell: calls.append(cs[0]) or real_test(cs, ell))
+    f = IntegerPolynomial([0, -(3**5), 1])
+    assert padic._integral_root_certs(f, 3) == _v1_walk(f, 3)
+    assert sorted(root.approx(8) for root in find_roots_padic(f, 3)) == [0, 3**5]
+    assert calls and set(calls) == {0}
+    assert padic._unit_at_zero([0, 9, 1], 3) is False
 
 
 def test_roots_come_depth_first_in_residue_order():
@@ -764,6 +847,54 @@ def test_residue_roots_skip_a_constant_reduction(monkeypatch):
     for ell in (2, 5, 131, 137, 3001):
         with pytest.raises(ValueError, match="zero mod"):
             padic._residue_roots(IntegerPolynomial([ell, 0, ell]), ell)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ell=st.sampled_from([3, 5, 7, 13, 131, 137, 293, 1009, 3001, 4999]),
+    shape=st.sampled_from(["linear", "quadratic", "double"]),
+    zero_power=st.integers(0, 3),
+    data=st.data(),
+)
+def test_residue_roots_closed_forms_match_scan(ell, shape, zero_power, data):
+    """x^k times a cofactor of degree 1 or 2 mod l, every coefficient lifted
+    by a multiple of l: the closed forms give what the scan and the
+    Frobenius path give, a double root (discriminant 0 mod l) once."""
+    unit = st.integers(1, ell - 1)
+    lead = data.draw(unit)
+    if shape == "linear":
+        h = [data.draw(unit), lead]
+    elif shape == "quadratic":
+        h = [data.draw(unit), data.draw(st.integers(0, ell - 1)), lead]
+    else:
+        a = data.draw(unit)
+        h = [lead * a * a, -2 * lead * a, lead]  # lead (x - a)^2
+    noise = data.draw(st.lists(st.integers(-3, 3), min_size=zero_power + len(h), max_size=zero_power + len(h)))
+    f = IntegerPolynomial([c + ell * e for c, e in zip([0] * zero_power + h, noise)])
+    expected = _scan_residue_roots(f.coeffs, ell)
+    assert padic._residue_roots(f, ell) == expected
+    cofactor = [c % ell for c in h]
+    gcd_roots = padic._linear_roots_mod(padic._gcd_with_frobenius(cofactor, ell), ell)
+    assert padic._scan_roots(cofactor, ell) == gcd_roots == [r for r in expected if r]
+    if shape == "double":
+        assert expected == sorted({0, a} if zero_power else {a})
+
+
+def test_residue_roots_of_degree_at_most_two_are_neither_scanned_nor_split(monkeypatch):
+    def no_search(cs, ell):
+        raise AssertionError("a cofactor of degree <= 2 reached the scan or the Frobenius path")
+
+    monkeypatch.setattr(padic, "_scan_roots", no_search)
+    monkeypatch.setattr(padic, "_gcd_with_frobenius", no_search)
+    for ell in (3, 5, 131, 137, 3001):
+        assert padic._residue_roots(IntegerPolynomial([0, 0, 2 + ell, -1]), ell) == [0, 2]
+        assert padic._residue_roots(IntegerPolynomial([-4, ell, 1]), ell) == sorted([2, ell - 2])
+        assert padic._residue_roots(IntegerPolynomial([9, 6 + ell, 1]), ell) == [ell - 3]
+    # at l = 2 a cofactor of degree 2 is scanned, since the square root
+    # formula halves; one of degree 1 is not
+    assert padic._residue_roots(IntegerPolynomial([1, 3]), 2) == [1]
+    with pytest.raises(AssertionError, match="reached the scan"):
+        padic._residue_roots(IntegerPolynomial([1, 1, 1]), 2)
 
 
 # The list-level kernel that padic._linear_powmod_ell replaced, kept verbatim

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 from tamagawa.curves import SingularCurveError, Transformation, WeierstrassCurve, transform
-from tamagawa.padic import prime_divisors
+from tamagawa.padic import _poly_gcd_mod_ell, prime_divisors
 from tamagawa.tate import (
     _FIBRES,
     KodairaType,
@@ -391,6 +391,49 @@ def test_multiple_root_matches_brute_force(ell):
         multiple = [r for r in range(ell) if value[r] == slope[r] == 0]
         assert len(multiple) <= 1  # a multiple root of a cubic is rational
         assert machine._multiple_root(cubic) == (multiple[0] if multiple else None), cubic
+
+
+def _multiple_root_by_gcd(cubic: list[int], ell: int) -> int | None:
+    """Reference: the multiple root from gcd(P, P'), the route l = 2 and 3
+    still take and that every l took before the closed form."""
+    g = _poly_gcd_mod_ell(cubic, [i * c for i, c in enumerate(cubic)][1:], ell)
+    k = len(g) - 1
+    if k == 0:
+        return None
+    return -g[k - 1] * pow(k, -1, ell) % ell if k % ell else -g[0] % ell
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ell=st.sampled_from([5, 7, 11, 13, 17, 101, 1009]),
+    shape=st.sampled_from(["random", "simple", "double", "triple"]),
+    data=st.data(),
+)
+def test_multiple_root_closed_form_matches_the_gcd_route(ell, shape, data):
+    # a (T - alpha)^2 (T - beta) and a (T - alpha)^3 with a non-monic lead,
+    # three distinct roots, and random cubics; every coefficient is lifted
+    # by a multiple of l
+    residue = st.integers(0, ell - 1)
+    a = data.draw(st.integers(1, ell - 1))
+    alpha, beta, gamma = (data.draw(residue) for _ in range(3))
+    if shape == "random":
+        low = [data.draw(residue) for _ in range(3)]
+    else:
+        if shape == "simple":
+            assume(len({alpha, beta, gamma}) == 3)
+        elif shape == "double":
+            assume(alpha != beta)
+            gamma = alpha
+        else:
+            beta = gamma = alpha
+        e1, e2, e3 = alpha + beta + gamma, alpha * beta + beta * gamma + gamma * alpha, alpha * beta * gamma
+        low = [-a * e3, a * e2, -a * e1]
+    lift = data.draw(st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+    cubic = [c + ell * k for c, k in zip([*low, a], lift)]
+    expected = _multiple_root_by_gcd(cubic, ell)
+    assert _residue_machine(ell)._multiple_root(cubic) == expected
+    if shape != "random":
+        assert expected == (None if shape == "simple" else alpha % ell)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5])

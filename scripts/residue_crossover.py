@@ -19,6 +19,14 @@ Frobenius path on that cofactor and, for l below ``SCAN_CHECK_LIMIT``
 the script exits with code 1.  Prints how many cofactors of each degree
 were checked against each path.
 
+No frame cofactor of degree 2 at the corpus's bad places has a
+discriminant 0 mod l, so last the script checks the double-root branch of
+the closed form, which also gives Tate's algorithm its double roots, on
+lead (x - a)^2 for every a in [1, l) and leads 1 and -1, at each l in
+``DOUBLE_ROOT_ELLS`` (2, 3 and the primes either side of
+``_RESIDUE_SCAN_LIMIT``): its one root must equal that of the scan and of
+the Frobenius path, or the script exits with code 1.
+
 Usage: PYTHONPATH=src python3 scripts/residue_crossover.py
 """
 
@@ -39,6 +47,7 @@ CURVES = 8
 REPEATS = 7
 SCAN_CHECK_LIMIT = 1 << 20  # a scan of every residue above it takes too long
 ELLS = (31, 61, 89, 101, 113, 127, 137, 149, 173, 199, 229, 251, 281, 307, 401)
+DOUBLE_ROOT_ELLS = (2, 3, 131, 137)
 
 
 def _reduced(psi: padic.IntegerPolynomial, ell: int) -> list[int]:
@@ -93,6 +102,26 @@ def _check_frame_cofactors(curves: list) -> bool:
     return ok
 
 
+def _check_double_roots() -> bool:
+    """Closed-form residue roots of lead (x - a)^2, unreduced, against both
+    paths on its reduction."""
+    ok = True
+    checked = 0
+    for ell in DOUBLE_ROOT_ELLS:
+        for lead in sorted({1, ell - 1}):
+            for a in range(1, ell):
+                h = [lead * a * a, -2 * lead * a, lead]
+                closed = padic._residue_roots(padic.IntegerPolynomial(h), ell)
+                for name, path in (("scan", padic._scan_roots), ("Frobenius", _frobenius_roots)):
+                    roots = path([c % ell for c in h], ell)
+                    if closed != roots or roots != [a]:
+                        print(f"closed form and {name} path disagree on {lead} (x - {a})^2 at {ell}: {closed} != {roots}")
+                        ok = False
+                checked += 1
+    print(f"closed-form double roots against both paths: {checked} squares lead (x - a)^2 at l in {DOUBLE_ROOT_ELLS}")
+    return ok
+
+
 def main() -> int:
     corpus = [fetch_curve(label, fixtures_dir=FIXTURES).curve()
               for label in json.loads((FIXTURES / "corpus.json").read_text())["labels"]]
@@ -113,6 +142,7 @@ def main() -> int:
             row.append(_best(padic._scan_roots, polys, ell) / _best(_frobenius_roots, polys, ell))
         print(f"{ell:<6}" + "".join(f"{r:7.2f}" for r in row))
     ok = _check_frame_cofactors(corpus) and ok
+    ok = _check_double_roots() and ok
     return 0 if ok else 1
 
 

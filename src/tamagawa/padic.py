@@ -17,14 +17,15 @@ never returned.
 Residue roots mod l are found by scanning all l residues for
 l <= ``_RESIDUE_SCAN_LIMIT`` (131) and by splitting gcd(f, x^l - x) above
 it.  The limit sits at the measured crossover of the two paths for psi_3,
-psi_5 and psi_7 (the Frobenius path wins for all three from l = 137 on);
-l = 2 and 3 must be scanned, because the root splitting cannot separate
-roots at l = 2.  The split takes a quadratic factor apart by a square root
-of its discriminant (Tonelli-Shanks, with the least non-residue), a larger
-one by gcds with (x + c)^((l-1)/2) - 1 (Cantor-Zassenhaus); see Cohen, A
-Course in Computational Algebraic Number Theory, 1.5.1 and 1.6.  Before
-either path runs, one modular inverse gives the root of a cofactor of
-degree 1, and the same square root those of one of degree 2 at odd l.  A
+psi_5 and psi_7 (the Frobenius path wins for all three from l = 137 on).
+The split takes a quadratic factor apart by a square root of its
+discriminant (Tonelli-Shanks, with the least non-residue), a larger one by
+gcds with (x + c)^((l-1)/2) - 1 (Cantor-Zassenhaus); see Cohen, A Course in
+Computational Algebraic Number Theory, 1.5.1 and 1.6.  Before either path
+runs, one modular inverse gives the root of a cofactor of degree 1, and the
+same square root those of one of degree 2, or at l = 2 its values at 0 and
+1.  That quadratic solver, ``_small_roots_mod``, also answers every
+quadratic question Tate's algorithm asks of F_l.  A
 simple residue root then costs a fixed amount of work: no Newton step when
 one digit decides the square test, and integer arithmetic in that test.
 
@@ -572,15 +573,14 @@ def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
     power x^k dividing the reduction is split off: 0 is a root iff k >= 1,
     and the other roots are those of the cofactor f/x^k mod l, which a
     nonzero constant does not have.  A cofactor of degree 1 gives its root
-    by one modular inverse, and one of degree 2 at odd l by the square root
-    of its discriminant (``_small_roots_mod``).  A larger cofactor's
-    roots come from a scan of every residue for l <= ``_RESIDUE_SCAN_LIMIT``
-    and from the split part of gcd(f/x^k, x^l - x) above it.  The limit is
-    the measured crossover of the two paths for degrees 4-24 (psi_3 to
-    psi_7): the Frobenius path is faster for all three from l = 137 on
-    (``scripts/residue_crossover.py``).  l = 2 and 3 must stay on the scan
-    whatever the limit: ``_linear_roots_mod`` splits with
-    (x + c)^((l-1)/2) - 1, which cannot separate roots at l = 2.
+    by one modular inverse, and one of degree 2 by the square root of its
+    discriminant, or at l = 2 by its values at 0 and 1
+    (``_small_roots_mod``).  A larger cofactor's roots come from a scan of
+    every residue for l <= ``_RESIDUE_SCAN_LIMIT`` and from the split part
+    of gcd(f/x^k, x^l - x) above it.  The limit is the measured crossover
+    of the two paths for degrees 4-24 (psi_3 to psi_7): the Frobenius path
+    is faster for all three from l = 137 on
+    (``scripts/residue_crossover.py``).
     """
     cs = [c % ell for c in f.coeffs]
     while cs and cs[-1] == 0:
@@ -594,7 +594,7 @@ def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
         return [0] + _residue_roots(_poly(cs[k:]), ell)
     if len(cs) == 1:
         return []
-    if len(cs) == 2 or len(cs) == 3 and ell != 2:
+    if len(cs) <= 3:
         return _small_roots_mod(cs, ell)
     if ell <= _RESIDUE_SCAN_LIMIT:
         return _scan_roots(cs, ell)
@@ -758,12 +758,17 @@ def _sqrt_mod(a: int, ell: int) -> int:
 
 def _small_roots_mod(h: Sequence[int], ell: int) -> list[int]:
     """Roots over F_l, sorted, of h0 + h1 x with h1 a unit, or of
-    h0 + h1 x + h2 x^2 with l odd and h2 a unit: -h0 / h1, or
-    (-h1 +- sqrt(D)) / (2 h2) with D = h1^2 - 4 h0 h2, none when D is a
-    non-residue, and the double root once when D = 0 mod l."""
+    h0 + h1 x + h2 x^2 with h2 a unit: -h0 / h1; at l = 2 the residues
+    0 and 1 where the quadratic vanishes; at odd l (-h1 +- sqrt(D)) / (2 h2)
+    with D = h1^2 - 4 h0 h2, none when D is a non-residue, and the double
+    root once when D = 0 mod l.  So at every l a quadratic has exactly one
+    root iff it is inseparable, and two iff it splits.  The coefficients
+    need not be reduced."""
     if len(h) == 2:
         return [-h[0] * pow(h[1], -1, ell) % ell]
     h0, h1, h2 = h
+    if ell == 2:
+        return [r for r in (0, 1) if (h0 + r * (h1 + h2)) % 2 == 0]
     disc = h1 * h1 - 4 * h0 * h2
     symbol = legendre_symbol(disc, ell)
     if symbol == -1:
@@ -778,9 +783,8 @@ def _small_roots_mod(h: Sequence[int], ell: int) -> list[int]:
 def _linear_roots_mod(g: list[int], ell: int) -> list[int]:
     """Roots of a product of distinct linear factors over F_l, sorted.
 
-    A factor of degree 1 gives its root; at odd l one of degree 2, h2 x^2 +
-    h1 x + h0, gives (-h1 +- sqrt(D)) / (2 h2) with D = h1^2 - 4 h0 h2, which
-    must be a nonzero square mod l.  A larger factor is split by its gcd
+    A factor of degree 1 or 2 gives its roots by ``_small_roots_mod``, and
+    one of degree 2 must have two.  A larger factor is split by its gcd
     with (x + c)^((l-1)/2) - 1 for c = 0, 1, 2, ...  A factor that is not
     such a product raises ArithmeticError."""
     roots: list[int] = []
@@ -791,7 +795,7 @@ def _linear_roots_mod(g: list[int], ell: int) -> list[int]:
         d = len(h) - 1
         if d <= 0:
             continue
-        if d == 1 or d == 2 and ell != 2:
+        if d <= 2:
             found = _small_roots_mod(h, ell)
             if len(found) != d:
                 raise ArithmeticError("root splitting failed to converge")

@@ -10,12 +10,13 @@ factors, read with m from one table of the special fibre, ``_FIBRES``.
 The algorithm runs as an explicit step machine (steps 1-11 with the
 non-minimal restart), recording every coordinate change so the composite
 transformation from the input model to the returned l-minimal model is
-auditable.  The steps ask the residue field F_l four questions, each answered
-by one helper at every l: is a quadratic separable, does it split, what is its
-double root, and what is the multiple root of a cubic.  The rules for l = 2
-live only in those helpers and in the closed form of the singular point.
-The cubic's multiple root has a closed form at l >= 5; at l = 2 and 3 it is
-read off the gcd of the cubic and its derivative.
+auditable.  The steps ask the residue field F_l whether a quadratic splits,
+where its double root is, and where the multiple root of a cubic is.  The
+quadratic questions are read off the roots ``padic._small_roots_mod`` finds
+at every l: one root exactly when the quadratic is inseparable, two when it
+splits.  The cubic's multiple root has a closed form at l >= 5; at l = 2
+and 3 it is found by trying every residue.  Only the closed form of the
+singular point keeps rules of its own for l = 2.
 
 :func:`tate_local` is a memo on (model, l) with typed keys, checked on a
 miss, so every reader of Tate's data at a place shares one run of the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .curves import Transformation, WeierstrassCurve, transform
-from .padic import IntegerPolynomial, _int_valuation, _poly_gcd_mod_ell, _require_prime, _residue_roots, check_p, legendre_symbol
+from .padic import IntegerPolynomial, _int_valuation, _require_prime, _residue_roots, _small_roots_mod, check_p
 
 __all__ = [
     "KodairaType",
@@ -180,27 +181,20 @@ class _Machine:
     def v(self, n: int) -> int:
         return _int_valuation(n, self.ell)
 
-    # -- residue-field helpers: every question a step asks of F_l --
+    # -- residue-field helpers --
 
-    def _separable(self, A: int, B: int, C: int) -> bool:
-        """Whether A Y^2 + B Y + C (A a unit) has distinct roots over the
-        algebraic closure of F_l; at l = 2 the discriminant is B mod 2."""
-        return (B * B - 4 * A * C) % self.ell != 0
+    def _splits(self, *quadratic: int) -> bool:
+        """Whether the separable quadratic q0 + q1 Y + q2 Y^2 (q2 a unit)
+        splits over F_l."""
+        roots = _small_roots_mod(quadratic, self.ell)
+        _require(len(roots) != 1, "inseparable quadratic")
+        return bool(roots)
 
-    def _quadratic_is_rational(self, A: int, B: int, C: int) -> bool:
-        """Whether the separable quadratic A Y^2 + B Y + C splits over F_l."""
-        _require(self._separable(A, B, C), "inseparable quadratic")
-        if self.ell == 2:
-            # A and B are odd, so Y = 0 and Y = 1 both give C mod 2
-            return C % 2 == 0
-        return legendre_symbol(B * B - 4 * A * C, self.ell) == 1
-
-    def _double_root(self, A: int, B: int, C: int) -> int:
-        """The root of the inseparable quadratic A Y^2 + B Y + C = A (Y - r)^2."""
-        _require(not self._separable(A, B, C), "separable quadratic has no double root")
-        if self.ell == 2:
-            return C % 2  # A Y^2 + C with A odd, and r^2 = r over F_2
-        return -B * pow(2 * A, -1, self.ell) % self.ell
+    def _double_root(self, *quadratic: int) -> int:
+        """The root r of the inseparable quadratic q0 + q1 Y + q2 Y^2 = q2 (Y - r)^2."""
+        roots = _small_roots_mod(quadratic, self.ell)
+        _require(len(roots) == 1, "separable quadratic has no double root")
+        return roots[0]
 
     def _multiple_root(self, cubic: list[int]) -> int | None:
         """The multiple root alpha over F_l of a cubic a T^3 + b T^2 + c T + d
@@ -211,10 +205,9 @@ class _Machine:
         a (T - alpha)^2 (T - beta) gives b^2 - 3ac = a^2 (alpha - beta)^2
         and 9ad - bc = 2a^2 alpha (alpha - beta)^2, so alpha is
         -b / (3a) when b^2 - 3ac = 0 (a triple root) and
-        (9ad - bc) / (2 (b^2 - 3ac)) otherwise.  At l = 2 and 3 by the gcd
-        with the derivative: gcd(P, P') = (T - alpha)^k has T^(k-1)
-        coefficient -k alpha; for a cubic l | k only when k = l, and then
-        the gcd is T^l - alpha^l = T^l - alpha."""
+        (9ad - bc) / (2 (b^2 - 3ac)) otherwise.  At l = 2 and 3 as the
+        residue where the cubic and its derivative both vanish: a cubic has
+        at most one multiple root, so Frobenius fixes it and it lies in F_l."""
         ell = self.ell
         if ell >= 5:
             d, c, b, a = (x % ell for x in cubic)
@@ -224,13 +217,11 @@ class _Machine:
             if delta0 == 0:
                 return -b * pow(3 * a, -1, ell) % ell
             return (9 * a * d - b * c) * pow(2 * delta0, -1, ell) % ell
-        g = _poly_gcd_mod_ell(cubic, [i * c for i, c in enumerate(cubic)][1:], ell)
-        k = len(g) - 1
-        if k == 0:
-            return None
-        if k % ell:
-            return -g[k - 1] * pow(k, -1, ell) % ell
-        return -g[0] % ell
+        d, c, b, a = cubic
+        for r in range(ell):
+            if (((a * r + b) * r + c) * r + d) % ell == 0 and ((3 * a * r + 2 * b) * r + c) % ell == 0:
+                return r
+        return None
 
     def _singular_point(self) -> tuple[int, int]:
         """The singular point of the reduction, which is F_l-rational."""
@@ -282,7 +273,7 @@ class _Machine:
         if b2 % ell != 0:
             # multiplicative: the slopes of the node are the roots of
             # T^2 + a1 T - a2, whose discriminant is b2
-            split = self._quadratic_is_rational(1, a1, -a2)
+            split = self._splits(-a2, a1, 1)
             c = n if split else (2 if n % 2 == 0 else 1)
             return KodairaType("In", n), n, c, split
 
@@ -294,13 +285,13 @@ class _Machine:
             return KodairaType("III"), n, 2, None
         # Step 5: Y^2 + a3/l Y - a6/l^2 has discriminant b6/l^2
         if self.v(b6) < 3:
-            c = 3 if self._quadratic_is_rational(1, a3 // ell, -(a6 // ell**2)) else 1
+            c = 3 if self._splits(-(a6 // ell**2), a3 // ell, 1) else 1
             return KodairaType("IV"), n, c, None
 
         # Normalize for step 6: v(a1)>=1, v(a2)>=1, v(a3)>=2, v(a4)>=2, v(a6)>=3, by the
         # double roots of S^2 + a1 S - a2 and T^2 + a3/l T - a6/l^2 (discriminants b2, b6/l^2)
-        s = self._double_root(1, a1, -a2)
-        t = self._double_root(1, a3 // ell, -(a6 // ell**2))
+        s = self._double_root(-a2, a1, 1)
+        t = self._double_root(-(a6 // ell**2), a3 // ell, 1)
         self.shift(s=s, t=ell * t)
         a1, a2, a3, a4, a6 = self.model.ainvs
         _require(
@@ -329,15 +320,15 @@ class _Machine:
             if n % 2:
                 # Y^2 + (a3/l^q) Y - a6/l^(2q), for n = 2q-3
                 _require(self.v(a3) >= q and self.v(a6) >= 2 * q, "In* Y-stage valuations")
-                quadratic = (1, a3 // ell**q, -(a6 // ell ** (2 * q)))
+                quadratic = (-(a6 // ell ** (2 * q)), a3 // ell**q, 1)
             else:
                 # (a2/l) X^2 + (a4/l^(q+1)) X + a6/l^(2q+1), for n = 2q-2
                 _require(self.v(a3) >= q + 1 and self.v(a4) >= q + 1 and self.v(a6) >= 2 * q + 1, "In* X-stage valuations")
-                quadratic = (a2 // ell, a4 // ell ** (q + 1), a6 // ell ** (2 * q + 1))
-            if self._separable(*quadratic):
-                c = 4 if self._quadratic_is_rational(*quadratic) else 2
-                return KodairaType("In*", n), n_delta, c, None
-            root = ell**q * self._double_root(*quadratic)
+                quadratic = (a6 // ell ** (2 * q + 1), a4 // ell ** (q + 1), a2 // ell)
+            roots = _small_roots_mod(quadratic, ell)
+            if len(roots) != 1:  # separable: c = 4 if it splits, else 2
+                return KodairaType("In*", n), n_delta, 4 if roots else 2, None
+            root = ell**q * roots[0]
             if n % 2:
                 self.shift(t=root)
             else:
@@ -349,11 +340,10 @@ class _Machine:
         self.shift(r=ell * alpha)
         a1, a2, a3, a4, a6 = self.model.ainvs
         _require(self.v(a2) >= 2 and self.v(a3) >= 2 and self.v(a4) >= 3 and self.v(a6) >= 4, "step 8 translation")
-        quadratic = (1, a3 // ell**2, -(a6 // ell**4))
-        if self._separable(*quadratic):
-            c = 3 if self._quadratic_is_rational(*quadratic) else 1
-            return KodairaType("IV*"), n_delta, c, None
-        self.shift(t=ell**2 * self._double_root(*quadratic))
+        roots = _small_roots_mod((-(a6 // ell**4), a3 // ell**2, 1), ell)
+        if len(roots) != 1:  # separable: c = 3 if it splits, else 1
+            return KodairaType("IV*"), n_delta, 3 if roots else 1, None
+        self.shift(t=ell**2 * roots[0])
         a1, a2, a3, a4, a6 = self.model.ainvs
         _require(self.v(a3) >= 3 and self.v(a6) >= 5, "step 8 completion")
         # Step 9

@@ -224,6 +224,29 @@ def test_verify_exits_4_when_lift_and_split_reaches_the_cap(runner, monkeypatch)
     assert "undecided at precision 3" in result.output
 
 
+def test_verify_singular_curve_exits_3_with_one_line(runner):
+    result = runner.invoke(main, ["verify", "--curve", "0,0,0,0,0", "-p", "3"])
+    assert result.exit_code == 3
+    assert result.output.splitlines() == ["error: singular curve: discriminant is zero"]
+
+
+def test_batch_exits_4_when_a_row_is_undecided(runner, monkeypatch, tmp_path):
+    # the exhaustion of the verify test above, met inside a batch worker
+    from tamagawa import padic
+
+    monkeypatch.setattr(padic, "PRECISION_HARD_CAP", 3)
+    inp = tmp_path / "curves.csv"
+    _write_batch_input(inp, ["1,0,1,4,-6,14a1"])
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["batch", "--input", str(inp), "--out", str(out), "-p", "3", "--jobs", "1"])
+    assert result.exit_code == 4, result.output
+    report = json.loads(out.read_text())
+    assert report["summary"] == {"passed": 0, "failed": 0, "undecided": 1}
+    [row] = report["rows"]
+    assert row["status"] == "undecided"
+    assert row["undecided"] == ["place 2: undecided at precision 3"]
+
+
 def test_verify_answers_under_the_cap_where_the_deep_branch_is_proved_empty(runner, monkeypatch):
     # at place 2, psi_5 of 14a1 has a branch deeper than three levels that
     # holds no root; its constant term's valuation proves so before the

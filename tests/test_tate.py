@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 from tamagawa.curves import SingularCurveError, Transformation, WeierstrassCurve, transform
-from tamagawa.padic import _poly_gcd_mod_ell, prime_divisors
+from tamagawa.padic import _poly_gcd_mod_ell, _small_roots_mod, prime_divisors
 from tamagawa.tate import (
     _FIBRES,
     KodairaType,
@@ -361,23 +361,27 @@ def _residue_machine(ell: int) -> _Machine:
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
 def test_quadratic_helpers_match_brute_force(ell):
-    # A Y^2 + B Y + C is inseparable exactly when it is A (Y - r)^2 for some
-    # r, and splits exactly when it has a root; A runs over unreduced units
+    # C + B Y + A Y^2 is inseparable exactly when it is A (Y - r)^2 for some
+    # r, and splits exactly when it has a root; A runs over unreduced units.
+    # padic._small_roots_mod answers both questions for the machine's readers
     machine = _residue_machine(ell)
     units = [A for A in range(1, 2 * ell) if A % ell]
     for A, B, C in itertools.product(units, range(ell * ell), range(ell * ell)):
         double = [r for r in range(ell) if (B + 2 * A * r) % ell == 0 and (C - A * r * r) % ell == 0]
         assert len(double) <= 1
-        assert machine._separable(A, B, C) == (not double)
+        roots = _small_roots_mod((C, B, A), ell)
+        assert (len(roots) == 1) == bool(double)
         if double:
-            assert machine._double_root(A, B, C) == double[0]
+            assert roots == double
+            assert machine._double_root(C, B, A) == double[0]
             with pytest.raises(TateInvariantError, match="inseparable quadratic"):
-                machine._quadratic_is_rational(A, B, C)
+                machine._splits(C, B, A)
         else:
             rational = any((A * y * y + B * y + C) % ell == 0 for y in range(ell))
-            assert machine._quadratic_is_rational(A, B, C) == rational
+            assert len(roots) == 2 * rational
+            assert machine._splits(C, B, A) == rational
             with pytest.raises(TateInvariantError, match="no double root"):
-                machine._double_root(A, B, C)
+                machine._double_root(C, B, A)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
@@ -394,8 +398,8 @@ def test_multiple_root_matches_brute_force(ell):
 
 
 def _multiple_root_by_gcd(cubic: list[int], ell: int) -> int | None:
-    """Reference: the multiple root from gcd(P, P'), the route l = 2 and 3
-    still take and that every l took before the closed form."""
+    """Reference: the multiple root from gcd(P, P'), the route every l took
+    before the closed form at l >= 5 and the residue scan at l = 2 and 3."""
     g = _poly_gcd_mod_ell(cubic, [i * c for i, c in enumerate(cubic)][1:], ell)
     k = len(g) - 1
     if k == 0:
@@ -405,14 +409,14 @@ def _multiple_root_by_gcd(cubic: list[int], ell: int) -> int | None:
 
 @settings(max_examples=400, deadline=None)
 @given(
-    ell=st.sampled_from([5, 7, 11, 13, 17, 101, 1009]),
+    ell=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 101, 1009]),
     shape=st.sampled_from(["random", "simple", "double", "triple"]),
     data=st.data(),
 )
 def test_multiple_root_closed_form_matches_the_gcd_route(ell, shape, data):
     # a (T - alpha)^2 (T - beta) and a (T - alpha)^3 with a non-monic lead,
     # three distinct roots, and random cubics; every coefficient is lifted
-    # by a multiple of l
+    # by a multiple of l.  At l = 2 and 3 the scan meets the gcd route
     residue = st.integers(0, ell - 1)
     a = data.draw(st.integers(1, ell - 1))
     alpha, beta, gamma = (data.draw(residue) for _ in range(3))

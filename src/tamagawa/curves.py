@@ -55,14 +55,16 @@ class WeierstrassCurve:
     a6: int
 
     def __post_init__(self) -> None:
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            a = getattr(self, name)
-            if type(a) is not int:
-                a = _exact_rational(a)
-                if a.denominator != 1:
-                    raise ValueError(f"{name} = {a} is not an integer; WeierstrassCurve.from_input takes rational coefficients")
-                object.__setattr__(self, name, int(a))
         a1, a2, a3, a4, a6 = self.ainvs
+        if not type(a1) is type(a2) is type(a3) is type(a4) is type(a6) is int:
+            for name in ("a1", "a2", "a3", "a4", "a6"):
+                a = getattr(self, name)
+                if type(a) is not int:
+                    a = _exact_rational(a)
+                    if a.denominator != 1:
+                        raise ValueError(f"{name} = {a} is not an integer; WeierstrassCurve.from_input takes rational coefficients")
+                    object.__setattr__(self, name, int(a))
+            a1, a2, a3, a4, a6 = self.ainvs
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
@@ -153,9 +155,13 @@ def transform(curve: WeierstrassCurve, tr: Transformation | tuple) -> Weierstras
     The result must be integral: a change that takes ``curve`` to a model
     with a non-integral coefficient raises ``ValueError``, and so does an
     entry that is not an exact rational.  The shift by integer (r, s, t) is
-    plain integer arithmetic; only a rescaling (u != 1) divides, through
-    ``Fraction``.  The identity returns ``curve`` itself."""
-    u, r, s, t = (v if type(v) is int else _exact_rational(v) for v in tr)
+    plain integer arithmetic, and its result needs no integrality check;
+    only a rescaling (u != 1) divides, through ``Fraction``.  The identity
+    returns ``curve`` itself."""
+    u, r, s, t = tr
+    shift = type(u) is type(r) is type(s) is type(t) is int and u == 1
+    if not shift:
+        u, r, s, t = map(_exact_rational, tr)
     if u == 0:
         raise ValueError("degenerate transformation: u = 0")
     if u == 1 and r == s == t == 0:
@@ -168,6 +174,8 @@ def transform(curve: WeierstrassCurve, tr: Transformation | tuple) -> Weierstras
         a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
         a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
     )
+    if shift:
+        return WeierstrassCurve(*ai)
     if u != 1:
         ai = tuple(Fraction(a) / u**w for a, w in zip(ai, (1, 2, 3, 4, 6)))
     if any(type(a) is not int and a.denominator != 1 for a in ai):
@@ -270,8 +278,18 @@ class FiniteFieldCurve:
                 yield FiniteFieldPoint(x, y)
 
     def order(self) -> int:
-        """#E~(F_l), after checking |n - (l + 1)| <= 2 sqrt(l) (Hasse)."""
-        n = sum(1 for _ in self.points())
+        """#E~(F_l), after checking |n - (l + 1)| <= 2 sqrt(l) (Hasse).
+
+        Counted from a table, with no point built: by completing the square
+        as in :meth:`points`, the x-coordinate x carries as many points as
+        w^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 has solutions w mod l, and
+        ``roots[v]`` holds that number for each v, from one pass over w."""
+        ell = self.ell
+        b2, b4, b6, _ = self.b
+        roots = [0] * ell
+        for w in range(ell):
+            roots[w * w % ell] += 1
+        n = 1 + sum(roots[(((4 * x + b2) * x + 2 * b4) * x + b6) % ell] for x in range(ell))
         if (n - (self.ell + 1)) ** 2 > 4 * self.ell:
             raise ArithmeticError(f"Hasse bound violated: {n} points mod {self.ell}")
         return n

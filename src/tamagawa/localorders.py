@@ -26,7 +26,7 @@ inconsistent data rather than papered over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .curves import WeierstrassCurve
 from .padic import (
@@ -116,7 +116,7 @@ class LocalSelmerOrders:
                 f"the Kummer order {self.kummer_order}"
             )
 
-    @cached_property
+    @property
     def kummer_order(self) -> int:
         """#E(K_v)/pE(K_v) = local Selmer order."""
         if self.place.is_real:

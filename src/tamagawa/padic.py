@@ -43,10 +43,15 @@ Before the scan or the gcd runs, the largest power x^k dividing f mod l is
 split off: 0 is a root iff k >= 1, and either path sees only the cofactor
 f/x^k mod l.  A caller that counts in a frame where many roots of f mod l
 sit at 0 (``localorders`` puts the singular point of the reduction there at
-a bad place) thereby hands them a cofactor of small degree.  In
-lift-and-split, a singular residue r with v_l(f(r)) = 1 gets no child:
-l | f'(r) gives f(r + l t) = f(r) mod l^2 for every t in Z_l, so its class
-holds no root.  Nor does the singular residue 0 when f(0) != 0 and
+a bad place) thereby hands them a cofactor of small degree.
+
+Lift-and-split decides each node of its walk on residues: the node's
+coefficients are reduced once mod l^2, its residue roots come from that
+list reduced mod l, and one Horner pass over it gives f(r) mod l^2 and
+f'(r) mod l at each.  Only a child, f(r + l t) with its l-content divided
+out, is built in full.  A singular residue r with v_l(f(r)) = 1 gets no
+child: l | f'(r) gives f(r + l t) = f(r) mod l^2 for every t in Z_l, so its
+class holds no root.  Nor does the singular residue 0 when f(0) != 0 and
 l^(v - k + 1) divides the coefficient f_k of x^k for 1 <= k <= v, where
 v = v_l(f(0)): f(l t) / l^v is then a unit constant mod l.  Both rules
 only prove a residue class of Z_l empty; neither looks outside Z_l.
@@ -61,13 +66,14 @@ squarefree, or ``ValueError`` when it has a repeated factor.
 
 The global side needs two more exact tools, which live here so that the
 pipeline runs without sympy.  ``prime_divisors`` factors the discriminant by
-trial division below 2^16 and Pollard-Brent; ``_is_prime`` proves primality
+trial division below 2^16, which stops early at a cofactor ``_is_prime``
+proves prime, and Pollard-Brent; ``_is_prime`` proves primality
 below psi_13 ~ 3.3e24 (a table below 2^16, 13-base Miller-Rabin above) and
 refuses to guess beyond it.  Only a cofactor beyond psi_13, or one the
 Pollard-Brent budget does not split, goes to ``sympy.factorint``, imported
 at that point.  ``rational_roots`` finds the rational roots of psi_p by
 lifting its roots in Z_q for a small prime q and reconstructing them, and
-keeps a candidate only when the polynomial vanishes on it exactly.
+keeps a candidate a / d only when d^n f(a / d), an integer, is 0.
 """
 
 from __future__ import annotations
@@ -113,6 +119,9 @@ for _i in range(2, 256):
         _SMALL_SIEVE[_i * _i :: _i] = bytes(len(range(_i * _i, _SMALL_LIMIT, _i)))
 _SMALL_PRIMES = list(compress(range(_SMALL_LIMIT), _SMALL_SIEVE))
 del _i
+# The two stages of trial division in ``prime_divisors``: the 54 primes
+# below 2^8, then the rest of _SMALL_PRIMES.
+_TRIAL_STAGES = (_SMALL_PRIMES[:54], _SMALL_PRIMES[54:])
 
 # Miller-Rabin bases and psi_13, the least strong pseudoprime to all of them.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -191,24 +200,26 @@ def _require_prime(ell: int) -> None:
 def prime_divisors(n: int) -> list[int]:
     """The distinct primes dividing the nonzero integer n, sorted.
 
-    Trial division by the primes below 2^16, then Pollard-Brent on what is
-    left; a factor counts as prime only when ``_is_prime`` certifies it, so
-    below psi_13.  A cofactor at or above psi_13, or one that
-    ``_RHO_STEPS`` steps of Pollard-Brent do not split, is handed to
+    Trial division runs in two stages: by the primes below 2^8, then by
+    the rest of the primes below 2^16.  Between them the cofactor is tested
+    once with ``_is_prime`` (when it is below psi_13), and a prime cofactor
+    ends the search there, so a discriminant that is a small number times
+    one large prime never runs the second stage.  Either stage also stops
+    once q^2 exceeds the cofactor.  What is left after both goes to
+    Pollard-Brent; a factor counts as prime only when ``_is_prime``
+    certifies it, so below psi_13.  A cofactor at or above psi_13, or one
+    that ``_RHO_STEPS`` steps of Pollard-Brent do not split, is handed to
     ``sympy.factorint``, imported only then.
     """
     if n == 0:
         raise ValueError("0 has no finite set of prime divisors")
-    n = abs(n)
     out: list[int] = []
-    for q in _SMALL_PRIMES:
-        if q * q > n:
-            break
-        if n % q == 0:
-            out.append(q)
-            n //= q
-            while n % q == 0:
-                n //= q
+    first, second = _TRIAL_STAGES
+    n = _divide_out(abs(n), first, out)
+    if n < _PSI_13 and _is_prime(n):
+        out.append(n)
+        n = 1
+    n = _divide_out(n, second, out)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -225,6 +236,21 @@ def prime_divisors(n: int) -> list[int]:
         stack.append(d)
         stack.append(m // d)
     return sorted(set(out))
+
+
+def _divide_out(n: int, primes: Iterable[int], out: list[int]) -> int:
+    """n with every prime of ``primes`` (ascending) that divides it divided
+    out, each such prime appended to ``out``; stops once q^2 > n, where
+    what is left is 1 or a prime."""
+    for q in primes:
+        if q * q > n:
+            break
+        if n % q == 0:
+            out.append(q)
+            n //= q
+            while n % q == 0:
+                n //= q
+    return n
 
 
 def _pollard_brent(n: int) -> int | None:
@@ -567,38 +593,45 @@ class PadicRoot:
 
 
 def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
-    """Roots of f mod l, sorted.
+    """Roots of f mod l, sorted: :func:`_roots_mod` on the reduction of f.
+    The entry for a plain polynomial (Tate's I0* cubic, ``rational_roots``);
+    lift-and-split reduces its coefficients itself."""
+    return _roots_mod([c % ell for c in f.coeffs], ell)
 
-    f is reduced mod l first, and zero raises ``ValueError``.  The largest
-    power x^k dividing the reduction is split off: 0 is a root iff k >= 1,
-    and the other roots are those of the cofactor f/x^k mod l, which a
-    nonzero constant does not have.  A cofactor of degree 1 gives its root
-    by one modular inverse, and one of degree 2 by the square root of its
-    discriminant, or at l = 2 by its values at 0 and 1
+
+def _roots_mod(cs: list[int], ell: int) -> list[int]:
+    """Roots mod l, sorted, of sum cs_i x^i, with every cs_i already in
+    [0, l).  Trailing zeros are stripped in place, and zero raises
+    ``ValueError``.
+
+    The largest power x^k dividing the polynomial is split off by slicing:
+    0 is a root iff k >= 1, and the other roots are those of the cofactor
+    cs[k:], which a nonzero constant does not have.  A cofactor of degree 1
+    gives its root by one modular inverse, and one of degree 2 by the square
+    root of its discriminant, or at l = 2 by its values at 0 and 1
     (``_small_roots_mod``).  A larger cofactor's roots come from a scan of
     every residue for l <= ``_RESIDUE_SCAN_LIMIT`` and from the split part
-    of gcd(f/x^k, x^l - x) above it.  The limit is the measured crossover
+    of gcd(cofactor, x^l - x) above it.  The limit is the measured crossover
     of the two paths for degrees 4-24 (psi_3 to psi_7): the Frobenius path
     is faster for all three from l = 137 on
     (``scripts/residue_crossover.py``).
     """
-    cs = [c % ell for c in f.coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
         raise ValueError(f"polynomial is zero mod {ell}")
-    if cs[0] == 0:
-        k = 1
-        while cs[k] == 0:
-            k += 1
-        return [0] + _residue_roots(_poly(cs[k:]), ell)
+    k = 0
+    while cs[k] == 0:
+        k += 1
+    zero = [0] if k else []
+    cs = cs[k:]
     if len(cs) == 1:
-        return []
+        return zero
     if len(cs) <= 3:
-        return _small_roots_mod(cs, ell)
+        return zero + _small_roots_mod(cs, ell)
     if ell <= _RESIDUE_SCAN_LIMIT:
-        return _scan_roots(cs, ell)
-    return _linear_roots_mod(_gcd_with_frobenius(cs, ell), ell)
+        return zero + _scan_roots(cs, ell)
+    return zero + _linear_roots_mod(_gcd_with_frobenius(cs, ell), ell)
 
 
 def _scan_roots(cs: list[int], ell: int) -> list[int]:
@@ -855,10 +888,14 @@ def _integral_root_certs(f: IntegerPolynomial, ell: int) -> list[tuple[IntegerPo
     l-primitive.
 
     A work-list item (g, t0, scale, offset, depth) stands for the roots
-    x = offset + scale * t of f with g(t) = 0.  A residue t0 with a simple
-    reduction is Hensel-certified.  A singular residue r with v_l(g(r)) = 1
-    holds no root: l | g'(r) gives g(r + l*u) = g(r) mod l^2 for every u in
-    Z_l.  Nor does the singular residue 0 when g(0) != 0 and the child
+    x = offset + scale * t of f with g(t) = 0.  An item's decisions read
+    only residues: the coefficients of g are reduced once mod l^2, its
+    residue roots are found on that list reduced mod l (``_roots_mod``),
+    and one Horner pass over it gives g(r) mod l^2 and g'(r) mod l at each
+    residue root r.  A residue t0 with a simple reduction is
+    Hensel-certified.  A singular residue r with v_l(g(r)) = 1 holds no
+    root: l | g'(r) gives g(r + l*u) = g(r) mod l^2 for every u in Z_l.
+    Nor does the singular residue 0 when g(0) != 0 and the child
     g(l u) / l^v(g(0)) is a unit constant mod l (``_unit_at_zero``, read off
     the valuations of the coefficients of g): that class is proved empty
     before any Taylor shift, and opens no item that could reach the cap.
@@ -879,12 +916,16 @@ def _integral_root_certs(f: IntegerPolynomial, ell: int) -> list[tuple[IntegerPo
             continue
         if depth >= cap:
             raise PrecisionExhausted(cap)
-        gp = g.derivative()
+        cs = [c % ell2 for c in g.coeffs]
         children = []
-        for r in _residue_roots(g, ell):
-            if gp(r) % ell != 0:
+        for r in _roots_mod([c % ell for c in cs], ell):
+            value = slope = 0  # g(r) mod l^2 and g'(r) mod l
+            for c in reversed(cs):
+                slope = (slope * r + value) % ell
+                value = (value * r + c) % ell2
+            if slope:
                 children.append((g, r, scale, offset, depth))
-            elif g(r) % ell2 == 0 and not (r == 0 and _unit_at_zero(g.coeffs, ell)):
+            elif value == 0 and not (r == 0 and _unit_at_zero(g.coeffs, ell)):
                 h = g.compose_affine(ell, r).strip_prime_content(ell)
                 children.append((h, None, scale * ell, offset + scale * r, depth + 1))
         stack.extend(reversed(children))
@@ -918,7 +959,9 @@ def rational_roots(f: IntegerPolynomial) -> list[Fraction]:
     Each residue root is Hensel-lifted until q^k > 2 * sum |g_i|, which
     exceeds twice the integer |lc(g) * root| (Cauchy's bound); lc(g) * root
     is then the symmetric residue of lc(g) * (lifted root) mod q^k.  A
-    candidate is kept only if g vanishes on it exactly.
+    candidate m / lc(g), in lowest terms a / d, is kept only if g vanishes
+    on it exactly, which is tested in integers: d^n g(a / d) =
+    sum g_i a^i d^(n-i) = 0, with n = deg g.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no finite root set")
@@ -936,9 +979,14 @@ def rational_roots(f: IntegerPolynomial) -> list[Fraction]:
         m = lc * t % modulus
         if 2 * m > modulus:
             m -= modulus
-        x = Fraction(m, lc)
-        if g(x) == 0:
-            roots.append(x)
+        h = gcd(m, lc)
+        a, d = m // h, lc // h
+        acc, power = 0, 1  # d^n g(a / d) by Horner's rule, d^(n-i) in power
+        for c in reversed(cs):
+            acc = acc * a + c * power
+            power *= d
+        if acc == 0:
+            roots.append(Fraction(a, d))
     return sorted(roots)
 
 

@@ -10,7 +10,9 @@ counts the points of a model mod l, singular or not, by brute force.
 ``expand`` turns a sympy polynomial in ``X`` into an ``IntegerPolynomial``,
 so that products and sums in the tests do not run the package's own
 kernels, and ``is_square_local`` decides squares in Q_l from a table of
-unit squares.
+unit squares.  ``lift_and_split_certs`` is lift-and-split on whole
+polynomials: g' built at each node and g(r), g'(r) evaluated in big
+integers, optionally without the rules that prove a class empty.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from sympy import Poly, Symbol
 from tamagawa.curves import FiniteFieldCurve, FiniteFieldPoint, WeierstrassCurve
 from tamagawa.euler import global_torsion_order
 from tamagawa.lmfdb import OracleRecord
-from tamagawa.padic import IntegerPolynomial
+from tamagawa import padic
+from tamagawa.padic import IntegerPolynomial, PrecisionExhausted
 from tamagawa.tate import tate_local
 
 X = Poly(Symbol("x"))
@@ -107,3 +110,35 @@ def is_square_local(x: int | Fraction, ell: int) -> bool:
     modulus = 8 if ell == 2 else ell
     squares = {u * u % modulus for u in range(modulus) if u % ell}
     return v % 2 == 0 and num * den % modulus in squares
+
+
+def lift_and_split_certs(f: IntegerPolynomial, ell: int, v1_rule: bool = False, zero_rule: bool = False) -> list[tuple]:
+    """The certificates (witness, t0, scale, offset) of
+    ``padic._integral_root_certs``, computed on whole polynomials: each node
+    builds g' and evaluates g(r) and g'(r) on the full coefficients.  With
+    neither rule every singular residue gets a child.  ``v1_rule`` gives
+    none to a singular residue with v_l(g(r)) = 1, and ``zero_rule`` none
+    to the residue 0 when ``padic._unit_at_zero`` proves its class empty;
+    with both, it is the walk ``padic`` runs."""
+    cap = padic.PRECISION_HARD_CAP
+    certs = []
+    stack = [(f, None, 1, 0, 0)]
+    while stack:
+        g, t0, scale, offset, depth = stack.pop()
+        if t0 is not None:
+            certs.append((g, t0, scale, offset))
+            continue
+        if depth >= cap:
+            raise PrecisionExhausted(cap)
+        gp = g.derivative()
+        children = []
+        for r in padic._residue_roots(g, ell):
+            if gp(r) % ell != 0:
+                children.append((g, r, scale, offset, depth))
+            elif v1_rule and g(r) % (ell * ell) != 0:
+                continue
+            elif not (zero_rule and r == 0 and padic._unit_at_zero(g.coeffs, ell)):
+                h = g.compose_affine(ell, r).strip_prime_content(ell)
+                children.append((h, None, scale * ell, offset + scale * r, depth + 1))
+        stack.extend(reversed(children))
+    return certs

@@ -209,6 +209,21 @@ def test_hasse_bound_on_samples():
         assert (n - (ell + 1)) ** 2 <= 4 * ell
 
 
+@settings(max_examples=60, deadline=None)
+@given(ainvs=st.tuples(*[st.integers(-10**6, 10**6)] * 5))
+def test_order_from_square_counts_matches_the_points(ainvs):
+    """order() counts from a table of square counts; at every good odd
+    q < 200 it equals the number of points that points() lists."""
+    try:
+        E = WeierstrassCurve(*ainvs)
+    except SingularCurveError:
+        assume(False)
+    for q in range(3, 200, 2):
+        if all(q % d for d in range(3, q, 2)) and E.discriminant % q:
+            red = FiniteFieldCurve(E, q)
+            assert red.order() == len(list(red.points())), (ainvs, q)
+
+
 def test_group_law_axioms_spot_checks():
     rng = random.Random(13)
     for ell in (5, 13, 41, 97):

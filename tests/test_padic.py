@@ -2,14 +2,16 @@
 counting."""
 
 import copy
+import importlib.util
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import Poly, Symbol, discriminant, factorint, isprime, nextprime
+from sympy import Poly, Symbol, discriminant, factorint, isprime, nextprime, primefactors
 
 from tamagawa import padic, tate
 from tamagawa.curves import FiniteFieldCurve, SingularCurveError, WeierstrassCurve, transform
@@ -25,7 +27,7 @@ from tamagawa.padic import (
     value_is_square_at_root,
 )
 
-from oracles import X, as_poly, expand, is_square_local
+from oracles import X, as_poly, expand, is_square_local, lift_and_split_certs
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 
@@ -252,33 +254,6 @@ def test_lift_and_split_reaches_the_depth_cap(monkeypatch):
             find_roots_padic(IntegerPolynomial([0, -(2**k), 1]), 2)
 
 
-def _integral_root_certs_reference(f, ell, v1_rule=False):
-    """The lift-and-split walk before singular residues with v_l(g(r)) = 1
-    were dropped: every singular residue gets a child.  With ``v1_rule``,
-    the walk before the class at 0 was proved empty from valuations: only
-    the singular residues with v_l(g(r)) = 1 get none."""
-    cap = padic.PRECISION_HARD_CAP
-    certs = []
-    stack = [(f, None, 1, 0, 0)]
-    while stack:
-        g, t0, scale, offset, depth = stack.pop()
-        if t0 is not None:
-            certs.append((g, t0, scale, offset))
-            continue
-        if depth >= cap:
-            raise PrecisionExhausted(cap)
-        gp = g.derivative()
-        children = []
-        for r in padic._residue_roots(g, ell):
-            if gp(r) % ell != 0:
-                children.append((g, r, scale, offset, depth))
-            elif not v1_rule or g(r) % (ell * ell) == 0:
-                h = g.compose_affine(ell, r).strip_prime_content(ell)
-                children.append((h, None, scale * ell, offset + scale * r, depth + 1))
-        stack.extend(reversed(children))
-    return certs
-
-
 def _certs_at_cap(walk, f, ell, cap):
     saved = padic.PRECISION_HARD_CAP
     padic.PRECISION_HARD_CAP = cap
@@ -309,11 +284,11 @@ def test_v1_rule_matches_the_walk_without_it(ell, roots, pairs, cofactor, cap):
     f = expand(f)
     assume(f.degree >= 1)
     f = _sympy_squarefree_part(f).strip_prime_content(ell)
-    expected = _integral_root_certs_reference(f, ell)
+    expected = lift_and_split_certs(f, ell)
     assert padic._integral_root_certs(f, ell) == expected
     # under a lower cap the walk answers wherever the old one did, and then
     # the same; it may also answer where the old one ran into the cap
-    reference, certs = (_certs_at_cap(w, f, ell, cap) for w in (_integral_root_certs_reference, padic._integral_root_certs))
+    reference, certs = (_certs_at_cap(w, f, ell, cap) for w in (lift_and_split_certs, padic._integral_root_certs))
     if reference is not None:
         assert certs == reference
     if certs is not None:
@@ -327,7 +302,7 @@ def test_v1_rule_runs_no_taylor_shift_and_answers_under_the_cap(monkeypatch):
     # x^2 - 3 and (x - 1)^2 - 5: the singular residue has v(g(r)) = 1, so no
     # child and no compose_affine there, at r = 0 and at r = 1 alike
     for f, ell in ((IntegerPolynomial([-3, 0, 1]), 3), (IntegerPolynomial([-4, -2, 1]), 5)):
-        assert _integral_root_certs_reference(f, ell) == []
+        assert lift_and_split_certs(f, ell) == []
         assert len(shifts) == 1
         shifts.clear()
         assert padic._integral_root_certs(f, ell) == []
@@ -338,7 +313,7 @@ def test_v1_rule_runs_no_taylor_shift_and_answers_under_the_cap(monkeypatch):
     f = IntegerPolynomial([-(3**7), 0, 1])
     monkeypatch.setattr(padic, "PRECISION_HARD_CAP", 4)
     with pytest.raises(PrecisionExhausted, match="^undecided at precision 4$"):
-        _integral_root_certs_reference(f, 3)
+        lift_and_split_certs(f, 3)
     assert find_roots_padic(f, 3) == []
     monkeypatch.setattr(padic, "PRECISION_HARD_CAP", 3)
     with pytest.raises(PrecisionExhausted, match="^undecided at precision 3$"):
@@ -346,7 +321,7 @@ def test_v1_rule_runs_no_taylor_shift_and_answers_under_the_cap(monkeypatch):
 
 
 def _v1_walk(f, ell):
-    return _integral_root_certs_reference(f, ell, v1_rule=True)
+    return lift_and_split_certs(f, ell, v1_rule=True)
 
 
 @settings(max_examples=200, deadline=None)
@@ -424,6 +399,45 @@ def test_an_exact_root_at_zero_is_never_pruned(monkeypatch):
     assert sorted(root.approx(8) for root in find_roots_padic(f, 3)) == [0, 3**5]
     assert calls and set(calls) == {0}
     assert padic._unit_at_zero([0, 9, 1], 3) is False
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ell=st.sampled_from([2, 3, 5, 7, 131, 137, 65537]),
+    roots=st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4), st.integers(0, 5)), max_size=4),
+    pairs=st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 6), st.integers(0, 7)), max_size=2),
+    cofactor=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6),
+)
+def test_root_certificates_match_the_whole_polynomial_walk(ell, roots, pairs, cofactor):
+    """Residues mod l^2 and one Horner pass decide each node as g' and the
+    big-integer values did: the same certificates on random squarefree
+    polynomials with roots and empty classes planted near each other."""
+    f = as_poly(IntegerPolynomial(cofactor))
+    for c, u, e in roots:
+        f *= X - (c + u * ell**e)
+    for c, w, k in pairs:
+        f *= X**2 - 2 * c * X + c * c - w * ell**k
+    f = expand(f)
+    assume(f.degree >= 1)
+    f = _sympy_squarefree_part(f)
+    expected = [PadicRoot(ell, *cert) for cert in lift_and_split_certs(f, ell, v1_rule=True, zero_rule=True)]
+    assert find_roots_padic(f, ell) == expected
+
+
+def test_root_certificates_match_the_whole_polynomial_walk_at_corpus_places(corpus):
+    """The same on psi_p moved into Tate's frame, at every finite place of
+    the corpus for p in {3, 5, 7}: each bad prime and p itself."""
+    places = 0
+    for rec in corpus:
+        E = rec.curve()
+        for p in (3, 5, 7):
+            for ell in sorted(set(prime_divisors(E.discriminant)) | {p}):
+                tr = tate.tate_local(E, ell).transformation
+                psi = certified_psi(E, p).moved(tr.u, tr.r)
+                expected = [PadicRoot(ell, *c) for c in lift_and_split_certs(psi, ell, v1_rule=True, zero_rule=True)]
+                assert find_roots_padic(psi, ell) == expected, (rec.label, p, ell)
+                places += 1
+    assert places > 3 * len(corpus)
 
 
 def test_roots_come_depth_first_in_residue_order():
@@ -896,6 +910,30 @@ def test_residue_roots_of_degree_at_most_two_are_neither_scanned_nor_split(monke
     assert padic._residue_roots(IntegerPolynomial([1, 0, 1]), 2) == [1]
 
 
+def test_crossover_script_reports_a_fault_in_tates_machine_and_runs_on(monkeypatch, capsys):
+    """A TateInvariantError at one place of the frame check is printed as a
+    disagreement; the other places and the double-root check still run, and
+    the script exits with code 1."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "residue_crossover.py"
+    spec = importlib.util.spec_from_file_location("residue_crossover", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    real_tate_local = script.tate_local
+
+    def faulty_tate_local(E, ell):
+        if ell == 11:
+            raise tate.TateInvariantError("step 6 normalization failed")
+        return real_tate_local(E, ell)
+
+    monkeypatch.setattr(script, "tate_local", faulty_tate_local)
+    monkeypatch.setattr(script, "ELLS", ())  # no timing table
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "Tate's algorithm failed on (0, -1, 1, -10, -20) at 11: step 6 normalization failed" in out
+    assert "closed-form residue roots against the Frobenius path" in out
+    assert "closed-form double roots against both paths: 537 squares" in out
+
+
 # The list-level kernel that padic._linear_powmod_ell replaced, kept verbatim
 # as the reference for the packed one.
 _poly_mod_ell, _mul = padic._poly_mod_ell, padic._mul
@@ -1101,6 +1139,62 @@ def test_prime_divisors_hands_large_or_unsplit_cofactors_to_sympy(factorint_call
     assert factorint_calls == [n]
 
 
+_PRIMES_BELOW_2_8 = [q for q in range(2, 256) if isprime(q)]
+
+
+@st.composite
+def _large_part(draw):
+    """A prime in [2^16, psi_13), a power of a prime in [2^16, 2^24), or a
+    product of two primes in [257, 2^24]: a cofactor the first stage of
+    trial division leaves whole."""
+    shape = draw(st.sampled_from(["prime", "power", "two primes"]))
+    if shape == "prime":
+        return nextprime(draw(st.integers(1 << 16, PSI_13 - 10**6)))
+    if shape == "power":
+        return nextprime(draw(st.integers(1 << 16, 1 << 24))) ** draw(st.integers(2, 3))
+    a, b = (nextprime(draw(st.integers(256, 1 << 24))) for _ in range(2))
+    return a * b
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    small=st.lists(st.tuples(st.sampled_from(_PRIMES_BELOW_2_8), st.integers(1, 4)), max_size=5),
+    large=_large_part(),
+    sign=st.sampled_from([1, -1]),
+)
+def test_prime_divisors_match_sympy(small, large, sign):
+    n = sign * large
+    for q, e in small:
+        n *= q**e
+    assert prime_divisors(n) == primefactors(n)
+
+
+def test_prime_divisors_proves_a_large_prime_cofactor_before_the_second_stage(corpus, monkeypatch):
+    """The discriminant of syn-11-i7s is -2 * 11^k * 1642886909 up to the
+    powers: after the primes below 2^8 the cofactor 1642886909 is proved
+    prime, and no trial divisor above 257 runs."""
+    events = []
+    real_is_prime = padic._is_prime
+
+    def is_prime(n):
+        events.append(("is_prime", n))
+        return real_is_prime(n)
+
+    def second_stage():
+        for q in padic._SMALL_PRIMES[54:]:
+            events.append(("divisor", q))
+            yield q
+
+    first, _ = padic._TRIAL_STAGES
+    monkeypatch.setattr(padic, "_is_prime", is_prime)
+    monkeypatch.setattr(padic, "_TRIAL_STAGES", (first, second_stage()))
+    disc = next(rec for rec in corpus if rec.label == "syn-11-i7s").curve().discriminant
+    assert prime_divisors(disc) == [2, 11, 1642886909]
+    proved = events.index(("is_prime", 1642886909))
+    assert all(q <= 257 for kind, q in events[proved:] if kind == "divisor")
+    assert not any(kind == "divisor" for kind, _ in events[:proved])
+
+
 def _sympy_rational_roots(f: IntegerPolynomial) -> list[Fraction]:
     """Reference: the linear factors of f over Q, from sympy's factorization."""
     x = Symbol("x")
@@ -1165,6 +1259,28 @@ def test_rational_roots_recover_planted_roots(planted, cofactor, zero_root):
     assert roots == _sympy_rational_roots(f)
     assert {Fraction(a, d) for a, d in planted} <= set(roots)
     assert (Fraction(0) in roots) == (zero_root > 0 or f(0) == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    planted=st.lists(
+        st.tuples(st.integers(-10**6, 10**6), st.integers(1, 60)), max_size=4, unique_by=lambda ad: Fraction(ad[0], ad[1])),
+    q=st.sampled_from([2, 3, 5, 7]),
+    lead=st.integers(1, 50),
+    middle=st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=5),
+    constant=st.integers(-10**4, 10**4),
+)
+def test_rational_roots_are_exactly_the_planted_roots(planted, q, lead, middle, constant):
+    """prod (d_i x - a_i) times an Eisenstein polynomial h at q, which is
+    irreducible of degree >= 2 and so has no rational root: the rational
+    roots are exactly the a_i / d_i."""
+    assume(lead % q and constant % q)
+    h = IntegerPolynomial([q * constant] + [q * c for c in middle] + [lead])
+    f = as_poly(h)
+    for a, d in planted:
+        f *= d * X - a
+    roots = rational_roots(expand(f))
+    assert roots == sorted(Fraction(a, d) for a, d in planted)
 
 
 def test_rational_roots_edge_cases():

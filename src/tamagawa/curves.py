@@ -290,8 +290,8 @@ class FiniteFieldCurve:
         for w in range(ell):
             roots[w * w % ell] += 1
         n = 1 + sum(roots[(((4 * x + b2) * x + 2 * b4) * x + b6) % ell] for x in range(ell))
-        if (n - (self.ell + 1)) ** 2 > 4 * self.ell:
-            raise ArithmeticError(f"Hasse bound violated: {n} points mod {self.ell}")
+        if (n - (ell + 1)) ** 2 > 4 * ell:
+            raise ArithmeticError(f"Hasse bound violated: {n} points mod {ell}")
         return n
 
 

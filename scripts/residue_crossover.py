@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the two ways ``padic._residue_roots`` finds roots mod l.
+"""Time the two ways ``padic._roots_mod`` finds roots mod l.
 
 For psi_3, psi_5 and psi_7 of the first 8 corpus curves and each l in a
 fixed list, time the residue scan (Horner's rule at every residue) and the
@@ -13,7 +13,7 @@ Then, for psi_3, psi_5 and psi_7 of every corpus curve at each bad prime l,
 take psi_p moved into the frame of Tate's l-minimal model, as
 ``localorders.local_torsion_order`` counts it, and split off the largest
 power of x dividing it mod l.  Where the cofactor has degree 1 or 2,
-``_residue_roots`` answers in closed form; its roots must equal those of the
+``_roots_mod`` answers in closed form; its roots must equal those of the
 Frobenius path on that cofactor and, for l below ``SCAN_CHECK_LIMIT``
 (2^20; the corpus has bad primes up to about 1.6e9), those of the scan, or
 the script exits with code 1.  Prints how many cofactors of each degree
@@ -94,7 +94,7 @@ def _check_frame_cofactors(curves: list) -> bool:
                 cofactor = cs[k:]
                 if not 2 <= len(cofactor) <= 3:
                     continue
-                closed = padic._residue_roots(psi, ell)
+                closed = padic._roots_mod(psi.coeffs, ell)
                 paths = [("Frobenius", _frobenius_roots)]
                 if ell < SCAN_CHECK_LIMIT:
                     paths.append(("scan", padic._scan_roots))
@@ -119,7 +119,7 @@ def _check_double_roots() -> bool:
         for lead in sorted({1, ell - 1}):
             for a in range(1, ell):
                 h = [lead * a * a, -2 * lead * a, lead]
-                closed = padic._residue_roots(padic.IntegerPolynomial(h), ell)
+                closed = padic._roots_mod(h, ell)
                 for name, path in (("scan", padic._scan_roots), ("Frobenius", _frobenius_roots)):
                     roots = path([c % ell for c in h], ell)
                     if closed != roots or roots != [a]:

@@ -89,23 +89,24 @@ def cmd_localdata(curve_spec, label, prime, all_bad, fmt, fixtures) -> None:
     if fmt == "json":
         click.echo(_dump_json(rows))
     else:
-        click.echo(_localdata_csv(rows), nl=False)
+        click.echo(_csv(("prime", "kodaira", "vdelta", "f", "c", "phi_geom", "phi_arith", "split", "m"), rows), nl=False)
 
 
-def _fmt_group(factors: list[int]) -> str:
-    return "x".join(str(d) for d in factors) if factors else "1"
+def _cell(value):
+    """A report value as a CSV cell: a component group as its invariant
+    factors joined by "x" ("1" when trivial), a flag in lower case; the
+    writer prints None as an empty cell."""
+    if isinstance(value, list):
+        return "x".join(map(str, value)) or "1"
+    return str(value).lower() if isinstance(value, bool) else value
 
 
-def _localdata_csv(rows: list[dict]) -> str:
+def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """The header ``columns``, then each row's values under them."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["prime", "kodaira", "vdelta", "f", "c", "phi_geom", "phi_arith", "split", "m"])
-    for r in rows:
-        writer.writerow(
-            [r["prime"], r["kodaira"], r["vdelta"], r["f"], r["c"],
-             _fmt_group(r["phi_geom"]), _fmt_group(r["phi_arith"]),
-             "" if r["split"] is None else str(r["split"]).lower(), r["m"]]
-        )
+    writer.writerow(columns)
+    writer.writerows([_cell(row[name]) for name in columns] for row in rows)
     return buf.getvalue()
 
 
@@ -148,20 +149,11 @@ def cmd_verify(curve_spec, label, p, check, fmt, fixtures) -> None:
     if fmt == "json":
         click.echo(_dump_json(record))
     else:
-        click.echo(_orders_csv(record["places"]), nl=False)
+        click.echo(_csv(("place", "torsion", "kummer", "phi_p", "relaxed", "restricted", "tt_p"), record["places"]), nl=False)
     if ledger.undecided:
         sys.exit(EXIT_UNDECIDED)
     if not all(ledger.verdicts[k] is True for k in _CHECK_VERDICTS[check]):
         sys.exit(1)
-
-
-def _orders_csv(places: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["place", "torsion", "kummer", "phi_p", "relaxed", "restricted", "tt_p"])
-    for o in places:
-        writer.writerow([o["place"], o["torsion"], o["kummer"], o["phi_p"], o["relaxed"], o["restricted"], o["tt_p"]])
-    return buf.getvalue()
 
 
 def _batch_worker(args: tuple[int, tuple[int, int, int, int, int], str | None, int]) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .padic import _exact_rational, _is_prime
+from .padic import IntegerPolynomial, _exact_rational, _is_prime, _poly
 
 __all__ = [
     "SingularCurveError",
@@ -183,6 +183,14 @@ def transform(curve: WeierstrassCurve, tr: Transformation | tuple) -> Weierstras
     return WeierstrassCurve(*ai)
 
 
+def _two_torsion_cubic(curve: WeierstrassCurve) -> IntegerPolynomial:
+    """4x^3 + b2 x^2 + 2 b4 x + b6, the right side of (2y + a1 x + a3)^2 =
+    4x^3 + b2 x^2 + 2 b4 x + b6: over a field of characteristic != 2, an x
+    carries a point of the curve iff the cubic's value there is a square."""
+    b2, b4, b6, _ = curve.b_invariants
+    return _poly([b6, 2 * b4, b2, 4])
+
+
 def parse_ainvs(text: str) -> WeierstrassCurve:
     """Parse the shared curve input format: five comma-separated integers."""
     parts = [p.strip() for p in text.split(",")]
@@ -228,7 +236,7 @@ class FiniteFieldCurve:
             raise ValueError("prime too large for enumeration")
         self.ell = ell
         self.a = tuple(a % ell for a in curve.ainvs)
-        self.b = tuple(b % ell for b in curve.b_invariants)
+        self.cubic = tuple(c % ell for c in _two_torsion_cubic(curve).coeffs)
 
     def add(self, p: FiniteFieldPoint, q: FiniteFieldPoint) -> FiniteFieldPoint:
         ell = self.ell
@@ -264,16 +272,15 @@ class FiniteFieldCurve:
         y-quadratic is solved by completing the square."""
         ell = self.ell
         a1, _, a3, _, _ = self.a
-        b2, b4, b6, _ = self.b
+        d, c, b, a = self.cubic
         yield INFINITY
         sqrt_table: dict[int, list[int]] = {}
         for y in range(ell):
             sqrt_table.setdefault(y * y % ell, []).append(y)
         inv2 = pow(2, -1, ell)
         for x in range(ell):
-            # (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-            rhs = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % ell
-            for w in sqrt_table.get(rhs, ()):
+            # (2y + a1 x + a3)^2 = the two-torsion cubic at x
+            for w in sqrt_table.get((((a * x + b) * x + c) * x + d) % ell, ()):
                 y = (w - a1 * x - a3) * inv2 % ell
                 yield FiniteFieldPoint(x, y)
 
@@ -285,11 +292,11 @@ class FiniteFieldCurve:
         w^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 has solutions w mod l, and
         ``roots[v]`` holds that number for each v, from one pass over w."""
         ell = self.ell
-        b2, b4, b6, _ = self.b
+        d, c, b, a = self.cubic
         roots = [0] * ell
         for w in range(ell):
             roots[w * w % ell] += 1
-        n = 1 + sum(roots[(((4 * x + b2) * x + 2 * b4) * x + b6) % ell] for x in range(ell))
+        n = 1 + sum(roots[(((a * x + b) * x + c) * x + d) % ell] for x in range(ell))
         if (n - (ell + 1)) ** 2 > 4 * ell:
             raise ArithmeticError(f"Hasse bound violated: {n} points mod {ell}")
         return n

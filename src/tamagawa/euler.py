@@ -3,9 +3,11 @@ the two-sided verification of the order identities.
 
 The left side of the headline identity is assembled from torsion and Kummer
 orders (with the component-group structure entering through the torsor
-duality); the right side is recomputed purely from the Tamagawa numbers
-returned by the reduction-type machine.  Agreement is a test, not a
-definition.
+duality); the right side is the product of the p-parts of the Tamagawa
+numbers.  Both sides read ``tate.phi_p_part_order`` of the same
+``tate_local`` data (the left side through each place's phi_p and tt_p), so
+the identity holds by construction: its agreement tests nothing until the
+right side comes from an independent computation of c (ROADMAP item 3).
 
 :class:`EulerLedger` is a frozen record of what :func:`verify_main_theorem`
 gathered; S, both Euler characteristics, both sides of the identity, every
@@ -24,12 +26,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .curves import FiniteFieldCurve, WeierstrassCurve
+from .curves import FiniteFieldCurve, WeierstrassCurve, _two_torsion_cubic
 from .localorders import (
     InconsistentLocalData,
     LocalSelmerOrders,
     Place,
-    _y_squareness_poly,
     assemble_local_orders,
     certified_psi,
     check_p,
@@ -82,7 +83,7 @@ def global_torsion_order(curve: WeierstrassCurve, p: int) -> int:
                 return 1
             screened += 1
         q += 2
-    g = _y_squareness_poly(curve)
+    g = _two_torsion_cubic(curve)
     count = 1 + 2 * sum(_is_rational_square(Fraction(g(x0))) for x0 in rational_roots(certified_psi(curve, p)))
     if count not in (1, p):
         raise InconsistentLocalData(f"global p-torsion {count} impossible over Q")
@@ -132,7 +133,9 @@ class EulerLedger:
 
     @property
     def mt_rhs(self) -> int:
-        """Right side, from the Tamagawa numbers of the reduction-type machine only."""
+        """Right side, the product of ``phi_p_part_order`` over the places of
+        S: the same rule, on the same ``tate_local`` data, as the phi_p that
+        ``mt_lhs`` reads, so the main identity holds by construction."""
         return math.prod(phi_p_part_order(data, self.p) for data in self.local_data.values())
 
     @property

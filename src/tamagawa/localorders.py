@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curves import WeierstrassCurve
+from .curves import WeierstrassCurve, _two_torsion_cubic
 from .padic import (
     P_MAX,
     IntegerPolynomial,
@@ -170,7 +170,7 @@ def division_polynomial(curve: WeierstrassCurve, p: int) -> IntegerPolynomial:
     check_p(p)
     b2, b4, b6, b8 = curve.b_invariants
     one = [1]
-    F = _y_squareness_poly(curve).coeffs
+    F = _two_torsion_cubic(curve).coeffs
     F2 = _mul(F, F) if p > 3 else one  # F^2 enters from f_5 on
     powers = {(n, k): one for n in (1, 2) for k in (1, 2, 3)}  # (n, k) -> f_n^k
     powers[3, 1] = [b8, 3 * b6, 3 * b4, b2, 3]
@@ -198,13 +198,6 @@ def division_polynomial(curve: WeierstrassCurve, p: int) -> IntegerPolynomial:
     if psi.degree != (p * p - 1) // 2 or psi.coeffs[-1] != p:
         raise InconsistentLocalData(f"psi_{p} has degree {psi.degree} and leading coefficient {psi.coeffs[-1]}")
     return psi
-
-
-def _y_squareness_poly(curve: WeierstrassCurve) -> IntegerPolynomial:
-    """(2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6: a point with this
-    x-coordinate is rational over Q_l iff the right side is a square there."""
-    b2, b4, b6, _ = curve.b_invariants
-    return _poly([b6, 2 * b4, b2, 4])
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
@@ -250,7 +243,7 @@ def local_torsion_order(curve: WeierstrassCurve, place: Place, p: int) -> int:
     ell = place.prime
     data = tate_local(curve, ell)
     u, r = data.transformation.u, data.transformation.r
-    psi, g = certified_psi(curve, p).moved(u, r), _y_squareness_poly(data.minimal_model)
+    psi, g = certified_psi(curve, p).moved(u, r), _two_torsion_cubic(data.minimal_model)
     count = 1 + 2 * sum(value_is_square_at_root(g, root) for root in find_roots_padic(psi, ell))
     if count not in (1, p, p * p):
         raise InconsistentLocalData(f"torsion count {count} outside {{1, p, p^2}}")

@@ -14,14 +14,13 @@ splitting raises ``PrecisionExhausted``.  Only the square test at a root
 escalates its digits, doubling them up to the same cap.  A wrong count is
 never returned.
 
-Residue roots mod l are found by scanning all l residues for
-l <= ``_RESIDUE_SCAN_LIMIT`` (131) and by splitting gcd(f, x^l - x) above
-it.  The limit sits at the measured crossover of the two paths for psi_3,
-psi_5 and psi_7 (the Frobenius path wins for all three from l = 137 on).
-The split takes a quadratic factor apart by a square root of its
-discriminant (Tonelli-Shanks, with the least non-residue), a larger one by
-gcds with (x + c)^((l-1)/2) - 1 (Cantor-Zassenhaus); see Cohen, A Course in
-Computational Algebraic Number Theory, 1.5.1 and 1.6.  Before either path
+Residue roots mod l have one entry, ``_roots_mod``, which reduces the
+coefficients once.  It scans all l residues for l <= ``_RESIDUE_SCAN_LIMIT``
+and splits gcd(f, x^l - x) above it.  The split takes a quadratic factor
+apart by a square root of its discriminant (Tonelli-Shanks, with the least
+non-residue), a larger one by gcds with (x + c)^((l-1)/2) - 1
+(Cantor-Zassenhaus); see Cohen, A Course in Computational Algebraic Number
+Theory, 1.5.1 and 1.6.  Before either path
 runs, one modular inverse gives the root of a cofactor of degree 1, and the
 same square root those of one of degree 2, or at l = 2 its values at 0 and
 1.  That quadratic solver, ``_small_roots_mod``, also answers every
@@ -71,9 +70,9 @@ proves prime, and Pollard-Brent; ``_is_prime`` proves primality
 below psi_13 ~ 3.3e24 (a table below 2^16, 13-base Miller-Rabin above) and
 refuses to guess beyond it.  Only a cofactor beyond psi_13, or one the
 Pollard-Brent budget does not split, goes to ``sympy.factorint``, imported
-at that point.  ``rational_roots`` finds the rational roots of psi_p by
-lifting its roots in Z_q for a small prime q and reconstructing them, and
-keeps a candidate a / d only when d^n f(a / d), an integer, is 0.
+at that point.  ``rational_roots`` reconstructs the rational roots of psi_p
+from its roots in Z_q that ``find_roots_padic`` certifies for a small prime
+q, and keeps a candidate a / d only when d^n f(a / d), an integer, is 0.
 """
 
 from __future__ import annotations
@@ -104,10 +103,11 @@ __all__ = [
 # Read at call time.
 PRECISION_HARD_CAP = 2048
 
-# Largest l whose residue roots are found by scanning all l residues; above
-# it ``_residue_roots`` splits gcd(f, x^l - x).  The crossover of the two
-# paths, measured with ``PYTHONPATH=src python3 scripts/residue_crossover.py``:
-# the largest prime below 137, the first l where all three ratios exceed 1.
+# Largest l whose residue roots ``_roots_mod`` finds by scanning all l
+# residues; above it it splits gcd(f, x^l - x).  The limit is the measured
+# crossover of the two paths for psi_3, psi_5 and psi_7 (degrees 4-24): the
+# Frobenius path is faster for all three from l = 137 on, so the limit is the
+# largest prime below 137 (``PYTHONPATH=src python3 scripts/residue_crossover.py``).
 _RESIDUE_SCAN_LIMIT = 131
 
 # Primes below 2^16, as a sieve for lookups and as a list for trial division.
@@ -361,9 +361,6 @@ class IntegerPolynomial:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntegerPolynomial) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.coeffs)})"
 
@@ -483,7 +480,7 @@ def _certificate_prime(f: IntegerPolynomial) -> int | None:
     product = 1
     for q in _SMALL_PRIMES:
         if lc % q:
-            if _poly_gcd_mod_ell(cs, dcs, q) == [1]:
+            if _poly_gcd_mod_ell([c % q for c in cs], [c % q for c in dcs], q) == [1]:
                 return q
             product *= q
             if product.bit_length() > limit:
@@ -592,30 +589,24 @@ class PadicRoot:
         return t
 
 
-def _residue_roots(f: IntegerPolynomial, ell: int) -> list[int]:
-    """Roots of f mod l, sorted: :func:`_roots_mod` on the reduction of f.
-    The entry for a plain polynomial (Tate's I0* cubic, ``rational_roots``);
-    lift-and-split reduces its coefficients itself."""
-    return _roots_mod([c % ell for c in f.coeffs], ell)
+def _roots_mod(coeffs: Sequence[int], ell: int) -> list[int]:
+    """Roots mod l, sorted, of sum coeffs_i x^i for any integers coeffs_i,
+    given as a list or a tuple and left unchanged; zero mod l raises
+    ``ValueError``.  The one way to roots mod l: lift-and-split hands it
+    each node's list mod l^2, Tate's I0* count its cubic P.
 
-
-def _roots_mod(cs: list[int], ell: int) -> list[int]:
-    """Roots mod l, sorted, of sum cs_i x^i, with every cs_i already in
-    [0, l).  Trailing zeros are stripped in place, and zero raises
-    ``ValueError``.
-
-    The largest power x^k dividing the polynomial is split off by slicing:
-    0 is a root iff k >= 1, and the other roots are those of the cofactor
-    cs[k:], which a nonzero constant does not have.  A cofactor of degree 1
-    gives its root by one modular inverse, and one of degree 2 by the square
-    root of its discriminant, or at l = 2 by its values at 0 and 1
-    (``_small_roots_mod``).  A larger cofactor's roots come from a scan of
-    every residue for l <= ``_RESIDUE_SCAN_LIMIT`` and from the split part
-    of gcd(cofactor, x^l - x) above it.  The limit is the measured crossover
-    of the two paths for degrees 4-24 (psi_3 to psi_7): the Frobenius path
-    is faster for all three from l = 137 on
-    (``scripts/residue_crossover.py``).
+    The coefficients are reduced once, into a fresh list, and the helpers
+    below work on that list without reducing it again.  The largest power
+    x^k dividing the polynomial is split off by slicing: 0 is a root iff
+    k >= 1, and the other roots are those of the cofactor cs[k:], which a
+    nonzero constant does not have.  A cofactor of degree 1 gives its root
+    by one modular inverse, and one of degree 2 by the square root of its
+    discriminant, or at l = 2 by its values at 0 and 1 (``_small_roots_mod``).
+    A larger cofactor's roots come from a scan of every residue for
+    l <= ``_RESIDUE_SCAN_LIMIT`` and from the split part of
+    gcd(cofactor, x^l - x) above it.
     """
+    cs = [c % ell for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
@@ -667,18 +658,15 @@ def _poly_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
 
 
 def _poly_gcd_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
-    a = [c % ell for c in a]
-    b = [c % ell for c in b]
-    while a and a[-1] == 0:
-        a.pop()
+    """The monic gcd over F_l of a and b, both reduced, a with a unit lead.
+    b may end in zeros (f' mod l, or x^l - x mod f, can lose its lead);
+    they are stripped in place."""
     while b and b[-1] == 0:
         b.pop()
     while b:
         a, b = b, _poly_mod_ell(a, b, ell)
-    if a:
-        inv = pow(a[-1], -1, ell)
-        a = [c * inv % ell for c in a]
-    return a
+    inv = pow(a[-1], -1, ell)
+    return [c * inv % ell for c in a]
 
 
 def _linear_powmod_ell(c: int, e: int, f: list[int], ell: int) -> list[int]:
@@ -748,15 +736,9 @@ def _linear_powmod_ell(c: int, e: int, f: list[int], ell: int) -> list[int]:
     return out
 
 
-def _gcd_with_frobenius(cs: list[int], ell: int) -> list[int]:
-    """gcd(f, x^l - x) over F_l: the product of the distinct linear factors."""
-    f = [c % ell for c in cs]
-    while f and f[-1] == 0:
-        f.pop()
-    if len(f) <= 1:
-        return []  # nonzero constant mod l: no residue roots
-    if len(f) == 2:
-        return [c * pow(f[-1], -1, ell) % ell for c in f]
+def _gcd_with_frobenius(f: list[int], ell: int) -> list[int]:
+    """gcd(f, x^l - x) over F_l, the product of the distinct linear factors
+    of f, for f reduced with a unit lead and of degree >= 1."""
     result = _linear_powmod_ell(0, ell, f, ell)  # x^l mod f; subtract x
     while len(result) < 2:
         result.append(0)
@@ -851,7 +833,8 @@ def _linear_roots_mod(g: list[int], ell: int) -> list[int]:
 
 
 def _poly_divide_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
-    a = [c % ell for c in a]
+    """The quotient of a by b over F_l, both reduced with a unit lead."""
+    a = list(a)
     q = [0] * (len(a) - len(b) + 1)
     binv = pow(b[-1], -1, ell)
     while len(a) >= len(b) and any(a):
@@ -890,7 +873,7 @@ def _integral_root_certs(f: IntegerPolynomial, ell: int) -> list[tuple[IntegerPo
     A work-list item (g, t0, scale, offset, depth) stands for the roots
     x = offset + scale * t of f with g(t) = 0.  An item's decisions read
     only residues: the coefficients of g are reduced once mod l^2, its
-    residue roots are found on that list reduced mod l (``_roots_mod``),
+    residue roots are found from that list (``_roots_mod``),
     and one Horner pass over it gives g(r) mod l^2 and g'(r) mod l at each
     residue root r.  A residue t0 with a simple reduction is
     Hensel-certified.  A singular residue r with v_l(g(r)) = 1 holds no
@@ -918,7 +901,7 @@ def _integral_root_certs(f: IntegerPolynomial, ell: int) -> list[tuple[IntegerPo
             raise PrecisionExhausted(cap)
         cs = [c % ell2 for c in g.coeffs]
         children = []
-        for r in _roots_mod([c % ell for c in cs], ell):
+        for r in _roots_mod(cs, ell):
             value = slope = 0  # g(r) mod l^2 and g'(r) mod l
             for c in reversed(cs):
                 slope = (slope * r + value) % ell
@@ -955,13 +938,14 @@ def rational_roots(f: IntegerPolynomial) -> list[Fraction]:
     certified first by ``squarefree_part``, which raises ``ValueError`` on a
     repeated factor.  Let q be the prime of ``_certificate_prime``: q does
     not divide lc(g) and g mod q is squarefree.  A rational root a/d has
-    d | lc(g), so it lies in Z_q, and its residue is a simple root of g mod q.
-    Each residue root is Hensel-lifted until q^k > 2 * sum |g_i|, which
-    exceeds twice the integer |lc(g) * root| (Cauchy's bound); lc(g) * root
-    is then the symmetric residue of lc(g) * (lifted root) mod q^k.  A
-    candidate m / lc(g), in lowest terms a / d, is kept only if g vanishes
-    on it exactly, which is tested in integers: d^n g(a / d) =
-    sum g_i a^i d^(n-i) = 0, with n = deg g.
+    d | lc(g), so it lies in Z_q, and ``find_roots_padic`` finds it: every
+    residue root of g mod q is simple, so the walk certifies each at its
+    residue and opens no child.  Each root is approximated mod q^k for
+    q^k > 2 * sum |g_i|, which exceeds twice the integer |lc(g) * root|
+    (Cauchy's bound); lc(g) * root is then the symmetric residue of
+    lc(g) * (approximation) mod q^k.  A candidate m / lc(g), in lowest
+    terms a / d, is kept only if g vanishes on it exactly, which is tested
+    in integers: d^n g(a / d) = sum g_i a^i d^(n-i) = 0, with n = deg g.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no finite root set")
@@ -974,9 +958,8 @@ def rational_roots(f: IntegerPolynomial) -> list[Fraction]:
     while modulus <= bound:
         k, modulus = k + 1, modulus * q
     roots = []
-    for r0 in _residue_roots(g, q):
-        t = PadicRoot(q, g, r0, 1, 0)._lift(k)
-        m = lc * t % modulus
+    for root in find_roots_padic(g, q):
+        m = lc * root.approx(k) % modulus
         if 2 * m > modulus:
             m -= modulus
         h = gcd(m, lc)

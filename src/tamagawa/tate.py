@@ -28,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
-from .curves import Transformation, WeierstrassCurve, transform
-from .padic import IntegerPolynomial, _int_valuation, _require_prime, _residue_roots, _small_roots_mod, check_p
+from .curves import Transformation, WeierstrassCurve, _two_torsion_cubic, transform
+from .padic import _int_valuation, _require_prime, _roots_mod, _small_roots_mod, check_p
 
 __all__ = [
     "KodairaType",
@@ -196,7 +197,7 @@ class _Machine:
         _require(len(roots) == 1, "separable quadratic has no double root")
         return roots[0]
 
-    def _multiple_root(self, cubic: list[int]) -> int | None:
+    def _multiple_root(self, cubic: Sequence[int]) -> int | None:
         """The multiple root alpha over F_l of a cubic a T^3 + b T^2 + c T + d
         with a unit lead (coefficients from the constant up), or None.
 
@@ -233,10 +234,9 @@ class _Machine:
             x0 = (a3 if a1 % 2 else a4) % 2
             y0 = (x0 + a4 if a1 % 2 else x0 * (1 + a2 + a4) + a6) % 2
         else:
-            # the double root of 4x^3 + b2 x^2 + 2 b4 x + b6, the right side
-            # of (2y + a1 x + a3)^2 = ...
-            b2, b4, b6, _ = self.model.b_invariants
-            x0 = self._multiple_root([b6, 2 * b4, b2, 4])
+            # the double root of the two-torsion cubic, the right side of
+            # (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+            x0 = self._multiple_root(_two_torsion_cubic(self.model).coeffs)
             _require(x0 is not None, "reduction not singular")
             y0 = -(a1 * x0 + a3) * pow(2, -1, ell) % ell
         fx = (a1 * y0 - 3 * x0 * x0 - 2 * a2 * x0 - a4) % ell
@@ -303,7 +303,7 @@ class _Machine:
         P = [a6 // ell**3, a4 // ell**2, a2 // ell, 1]
         alpha = self._multiple_root(P)
         if alpha is None:
-            return KodairaType("I0*"), n, 1 + len(_residue_roots(IntegerPolynomial(P), ell)), None
+            return KodairaType("I0*"), n, 1 + len(_roots_mod(P, ell)), None
         triple = [c % ell for c in P] == [-alpha**3 % ell, 3 * alpha**2 % ell, -3 * alpha % ell, 1]
         return self._step8(alpha, n) if triple else self._step7_loop(alpha, n)
 

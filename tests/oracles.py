@@ -132,7 +132,7 @@ def lift_and_split_certs(f: IntegerPolynomial, ell: int, v1_rule: bool = False, 
             raise PrecisionExhausted(cap)
         gp = g.derivative()
         children = []
-        for r in padic._residue_roots(g, ell):
+        for r in padic._roots_mod(g.coeffs, ell):
             if gp(r) % ell != 0:
                 children.append((g, r, scale, offset, depth))
             elif v1_rule and g(r) % (ell * ell) != 0:

@@ -14,6 +14,7 @@ from tamagawa.curves import (
     FiniteFieldPoint,
     SingularCurveError,
     WeierstrassCurve,
+    _two_torsion_cubic,
     count_p_torsion_mod,
     transform,
 )
@@ -21,7 +22,6 @@ from tamagawa.localorders import (
     InconsistentLocalData,
     LocalSelmerOrders,
     Place,
-    _y_squareness_poly,
     assemble_local_orders,
     certified_psi,
     division_polynomial,
@@ -214,7 +214,7 @@ def test_good_primes_of_one_curve_build_psi_once(monkeypatch):
         data = tate_local(E, ell)
         assert data.transformation.u == 1
         expected = 1 + 2 * sum(
-            value_is_square_at_root(_y_squareness_poly(data.minimal_model), root)
+            value_is_square_at_root(_two_torsion_cubic(data.minimal_model), root)
             for root in find_roots_padic(real_division(data.minimal_model, 5), ell)
         )
         assert local_torsion_order(E, Place.finite(ell), 5) == expected
@@ -401,7 +401,7 @@ def test_translated_psi_is_the_psi_of_the_translated_model(p, ainvs, ell, k, rst
     moved = certified_psi(M, p).moved(u, r)
     assert isinstance(moved, SquarefreePolynomial)
     assert moved == certified_psi(data.minimal_model, p), (ainvs, ell, k, rst, p)
-    assert _y_squareness_poly(M).compose_affine(u * u, r) == expand(u**6 * as_poly(_y_squareness_poly(data.minimal_model)))
+    assert _two_torsion_cubic(M).compose_affine(u * u, r) == expand(u**6 * as_poly(_two_torsion_cubic(data.minimal_model)))
     assert certified_psi(M, p).moved(1, 0) is certified_psi(M, p)
 
 
@@ -430,7 +430,7 @@ def test_no_root_of_psi_outside_z_ell_carries_a_point(ainvs, p, ell, k, rst):
     M = transform(E, (Fraction(1, ell**k), *rst))
     data = tate_local(M, ell)
     psi = certified_psi(M, p).moved(data.transformation.u, data.transformation.r)
-    g = _y_squareness_poly(data.minimal_model)
+    g = _two_torsion_cubic(data.minimal_model)
     reversed_psi = IntegerPolynomial(psi.coeffs[::-1])
     reversed_g = IntegerPolynomial([0, *g.coeffs[::-1]])  # y^4 g(1/y)
     for root in find_roots_padic(reversed_psi, ell):
@@ -452,7 +452,7 @@ def test_count_in_the_singular_frame_matches_the_untranslated_psi(corpus, monkey
         E = rec.curve()
         for ell, data in sorted(local_data_for_bad_primes(E).items()):
             moved += data.transformation.r % ell != 0
-            g = _y_squareness_poly(data.minimal_model)
+            g = _two_torsion_cubic(data.minimal_model)
             for p in (3, 5, 7, 11):
                 roots = find_roots_padic(division_polynomial(data.minimal_model, p).squarefree_part(), ell)
                 direct = 1 + 2 * sum(value_is_square_at_root(g, root) for root in roots)

@@ -819,14 +819,14 @@ RESIDUE_PRIMES = [2, 3, 5, 7, 13, 101, 131, 137, 293, 307, 331, 613, 997, 3001, 
 )
 def test_residue_roots_match_scan(ell, planted, cofactor, lead_divisible, zero_power, zero_lift):
     # (x - l * zero_lift)^zero_power is x^zero_power mod l: the power of x
-    # that _residue_roots splits off before the scan or the gcd
+    # that _roots_mod splits off before the scan or the gcd
     lead = (cofactor[-1] or 1) * (ell if lead_divisible else 1)
     f = as_poly(IntegerPolynomial(cofactor[:-1] + [lead])) * (X - ell * zero_lift) ** zero_power
     for r, m in planted:
         f *= (X - r) ** m
     f = expand(f)
     assume(1 <= f.degree <= 30 and any(c % ell for c in f.coeffs))
-    assert padic._residue_roots(f, ell) == _scan_residue_roots(f.coeffs, ell)
+    assert padic._roots_mod(f.coeffs, ell) == _scan_residue_roots(f.coeffs, ell)
 
 
 def test_residue_roots_paths_agree_across_the_scan_limit():
@@ -836,8 +836,8 @@ def test_residue_roots_paths_agree_across_the_scan_limit():
     assert ells[0] <= padic._RESIDUE_SCAN_LIMIT < ells[1]
     for ell in ells:
         expected = _scan_residue_roots(psi.coeffs, ell)
-        assert padic._linear_roots_mod(padic._gcd_with_frobenius(list(psi.coeffs), ell), ell) == expected
-        assert padic._residue_roots(psi, ell) == expected
+        assert padic._linear_roots_mod(padic._gcd_with_frobenius([c % ell for c in psi.coeffs], ell), ell) == expected
+        assert padic._roots_mod(psi.coeffs, ell) == expected
 
 
 def test_residue_roots_skip_a_constant_reduction(monkeypatch):
@@ -852,15 +852,15 @@ def test_residue_roots_skip_a_constant_reduction(monkeypatch):
     monkeypatch.setattr(padic, "_scan_roots", no_scan)
     monkeypatch.setattr(padic, "_gcd_with_frobenius", no_scan)
     for ell in (2, 3, 131, 137, 3001):
-        assert padic._residue_roots(IntegerPolynomial([5 + 7 * ell, 3 * ell, 0, ell]), ell) == []
-        assert padic._residue_roots(IntegerPolynomial([1, 2 * ell, ell * ell]), ell) == []
+        assert padic._roots_mod([5 + 7 * ell, 3 * ell, 0, ell], ell) == []
+        assert padic._roots_mod([1, 2 * ell, ell * ell], ell) == []
         for k in range(1, 7):
             f = IntegerPolynomial([ell * (i + 1) for i in range(k)] + [-1, ell, ell * ell])
-            assert padic._residue_roots(f, ell) == [0], (ell, k)
+            assert padic._roots_mod(f.coeffs, ell) == [0], (ell, k)
     monkeypatch.undo()
     for ell in (2, 5, 131, 137, 3001):
         with pytest.raises(ValueError, match="zero mod"):
-            padic._residue_roots(IntegerPolynomial([ell, 0, ell]), ell)
+            padic._roots_mod([ell, 0, ell], ell)
 
 
 @settings(max_examples=300, deadline=None)
@@ -886,7 +886,7 @@ def test_residue_roots_closed_forms_match_scan(ell, shape, zero_power, data):
     noise = data.draw(st.lists(st.integers(-3, 3), min_size=zero_power + len(h), max_size=zero_power + len(h)))
     f = IntegerPolynomial([c + ell * e for c, e in zip([0] * zero_power + h, noise)])
     expected = _scan_residue_roots(f.coeffs, ell)
-    assert padic._residue_roots(f, ell) == expected
+    assert padic._roots_mod(f.coeffs, ell) == expected
     cofactor = [c % ell for c in h]
     gcd_roots = padic._linear_roots_mod(padic._gcd_with_frobenius(cofactor, ell), ell)
     assert padic._scan_roots(cofactor, ell) == gcd_roots == [r for r in expected if r]
@@ -901,13 +901,35 @@ def test_residue_roots_of_degree_at_most_two_are_neither_scanned_nor_split(monke
     monkeypatch.setattr(padic, "_scan_roots", no_search)
     monkeypatch.setattr(padic, "_gcd_with_frobenius", no_search)
     for ell in (3, 5, 131, 137, 3001):
-        assert padic._residue_roots(IntegerPolynomial([0, 0, 2 + ell, -1]), ell) == [0, 2]
-        assert padic._residue_roots(IntegerPolynomial([-4, ell, 1]), ell) == sorted([2, ell - 2])
-        assert padic._residue_roots(IntegerPolynomial([9, 6 + ell, 1]), ell) == [ell - 3]
+        assert padic._roots_mod([0, 0, 2 + ell, -1], ell) == [0, 2]
+        assert padic._roots_mod([-4, ell, 1], ell) == sorted([2, ell - 2])
+        assert padic._roots_mod([9, 6 + ell, 1], ell) == [ell - 3]
     # at l = 2 a cofactor of degree 2 is answered by its values at 0 and 1
-    assert padic._residue_roots(IntegerPolynomial([1, 3]), 2) == [1]
-    assert padic._residue_roots(IntegerPolynomial([1, 1, 1]), 2) == []
-    assert padic._residue_roots(IntegerPolynomial([1, 0, 1]), 2) == [1]
+    assert padic._roots_mod([1, 3], 2) == [1]
+    assert padic._roots_mod([1, 1, 1], 2) == []
+    assert padic._roots_mod([1, 0, 1], 2) == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ell=st.sampled_from(RESIDUE_PRIMES),
+    low=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+    high=st.lists(st.integers(-3, 3), max_size=2),
+    lead=st.sampled_from([-2, -1, 1, 2]),
+)
+@example(ell=5, low=[-6, 1], high=[], lead=1)  # -6 + x + 5x^2 is x + 4 mod 5
+def test_roots_mod_takes_unreduced_coefficients_and_leaves_them_unchanged(ell, low, high, lead):
+    """A tuple of integers whose leading coefficients vanish mod l, and the
+    same as a list ending in a zero: _roots_mod answers what the scan of
+    every residue answers on any path, closed forms included, and changes
+    neither argument."""
+    coeffs = tuple(low) + tuple(ell * c for c in high) + (ell * lead,)
+    assume(any(c % ell for c in low))
+    expected = _scan_residue_roots(coeffs, ell)
+    assert padic._roots_mod(coeffs, ell) == expected
+    as_list = [*coeffs, 0]
+    assert padic._roots_mod(as_list, ell) == expected
+    assert as_list == [*coeffs, 0]
 
 
 def test_crossover_script_reports_a_fault_in_tates_machine_and_runs_on(monkeypatch, capsys):
@@ -1281,6 +1303,37 @@ def test_rational_roots_are_exactly_the_planted_roots(planted, q, lead, middle, 
         f *= d * X - a
     roots = rational_roots(expand(f))
     assert roots == sorted(Fraction(a, d) for a, d in planted)
+
+
+def test_rational_roots_read_the_certified_walk_at_the_certificate_prime(monkeypatch):
+    """rational_roots takes its roots in Z_q from find_roots_padic at q, the
+    prime of _certificate_prime.  Every residue root of g mod q is simple
+    there, so the walk certifies each on g at its residue and opens no child
+    (no Taylor shift)."""
+    calls, shifts = [], []
+    real_find, real_compose = padic.find_roots_padic, IntegerPolynomial.compose_affine
+
+    def spy_find(f, ell):
+        roots = real_find(f, ell)
+        calls.append((f, ell, roots))
+        return roots
+
+    def spy_compose(f, scale, offset):
+        shifts.append((scale, offset))
+        return real_compose(f, scale, offset)
+
+    g = IntegerPolynomial([0, -30030, 1])  # x(x - 30030): q = 17
+    psi = certified_psi(WeierstrassCurve(0, -1, 1, -10, -20), 5)  # 11a1 has a point of order 5
+    monkeypatch.setattr(padic, "find_roots_padic", spy_find)
+    monkeypatch.setattr(IntegerPolynomial, "compose_affine", spy_compose)
+    for f, expected in ((g, [0, 30030]), (psi, [5, 16])):
+        calls.clear()
+        assert rational_roots(f) == expected
+        q = padic._certificate_prime(f)
+        [(h, ell, roots)] = calls
+        assert (h, ell) == (f, q) and len(roots) == len(expected)
+        assert all((root.witness, root.scale, root.offset) == (f, 1, 0) for root in roots)
+    assert shifts == []
 
 
 def test_rational_roots_edge_cases():

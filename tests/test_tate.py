@@ -400,7 +400,7 @@ def test_multiple_root_matches_brute_force(ell):
 def _multiple_root_by_gcd(cubic: list[int], ell: int) -> int | None:
     """Reference: the multiple root from gcd(P, P'), the route every l took
     before the closed form at l >= 5 and the residue scan at l = 2 and 3."""
-    g = _poly_gcd_mod_ell(cubic, [i * c for i, c in enumerate(cubic)][1:], ell)
+    g = _poly_gcd_mod_ell([c % ell for c in cubic], [i * c % ell for i, c in enumerate(cubic)][1:], ell)
     k = len(g) - 1
     if k == 0:
         return None

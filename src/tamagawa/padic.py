@@ -47,8 +47,8 @@ a bad place) thereby hands them a cofactor of small degree.
 Lift-and-split decides each node of its walk on residues: the node's
 coefficients are reduced once mod l^2, its residue roots come from that
 list reduced mod l, and one Horner pass over it gives f(r) mod l^2 and
-f'(r) mod l at each.  Only a child, f(r + l t) with its l-content divided
-out, is built in full.  A singular residue r with v_l(f(r)) = 1 gets no
+f'(r) mod l at each.  Only a child, f(r + l t) divided by its content, is
+built in full.  A singular residue r with v_l(f(r)) = 1 gets no
 child: l | f'(r) gives f(r + l t) = f(r) mod l^2 for every t in Z_l, so its
 class holds no root.  Nor does the singular residue 0 when f(0) != 0 and
 l^(v - k + 1) divides the coefficient f_k of x^k for 1 <= k <= v, where
@@ -382,16 +382,6 @@ class IntegerPolynomial:
             return self
         return _poly([c // g for c in self.coeffs])
 
-    def strip_prime_content(self, ell: int) -> "IntegerPolynomial":
-        """Divide out the largest power of l dividing every coefficient."""
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no prime content")
-        g = self.content()
-        if g % ell:
-            return self
-        q = ell ** _int_valuation(g, ell)  # v_l(gcd c_i) = min v_l(c_i)
-        return _poly([c // q for c in self.coeffs])
-
     def compose_affine(self, scale: int, offset: int) -> "IntegerPolynomial":
         """f(scale*x + offset), exact: a Taylor shift by offset, then a_i *= scale^i."""
         c = list(self.coeffs)
@@ -447,13 +437,10 @@ class SquarefreePolynomial(IntegerPolynomial):
         return self
 
     def moved(self, u: int, r: int) -> "SquarefreePolynomial":
-        """The primitive part of f(u^2 x + r); f itself at (u, r) = (1, 0).
-        At u^2 = 1 the move x -> x + r is an automorphism of Z[x], which keeps
-        the content 1 of f, so no primitive part is taken."""
+        """f(u^2 x + r) divided by its content; squarefree, as the move is an automorphism of Q[x]."""
         if (u, r) == (1, 0):
             return self
-        g = self.compose_affine(u * u, r)
-        return _certified(g if u * u == 1 else g.primitive_part())
+        return _certified(self.compose_affine(u * u, r).primitive_part())
 
 
 def _certified(f: IntegerPolynomial) -> SquarefreePolynomial:
@@ -637,24 +624,27 @@ def _scan_roots(cs: list[int], ell: int) -> list[int]:
     return out
 
 
-def _poly_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
-    """a mod b over F_l, reduced and stripped; b must be reduced with a unit
-    lead.  Entries of a are reduced lazily: each once, when it becomes the
-    leading term, and the remainder once more at the end."""
+def _poly_divmod_ell(a: list[int], b: list[int], ell: int) -> tuple[list[int], list[int]]:
+    """The quotient and remainder of a by b over F_l, both reduced, the
+    remainder stripped; b must be reduced with a unit lead.  Entries of a are
+    reduced lazily: each once, when it becomes the leading term, and the
+    remainder once more at the end."""
     a = list(a)
     n = len(b) - 1
     binv = pow(b[-1], -1, ell)
+    q = [0] * (len(a) - n)  # [] when deg a < deg b
     for k in range(len(a) - 1, n - 1, -1):
         coef = a[k] * binv % ell
         if coef:
             shift = k - n
+            q[shift] = coef
             for i in range(n):
                 a[shift + i] -= coef * b[i]
     del a[n:]
     a = [c % ell for c in a]
     while a and a[-1] == 0:
         a.pop()
-    return a
+    return q, a
 
 
 def _poly_gcd_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
@@ -664,7 +654,7 @@ def _poly_gcd_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
     while b and b[-1] == 0:
         b.pop()
     while b:
-        a, b = b, _poly_mod_ell(a, b, ell)
+        a, b = b, _poly_divmod_ell(a, b, ell)[1]
     inv = pow(a[-1], -1, ell)
     return [c * inv % ell for c in a]
 
@@ -823,29 +813,12 @@ def _linear_roots_mod(g: list[int], ell: int) -> list[int]:
         g1 = _poly_gcd_mod_ell(h, acc, ell)
         shift += 1
         if 0 < len(g1) - 1 < d:
-            g2 = _poly_divide_mod_ell(h, g1, ell)
-            stack.extend([g1, g2])
+            stack.extend([g1, _poly_divmod_ell(h, g1, ell)[0]])
         else:
             stack.append(h)  # retry with the next shift
         if shift >= 4 * ell + 64:
             raise ArithmeticError("root splitting failed to converge")
     return sorted(roots)
-
-
-def _poly_divide_mod_ell(a: list[int], b: list[int], ell: int) -> list[int]:
-    """The quotient of a by b over F_l, both reduced with a unit lead."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    binv = pow(b[-1], -1, ell)
-    while len(a) >= len(b) and any(a):
-        coef = a[-1] * binv % ell
-        shift = len(a) - len(b)
-        q[shift] = coef
-        for i, c in enumerate(b):
-            a[i + shift] = (a[i + shift] - coef * c) % ell
-        while a and a[-1] == 0:
-            a.pop()
-    return q
 
 
 def _unit_at_zero(cs: Sequence[int], ell: int) -> bool:
@@ -868,7 +841,9 @@ def _unit_at_zero(cs: Sequence[int], ell: int) -> bool:
 def _integral_root_certs(f: IntegerPolynomial, ell: int) -> list[tuple[IntegerPolynomial, int, int, int]]:
     """Certificates (witness, t0, scale, offset) for the distinct roots of f
     in Z_l, depth first in residue order.  f must be squarefree and
-    l-primitive.
+    primitive, and then so is every item: for a prime q != l, t -> r + l*t
+    is an automorphism of Z_(q)[t], so the content of a child g(r + l*t) of
+    a primitive g is a power of l, and the child is divided by it.
 
     A work-list item (g, t0, scale, offset, depth) stands for the roots
     x = offset + scale * t of f with g(t) = 0.  An item's decisions read
@@ -883,7 +858,7 @@ def _integral_root_certs(f: IntegerPolynomial, ell: int) -> list[tuple[IntegerPo
     the valuations of the coefficients of g): that class is proved empty
     before any Taylor shift, and opens no item that could reach the cap.
     Any other singular residue is refined by substituting t = r + l*u
-    into g, one level deeper, on the l-primitive part.  An item at depth
+    into g, one level deeper, divided by its content.  An item at depth
     ``PRECISION_HARD_CAP`` raises ``PrecisionExhausted``; being a work list
     rather than a recursion, the walk reaches that cap whatever Python's
     recursion limit.
@@ -909,7 +884,7 @@ def _integral_root_certs(f: IntegerPolynomial, ell: int) -> list[tuple[IntegerPo
             if slope:
                 children.append((g, r, scale, offset, depth))
             elif value == 0 and not (r == 0 and _unit_at_zero(g.coeffs, ell)):
-                h = g.compose_affine(ell, r).strip_prime_content(ell)
+                h = g.compose_affine(ell, r).primitive_part()
                 children.append((h, None, scale * ell, offset + scale * r, depth + 1))
         stack.extend(reversed(children))
     return certs

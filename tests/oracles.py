@@ -112,14 +112,19 @@ def is_square_local(x: int | Fraction, ell: int) -> bool:
     return v % 2 == 0 and num * den % modulus in squares
 
 
-def lift_and_split_certs(f: IntegerPolynomial, ell: int, v1_rule: bool = False, zero_rule: bool = False) -> list[tuple]:
+def lift_and_split_certs(
+    f: IntegerPolynomial, ell: int, v1_rule: bool = False, zero_rule: bool = False, contents: list[int] | None = None
+) -> list[tuple]:
     """The certificates (witness, t0, scale, offset) of
     ``padic._integral_root_certs``, computed on whole polynomials: each node
-    builds g' and evaluates g(r) and g'(r) on the full coefficients.  With
-    neither rule every singular residue gets a child.  ``v1_rule`` gives
-    none to a singular residue with v_l(g(r)) = 1, and ``zero_rule`` none
-    to the residue 0 when ``padic._unit_at_zero`` proves its class empty;
-    with both, it is the walk ``padic`` runs."""
+    builds g' and evaluates g(r) and g'(r) on the full coefficients, and a
+    child g(r + l t) is divided by the largest power of l dividing it, not
+    by its content.  With neither rule every singular residue gets a child.
+    ``v1_rule`` gives none to a singular residue with v_l(g(r)) = 1, and
+    ``zero_rule`` none to the residue 0 when ``padic._unit_at_zero`` proves
+    its class empty; with both, it is the walk ``padic`` runs.  The content
+    of each child, before that division, is appended to ``contents`` when
+    it is given."""
     cap = padic.PRECISION_HARD_CAP
     certs = []
     stack = [(f, None, 1, 0, 0)]
@@ -138,7 +143,14 @@ def lift_and_split_certs(f: IntegerPolynomial, ell: int, v1_rule: bool = False, 
             elif v1_rule and g(r) % (ell * ell) != 0:
                 continue
             elif not (zero_rule and r == 0 and padic._unit_at_zero(g.coeffs, ell)):
-                h = g.compose_affine(ell, r).strip_prime_content(ell)
+                h = g.compose_affine(ell, r).coeffs
+                content = math.gcd(*h)
+                if contents is not None:
+                    contents.append(content)
+                q = 1
+                while content % (q * ell) == 0:
+                    q *= ell
+                h = IntegerPolynomial([c // q for c in h])
                 children.append((h, None, scale * ell, offset + scale * r, depth + 1))
         stack.extend(reversed(children))
     return certs

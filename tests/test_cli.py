@@ -57,6 +57,15 @@ def test_localdata_parse_error_exits_2(runner):
     assert result.exit_code == 2  # neither --prime nor --all-bad
 
 
+@pytest.mark.parametrize("command", [["verify", "-p", "5"], ["localdata", "--all-bad"]])
+@pytest.mark.parametrize("source", [[], ["--curve", ELEVEN_A1, "--label", "11a1"]], ids=["neither", "both"])
+def test_curve_and_label_not_exactly_one_exit_2(runner, command, source):
+    result = runner.invoke(main, [*command, *source])
+    assert result.exit_code == 2
+    assert "provide exactly one of --curve or --label" in result.output
+    assert "{" not in result.output  # no report printed
+
+
 def test_localdata_prime_and_all_bad_together_exit_2(runner):
     result = runner.invoke(main, ["localdata", "--curve", "0,0,0,0,1", "--prime", "5", "--all-bad"])
     assert result.exit_code == 2
@@ -131,6 +140,21 @@ def test_verify_euler_only(runner):
     result = runner.invoke(main, ["verify", "--curve", "0,0,0,1,0", "-p", "3", "--check", "euler"])
     assert result.exit_code == 0
     assert json.loads(result.output)["chi_selmer"] == "1"
+
+
+@pytest.mark.parametrize("check, status", [("euler", 0), ("main-theorem", 1), ("all", 1)])
+def test_verify_exits_1_when_a_checked_verdict_fails(runner, monkeypatch, check, status):
+    """A phi_p of p at each finite place of S (5 and 11) makes the right
+    side of 11a1's main identity at 5 read 25, not 5, and leaves the Euler
+    characteristic alone: the check decides the exit, and the report is
+    printed either way."""
+    import tamagawa.euler as euler_mod
+
+    monkeypatch.setattr(euler_mod, "phi_p_part_order", lambda data, p: p)
+    result = runner.invoke(main, ["verify", "--curve", ELEVEN_A1, "-p", "5", "--check", check])
+    assert result.exit_code == status, result.output
+    verdicts = json.loads(result.output)["verdicts"]
+    assert verdicts["main_identity"] is False and verdicts["euler_characteristic_is_one"] is True
 
 
 def test_verify_rejects_even_p(runner):

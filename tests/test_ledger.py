@@ -396,6 +396,7 @@ def test_undecided_propagation(monkeypatch):
     }
     record = led.to_record()
     assert record["chi_selmer"] is record["chi_relaxed"] is record["mt_lhs"] is None
+    assert led.chi_selmer is led.chi_relaxed is led.mt_lhs is None
     assert not led.passed
     assert led.status == "undecided"
 

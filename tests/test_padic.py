@@ -254,6 +254,15 @@ def test_lift_and_split_reaches_the_depth_cap(monkeypatch):
             find_roots_padic(IntegerPolynomial([0, -(2**k), 1]), 2)
 
 
+def _is_power_of(n, ell):
+    """Whether the positive integer n is a power of l: a child of a
+    primitive node has one as its content, so dividing by the content
+    divides by the same number as dividing out the power of l."""
+    while n % ell == 0:
+        n //= ell
+    return n == 1
+
+
 def _certs_at_cap(walk, f, ell, cap):
     saved = padic.PRECISION_HARD_CAP
     padic.PRECISION_HARD_CAP = cap
@@ -283,9 +292,11 @@ def test_v1_rule_matches_the_walk_without_it(ell, roots, pairs, cofactor, cap):
         f *= X**2 - 2 * c * X + c * c - w * ell**k
     f = expand(f)
     assume(f.degree >= 1)
-    f = _sympy_squarefree_part(f).strip_prime_content(ell)
-    expected = lift_and_split_certs(f, ell)
+    f = _sympy_squarefree_part(f)
+    contents = []
+    expected = lift_and_split_certs(f, ell, contents=contents)
     assert padic._integral_root_certs(f, ell) == expected
+    assert all(_is_power_of(c, ell) for c in contents)  # so the content rules agree
     # under a lower cap the walk answers wherever the old one did, and then
     # the same; it may also answer where the old one ran into the cap
     reference, certs = (_certs_at_cap(w, f, ell, cap) for w in (lift_and_split_certs, padic._integral_root_certs))
@@ -320,8 +331,8 @@ def test_v1_rule_runs_no_taylor_shift_and_answers_under_the_cap(monkeypatch):
         find_roots_padic(f, 3)
 
 
-def _v1_walk(f, ell):
-    return lift_and_split_certs(f, ell, v1_rule=True)
+def _v1_walk(f, ell, contents=None):
+    return lift_and_split_certs(f, ell, v1_rule=True, contents=contents)
 
 
 @settings(max_examples=200, deadline=None)
@@ -351,9 +362,11 @@ def test_empty_class_at_zero_matches_the_walk_without_it(ell, roots, pairs, clus
         f *= (X - c) ** k - w * ell ** min(j, k - 1)
     f = expand(f)
     assume(f.degree >= 1)
-    f = _sympy_squarefree_part(f).strip_prime_content(ell)
-    expected = _v1_walk(f, ell)
+    f = _sympy_squarefree_part(f)
+    contents = []
+    expected = _v1_walk(f, ell, contents)
     assert padic._integral_root_certs(f, ell) == expected
+    assert all(_is_power_of(c, ell) for c in contents)
     # under a lower cap the pruned walk answers wherever the unpruned one
     # did, and then the same; it may also answer where that one reached the cap
     reference, certs = (_certs_at_cap(w, f, ell, cap) for w in (_v1_walk, padic._integral_root_certs))
@@ -695,14 +708,6 @@ def test_content_is_the_gcd_of_the_coefficients(coeffs, content):
         assert f.primitive_part() == IntegerPolynomial([c // content for c in coeffs])
 
 
-def test_strip_prime_content_reads_the_content():
-    # l divides every coefficient but one, so not the content: f is returned
-    f = IntegerPolynomial([3, 9, 27, 4])
-    assert f.content() == 1 and f.strip_prime_content(3) is f
-    assert IntegerPolynomial([-18, 27, 9]).strip_prime_content(3) == IntegerPolynomial([-2, 3, 1])
-    assert IntegerPolynomial([-8, -24, 40]).strip_prime_content(2) == IntegerPolynomial([-1, -3, 5])
-
-
 def test_squarefree_part_matches_rational_reference():
     """Random products of small factors, some repeated: a squarefree product
     is certified as its primitive part, any other is refused."""
@@ -785,8 +790,6 @@ def test_argument_preconditions_raise_value_error():
     assert padic._int_valuation(0, 7) == 10**9  # v(0) is the "infinite" sentinel
     with pytest.raises(ValueError, match="odd prime"):
         padic.legendre_symbol(3, 2)
-    with pytest.raises(ValueError, match="zero polynomial"):
-        IntegerPolynomial([0]).strip_prime_content(3)
 
 
 def test_constructor_rejects_inexact_coefficients():
@@ -956,13 +959,14 @@ def test_crossover_script_reports_a_fault_in_tates_machine_and_runs_on(monkeypat
     assert "closed-form double roots against both paths: 537 squares" in out
 
 
-# The list-level kernel that padic._linear_powmod_ell replaced, kept verbatim
-# as the reference for the packed one.
-_poly_mod_ell, _mul = padic._poly_mod_ell, padic._mul
+# The list-level kernel that padic._linear_powmod_ell replaced, kept as the
+# reference for the packed one; it reduces by the remainder of
+# padic._poly_divmod_ell.
+_divmod, _mul = padic._poly_divmod_ell, padic._mul
 
 
 def _poly_mulmod_ell(a: list[int], b: list[int], mod: list[int], ell: int) -> list[int]:
-    return _poly_mod_ell(_mul(a, b), mod, ell)
+    return _divmod(_mul(a, b), mod, ell)[1]
 
 
 def _linear_powmod_ell(c: int, e: int, f: list[int], ell: int) -> list[int]:
@@ -975,12 +979,35 @@ def _linear_powmod_ell(c: int, e: int, f: list[int], ell: int) -> list[int]:
             t = [0] + r
             for i, v in enumerate(r):
                 t[i] += c * v
-            r = _poly_mod_ell(t, f, ell)
+            r = _divmod(t, f, ell)[1]
     return r
 
 
 # 2^79 + 23, the least prime above 2^79
 POWMOD_PRIMES = [2, 3, 5, 7, 11, 157, 163, 307, 3001, 26557, 999983, 604462909807314587353111]
+
+
+def _reduced(cs: list[int], ell: int) -> list[int]:
+    out = [c % ell for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(ell=st.sampled_from(POWMOD_PRIMES), data=st.data())
+def test_poly_divmod_is_division_with_remainder(ell, data):
+    """a = q b + r over F_l with deg r < deg b, for an unreduced a (the
+    kernel above hands it products) and for an exact multiple q0 b, which is
+    how ``_linear_roots_mod`` divides a factor by a gcd: r = [] there."""
+    n = data.draw(st.integers(0, 8))
+    b = data.draw(st.lists(st.integers(0, ell - 1), min_size=n, max_size=n)) + [data.draw(st.integers(1, ell - 1))]
+    a = data.draw(st.lists(st.integers(-ell * ell, ell * ell), max_size=18))
+    q, r = _divmod(a, b, ell)
+    assert len(r) <= n and (not r or r[-1]) and all(0 <= c < ell for c in q + r)
+    assert _reduced(padic._sub(a, _mul(q, b)), ell) == r
+    q0 = data.draw(st.lists(st.integers(0, ell - 1), max_size=8)) + [data.draw(st.integers(1, ell - 1))]
+    assert _divmod(_reduced(_mul(q0, b), ell), b, ell) == (q0, [])
 
 
 @settings(max_examples=300, deadline=None)

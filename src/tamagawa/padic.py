@@ -27,6 +27,9 @@ same square root those of one of degree 2, or at l = 2 its values at 0 and
 quadratic question Tate's algorithm asks of F_l.  A
 simple residue root then costs a fixed amount of work: no Newton step when
 one digit decides the square test, and integer arithmetic in that test.
+Each try of the square test lifts the root from its residue again, on
+residues: a ``PadicRoot`` is a frozen value, and a Newton step to l^k reads
+the witness and its derivative mod l^k in one Horner pass.
 
 The powers (x + c)^e mod f over F_l behind that split, x^l mod f above all,
 run on packed integers: a residue mod f of degree n is one int whose W-bit
@@ -78,7 +81,7 @@ q, and keeps a candidate a / d only when d^n f(a / d), an integer, is 0.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd
@@ -529,14 +532,14 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 # Roots in Q_l
 
 
-@dataclass
+@dataclass(frozen=True)
 class PadicRoot:
     """A certified root of f in Z_l.
 
     The root is x = offset + scale * t where t is the unique zero of
     ``witness`` in the residue class t0 + l*Z_l, certified simple
-    (witness'(t0) is an l-adic unit).  ``approx(A)`` refines by Hensel
-    lifting and returns an int x_hat with v(x - x_hat) >= A.
+    (witness'(t0) is an l-adic unit).  ``approx(A)`` Hensel-lifts it and
+    returns an int x_hat with v(x - x_hat) >= A.
     """
 
     ell: int
@@ -545,35 +548,25 @@ class PadicRoot:
     scale: int  # power of l accumulated by lift-and-split
     offset: int
 
-    # the deepest lift so far, (digits, t mod l^digits): a later, deeper
-    # lift starts from it, so each doubling of the square test is one step
-    _last: tuple[int, int] | None = field(default=None, init=False, compare=False, repr=False)
-
     def approx(self, digits: int) -> int:
-        """x_hat in [0, l^digits) with v(x - x_hat) >= digits (one digit at least)."""
-        need = max(digits, 1)
-        return (self.offset + self.scale * self._lift(need)) % self.ell**need
+        """x_hat in [0, l^digits) with v(x - x_hat) >= digits (one digit at least).
 
-    def _lift(self, k: int) -> int:
-        """The zero of ``witness`` in t0 + l Z_l, mod l^k, in [0, l^k)."""
-        ell = self.ell
-        if k <= 1:
-            return self.t0 % ell
-        last = self._last
-        if last is not None and last[0] >= k:
-            return last[1] % ell**k
-        exp, t = last or (1, self.t0 % ell)
-        f, fp = self.witness, self.witness.derivative()
+        Newton-lifts t from t0 mod l, doubling its digits up to
+        k = max(digits, 1); each step reads witness(t) and witness'(t) mod
+        l^exp from one Horner pass over the witness's coefficients."""
+        ell, k = self.ell, max(digits, 1)
+        exp, t = 1, self.t0 % ell
         while exp < k:
             exp = min(2 * exp, k)
             m = ell**exp
-            ft = f(t) % m
-            fpt = fp(t) % m
-            if fpt % ell == 0:
+            value = slope = 0  # witness(t) and witness'(t) mod m
+            for c in reversed(self.witness.coeffs):
+                slope = (slope * t + value) % m
+                value = (value * t + c) % m
+            if slope % ell == 0:
                 raise ArithmeticError("witness root must be simple")
-            t = (t - ft * pow(fpt, -1, m)) % m
-        self._last = (exp, t)
-        return t
+            t = (t - value * pow(slope, -1, m)) % m
+        return (self.offset + self.scale * t) % ell**k
 
 
 def _roots_mod(coeffs: Sequence[int], ell: int) -> list[int]:
@@ -957,8 +950,8 @@ def value_is_square_at_root(h: IntegerPolynomial, root: PadicRoot) -> bool:
     valuation and unit part of h(x) are certified stable; doubles the
     approximation digits otherwise, up to ``PRECISION_HARD_CAP``.  The start,
     ``margin`` digits, is the fewest at which a unit value passes the stop
-    rule without slack; at odd l that needs no Newton step.  The root keeps
-    its last lift, so a doubling costs one Newton step.
+    rule without slack; at odd l that needs no Newton step.  Each try lifts
+    the root from its residue, on residues (``PadicRoot.approx``).
     """
     ell = root.ell
     # x and x_hat are in Z_l, so v(h(x) - h(x_hat)) >= A + min_(i>=1) v(c_i)

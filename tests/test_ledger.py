@@ -72,6 +72,29 @@ def test_global_torsion_matches_fixture_p_parts(corpus):
             assert global_torsion_order(E, p) == expected, rec.label
 
 
+def test_global_torsion_divides_every_local_torsion_count(corpus):
+    """E(Q)[p] embeds in E(Q_l)[p] at every finite place, so on the corpus at
+    p up to 13 global torsion divides each place's count.  Global torsion
+    comes from the F_q screen or from rational roots at a certificate prime,
+    a place's count from the roots in Z_l of psi_p moved into Tate's frame,
+    so the relation crosses both routes; it has teeth on the ledgers at p <= 7
+    whose global torsion is p."""
+    places = 0
+    torsion_p = []
+    for p in (3, 5, 7, 11, 13):
+        for rec in corpus:
+            led = verify_main_theorem(rec.curve(), p)
+            assert not led.undecided
+            finite = [o for o in led.orders if not o.place.is_real]
+            for o in finite:
+                assert o.torsion_order % led.global_torsion == 0, (rec.label, p, o.place)
+            places += len(finite)
+            if led.global_torsion == p:
+                torsion_p.append((rec.label, p))
+    assert places == 1033
+    assert len(torsion_p) == 10 and all(p <= 7 for _, p in torsion_p)
+
+
 def test_chi_is_one_and_factor_breakdown():
     E = WeierstrassCurve(0, 0, 0, 1, 0)
     led = verify_main_theorem(E, 3)

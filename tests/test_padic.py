@@ -474,29 +474,34 @@ def _fresh(root: PadicRoot) -> PadicRoot:
 
 
 @pytest.mark.parametrize("ell", [2, 3, 7, 1009])
-def test_doubling_the_digits_continues_the_last_lift(ell, monkeypatch):
-    """After approx(A), approx(2A) is what a fresh root gives, and that
-    doubling costs one Newton step: one evaluation of the witness and one of
-    its derivative.  A shallower approx then needs no evaluation at all."""
+def test_approx_is_a_pure_function_of_the_precision(ell, monkeypatch):
+    """approx(b) is what a fresh root gives, whether a deeper or a shallower
+    approx was asked first; approx(a) mod l^b is approx(b) for b <= a; and
+    the witness vanishes mod l^k at the lifted t.  The lift runs on
+    residues: it evaluates no polynomial over Z and builds no derivative."""
     # 1/l is not in Z_l; 1 + 8 l^3 is a unit square in Z_l, also at l = 2
     f = expand((ell * X - 1) * (X**2 - (1 + 8 * ell**3)))
-    roots = find_roots_padic(f, ell)
-    assert len(roots) == 2
-    evaluations = []
-    real_call = IntegerPolynomial.__call__
-    for root in roots:
-        for digits in (5, 10, 20, 40):
-            assert root.approx(digits) == _fresh(root).approx(digits)
-        with monkeypatch.context() as m:
-            m.setattr(IntegerPolynomial, "__call__", lambda g, x: evaluations.append(x) or real_call(g, x))
-            evaluations.clear()
-            deep = root.approx(80)
-            assert len(evaluations) == 2
-            evaluations.clear()
-            shallow = root.approx(30)
-            assert evaluations == []
-        assert deep == _fresh(root).approx(80)
-        assert shallow == _fresh(root).approx(30)
+    assert len(find_roots_padic(f, ell)) == 2
+    # at l = 2, x^2 - 65 is (x - 1)^2 mod 2: both roots are lifted in a child
+    assert all(root.scale > 1 for root in find_roots_padic(f, ell)) is (ell == 2)
+    rng = random.Random(ell)
+    families = [f] + [_random_constructed_poly(rng, ell)[0] for _ in range(6)]
+    roots = [root for g in families for root in find_roots_padic(g, ell)]
+    precisions = (1, 2, 3, 5, 8, 10, 20, 30, 40, 64, 80)
+    with monkeypatch.context() as m:
+        for name in ("__call__", "derivative"):
+            m.setattr(IntegerPolynomial, name, lambda *args: pytest.fail("the lift left the residues"))
+        fresh = [{b: _fresh(root).approx(b) for b in precisions} for root in roots]
+        for root, lift in zip(roots, fresh):
+            assert [root.approx(b) for b in reversed(precisions)] == [lift[b] for b in reversed(precisions)]
+            assert [root.approx(b) for b in precisions] == [lift[b] for b in precisions]
+        # the lift of t itself, the zero of the witness in t0 + l Z_l
+        lifted_t = [{k: PadicRoot(ell, r.witness, r.t0, 1, 0).approx(k) for k in precisions} for r in roots]
+    for root, lift, ts in zip(roots, fresh, lifted_t):
+        for a in precisions:
+            assert all(lift[a] % ell**b == lift[b] for b in precisions if b <= a)
+            assert root.witness(ts[a]) % ell**a == 0
+            assert lift[a] == (root.offset + root.scale * ts[a]) % ell**a
 
 
 def _square_at_root_from_the_old_start(h: IntegerPolynomial, root: PadicRoot) -> bool:
